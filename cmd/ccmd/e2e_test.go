@@ -191,143 +191,6 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
-// TestJournalCrashRecoverySmoke is the crash-recovery check against the
-// real binary: start ccmd with a journal, accept a compile, SIGKILL the
-// process mid-life, restart it on the same journal, and assert the
-// restarted daemon replays the journaled request and re-serves
-// byte-identical output. scripts/verify.sh runs this.
-func TestJournalCrashRecoverySmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping daemon e2e in -short mode")
-	}
-	dir := t.TempDir()
-	ccmdBin := filepath.Join(dir, "ccmd")
-	ccmcBin := filepath.Join(dir, "ccmc")
-	for bin, pkg := range map[string]string{ccmdBin: "./cmd/ccmd", ccmcBin: "./cmd/ccmc"} {
-		cmd := exec.Command("go", "build", "-o", bin, pkg)
-		cmd.Dir = "../.."
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
-	}
-	srcPath := filepath.Join("..", "..", "testdata", "dotprod.iloc")
-	src, err := os.ReadFile(srcPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := exec.Command(ccmcBin, "-strategy", "postpass", "-ccm", "512", srcPath).Output()
-	if err != nil {
-		t.Fatalf("ccmc reference: %v", err)
-	}
-	journalDir := filepath.Join(dir, "journal")
-
-	// start launches one ccmd over the shared journal and returns its
-	// process, base URL, and a snapshot function for its stderr log.
-	start := func() (*exec.Cmd, string, func() string) {
-		t.Helper()
-		daemon := exec.Command(ccmdBin,
-			"-addr", "127.0.0.1:0",
-			"-journal-dir", journalDir,
-			"-drain-timeout", "30s")
-		stderr, err := daemon.StderrPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := daemon.Start(); err != nil {
-			t.Fatalf("starting ccmd: %v", err)
-		}
-		var logMu sync.Mutex
-		var stderrBuf bytes.Buffer
-		logText := func() string {
-			logMu.Lock()
-			defer logMu.Unlock()
-			return stderrBuf.String()
-		}
-		addrCh := make(chan string, 1)
-		go func() {
-			sc := bufio.NewScanner(stderr)
-			for sc.Scan() {
-				line := sc.Text()
-				logMu.Lock()
-				stderrBuf.WriteString(line + "\n")
-				logMu.Unlock()
-				if i := strings.Index(line, "listening on "); i >= 0 {
-					select {
-					case addrCh <- strings.TrimSpace(line[i+len("listening on "):]):
-					default:
-					}
-				}
-			}
-		}()
-		select {
-		case addr := <-addrCh:
-			return daemon, "http://" + addr, logText
-		case <-time.After(30 * time.Second):
-			t.Fatalf("ccmd never logged its listen address:\n%s", logText())
-			return nil, "", nil
-		}
-	}
-	compile := func(base string) string {
-		t.Helper()
-		reqBody, _ := json.Marshal(map[string]any{
-			"tenant":  "team-a",
-			"program": string(src),
-			"config":  map[string]any{"strategy": "postpass", "ccm_bytes": 512},
-		})
-		resp, err := http.Post(base+"/compile", "application/json", bytes.NewReader(reqBody))
-		if err != nil {
-			t.Fatalf("POST /compile: %v", err)
-		}
-		var compiled struct {
-			Output string `json:"output"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&compiled); err != nil {
-			t.Fatalf("decoding compile response: %v", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("POST /compile: status %d", resp.StatusCode)
-		}
-		return compiled.Output
-	}
-
-	// Life 1: accept a compile, then die without warning.
-	daemon1, base1, log1 := start()
-	defer daemon1.Process.Kill()
-	if out := compile(base1); out != string(ref) {
-		t.Fatalf("pre-crash output differs from solo ccmc compile:\n%s", log1())
-	}
-	if err := daemon1.Process.Kill(); err != nil {
-		t.Fatalf("SIGKILL: %v", err)
-	}
-	daemon1.Wait() // killed: a nonzero exit is the point
-
-	// Life 2: the same journal. The restart must replay the committed
-	// request and then re-serve it byte-identically.
-	daemon2, base2, log2 := start()
-	defer daemon2.Process.Kill()
-	waitForLog := func(substr string) {
-		t.Helper()
-		deadline := time.Now().Add(30 * time.Second)
-		for !strings.Contains(log2(), substr) {
-			if time.Now().After(deadline) {
-				t.Fatalf("restarted ccmd never logged %q:\n%s", substr, log2())
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	waitForLog("journal: replayed 1 recovered requests")
-	if out := compile(base2); out != string(ref) {
-		t.Fatalf("post-recovery output differs from the pre-crash response")
-	}
-	if err := daemon2.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatalf("SIGTERM: %v", err)
-	}
-	if err := daemon2.Wait(); err != nil {
-		t.Fatalf("restarted ccmd exited uncleanly: %v\n%s", err, log2())
-	}
-}
-
 func getStatus(t *testing.T, url string) int {
 	t.Helper()
 	resp, err := http.Get(url)
