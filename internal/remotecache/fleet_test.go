@@ -22,7 +22,7 @@ type fleetHarness struct {
 	direct []*Client
 }
 
-func newFleetHarness(t *testing.T, n int, hedge time.Duration) *fleetHarness {
+func newFleetHarness(t *testing.T, n int) *fleetHarness {
 	t.Helper()
 	h := &fleetHarness{}
 	for i := 0; i < n; i++ {
@@ -35,7 +35,6 @@ func newFleetHarness(t *testing.T, n int, hedge time.Duration) *fleetHarness {
 		BaseURLs:      h.urls,
 		RoundTrippers: roundTrippers(h.faults),
 		Tuning:        fastTuning(),
-		HedgeDelay:    hedge,
 	})
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
@@ -97,7 +96,7 @@ func assertFleetInvariant(t *testing.T, f *Fleet) {
 }
 
 func TestFleetPreferenceDeterministicAcrossOrdering(t *testing.T) {
-	h := newFleetHarness(t, 3, 0)
+	h := newFleetHarness(t, 3)
 	// A second fleet over the same servers with the URL list reversed
 	// must compute identical preference orders: placement depends on
 	// node identity, not flag order.
@@ -135,7 +134,7 @@ func TestFleetRendezvousMinimalDisruption(t *testing.T) {
 	// Rendezvous hashing's selling point: removing a node only moves
 	// the keys that preferred it. Compare primaries between a 3-node
 	// fleet and the same fleet minus its last node.
-	h := newFleetHarness(t, 3, 0)
+	h := newFleetHarness(t, 3)
 	f2, err := NewFleet(FleetOptions{BaseURLs: h.urls[:2], Tuning: fastTuning()})
 	if err != nil {
 		t.Fatalf("NewFleet(2 nodes): %v", err)
@@ -163,7 +162,7 @@ func TestFleetRendezvousMinimalDisruption(t *testing.T) {
 }
 
 func TestFleetPutReplicatesToFirstRHealthy(t *testing.T) {
-	h := newFleetHarness(t, 3, 0)
+	h := newFleetHarness(t, 3)
 	payload := []byte("replicated artifact")
 	key := keyOf(payload)
 	pref := h.preference(t, key)
@@ -184,7 +183,7 @@ func TestFleetPutReplicatesToFirstRHealthy(t *testing.T) {
 }
 
 func TestFleetPutSkipsOpenBreaker(t *testing.T) {
-	h := newFleetHarness(t, 3, 0)
+	h := newFleetHarness(t, 3)
 	payload := []byte("skip the tripped node")
 	key := keyOf(payload)
 	pref := h.preference(t, key)
@@ -211,7 +210,7 @@ func TestFleetPutSkipsOpenBreaker(t *testing.T) {
 }
 
 func TestFleetFailoverReadAndCounter(t *testing.T) {
-	h := newFleetHarness(t, 3, 0)
+	h := newFleetHarness(t, 3)
 	payload := []byte("survives a primary outage")
 	key := keyOf(payload)
 	pref := h.preference(t, key)
@@ -239,7 +238,7 @@ func TestFleetFailoverReadAndCounter(t *testing.T) {
 }
 
 func TestFleetReadRepairHealsPrimary(t *testing.T) {
-	h := newFleetHarness(t, 3, 0)
+	h := newFleetHarness(t, 3)
 	payload := []byte("repair me upward")
 	key := keyOf(payload)
 	pref := h.preference(t, key)
@@ -270,7 +269,7 @@ func TestFleetReadRepairHealsPrimary(t *testing.T) {
 }
 
 func TestFleetAllNodesDownDegradesToMiss(t *testing.T) {
-	h := newFleetHarness(t, 3, 0)
+	h := newFleetHarness(t, 3)
 	payload := []byte("nobody home")
 	key := keyOf(payload)
 	for _, f := range h.faults {
@@ -296,7 +295,7 @@ func TestFleetAllNodesDownDegradesToMiss(t *testing.T) {
 }
 
 func TestFleetStateFoldsAcrossNodes(t *testing.T) {
-	h := newFleetHarness(t, 3, 0)
+	h := newFleetHarness(t, 3)
 	if got := h.fleet.State(); got != StateClosed {
 		t.Fatalf("fresh fleet state = %v, want closed", got)
 	}
@@ -330,100 +329,8 @@ func TestFleetStateFoldsAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestFleetHedgeWinsOnSlowPrimary(t *testing.T) {
-	h := newFleetHarness(t, 2, 5*time.Millisecond)
-	payload := []byte("hedged artifact")
-	key := keyOf(payload)
-	pref := h.preference(t, key)
-
-	// Both nodes hold the entry (R=2 write with everything healthy).
-	h.fleet.Put(key, 1, payload)
-	flushFleet(t, h.fleet)
-
-	// The primary hangs until its request deadline; the hedge fires
-	// after 5ms and wins with a verified hit from the secondary.
-	h.faults[pref[0]].Arm(FaultSlow)
-	got, ok := h.fleet.Get(key, 1)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("hedged read failed: ok=%v", ok)
-	}
-	h.faults[pref[0]].Disarm()
-
-	st := h.fleet.Stats()
-	if st.HedgesLaunched != 1 || st.HedgesWon != 1 {
-		t.Fatalf("hedges launched=%d won=%d, want 1/1", st.HedgesLaunched, st.HedgesWon)
-	}
-	// A won hedge counts exactly one fleet-level hit.
-	if st.Hits != 1 {
-		t.Fatalf("hits = %d, want exactly 1 for the hedged lookup", st.Hits)
-	}
-	assertFleetInvariant(t, h.fleet)
-}
-
-func TestFleetHedgeIdleOnFastPrimary(t *testing.T) {
-	// With a healthy primary and a generous delay, the hedge never
-	// launches: hedging costs nothing on the happy path.
-	h := newFleetHarness(t, 2, time.Second)
-	payload := []byte("prompt primary")
-	key := keyOf(payload)
-
-	h.fleet.Put(key, 1, payload)
-	flushFleet(t, h.fleet)
-
-	for i := 0; i < 3; i++ {
-		if _, ok := h.fleet.Get(key, 1); !ok {
-			t.Fatalf("warm read %d missed", i)
-		}
-	}
-	st := h.fleet.Stats()
-	if st.HedgesLaunched != 0 {
-		t.Fatalf("hedges launched = %d, want 0 with a fast primary", st.HedgesLaunched)
-	}
-	if st.Hits != 3 {
-		t.Fatalf("hits = %d, want 3", st.Hits)
-	}
-	assertFleetInvariant(t, h.fleet)
-}
-
-func TestFleetHedgeSoakInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hedging soak skipped in -short mode")
-	}
-	// Soak the hedged path under a permanently slow node: many keys,
-	// some preferring the slow node (hedge wins), some the healthy one
-	// (hedge may or may not launch). Whatever the timing does, bytes
-	// stay correct and the one-resolution-per-Get invariant holds.
-	h := newFleetHarness(t, 2, 2*time.Millisecond)
-	type entry struct {
-		key     diskcache.Key
-		payload []byte
-	}
-	var entries []entry
-	for i := 0; i < 24; i++ {
-		p := []byte(fmt.Sprintf("soak artifact %d", i))
-		e := entry{key: keyOf(p), payload: p}
-		entries = append(entries, e)
-		h.fleet.Put(e.key, 1, e.payload)
-	}
-	flushFleet(t, h.fleet)
-
-	h.faults[0].Arm(FaultSlow)
-	for _, e := range entries {
-		got, ok := h.fleet.Get(e.key, 1)
-		if !ok || !bytes.Equal(got, e.payload) {
-			t.Fatalf("soak read failed for %x: ok=%v", e.key[:4], ok)
-		}
-	}
-	h.faults[0].Disarm()
-	assertFleetInvariant(t, h.fleet)
-	st := h.fleet.Stats()
-	if st.Hits != int64(len(entries)) {
-		t.Fatalf("hits = %d, want %d", st.Hits, len(entries))
-	}
-}
-
 func TestFleetDecodeFailureReclassifies(t *testing.T) {
-	h := newFleetHarness(t, 2, 0)
+	h := newFleetHarness(t, 2)
 	payload := []byte("wire-valid, decode-invalid")
 	key := keyOf(payload)
 	h.fleet.Put(key, 1, payload)
@@ -459,7 +366,7 @@ func TestFleetRejectsBadConfig(t *testing.T) {
 }
 
 func TestFleetStatsJSONShape(t *testing.T) {
-	h := newFleetHarness(t, 2, 0)
+	h := newFleetHarness(t, 2)
 	payload := []byte("json shape probe")
 	key := keyOf(payload)
 	h.fleet.Put(key, 1, payload)
