@@ -205,30 +205,16 @@ func (c *Cache) Dir() string { return c.dir }
 // Get returns the verified payload stored under (key, kind), or false.
 // Every failure mode — absent, unreadable, truncated, bit-flipped, wrong
 // version, wrong kind, wrong embedded key — is a miss; integrity failures
-// additionally quarantine the file.
+// additionally quarantine the file. So does a verified entry of another
+// kind: Put is a no-op on an indexed key, so an entry left behind by an
+// earlier codec would otherwise block its replacement forever.
 func (c *Cache) Get(key Key, kind uint32) ([]byte, bool) {
-	payload, _, ok := c.getKinds(key, []uint32{kind}, true)
-	return payload, ok
-}
-
-// GetAny returns the verified payload stored under key if its kind is one
-// of kinds, along with the kind found. Unlike Get, a valid entry whose
-// kind is not listed reads as a plain miss and is left on disk untouched:
-// the entry is internally consistent, just written under a codec version
-// (or namespace) this reader did not ask for, and destroying it would
-// punish mixed-version fleets sharing a cache directory. Integrity
-// failures (bad checksum, wrong embedded key) still quarantine.
-func (c *Cache) GetAny(key Key, kinds ...uint32) ([]byte, uint32, bool) {
-	return c.getKinds(key, kinds, false)
-}
-
-func (c *Cache) getKinds(key Key, kinds []uint32, quarantineKindMismatch bool) ([]byte, uint32, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m, ok := c.index[key]
 	if !ok {
 		c.stats.Misses++
-		return nil, 0, false
+		return nil, false
 	}
 	if c.expiredLocked(m) {
 		// The entry is withdrawn from the index before the file is
@@ -236,7 +222,7 @@ func (c *Cache) getKinds(key Key, kinds []uint32, quarantineKindMismatch bool) (
 		// partially-deleted entry — it simply misses.
 		c.expireLocked(m)
 		c.stats.Misses++
-		return nil, 0, false
+		return nil, false
 	}
 	data, err := c.fs.ReadFile(c.path(entryName(key)))
 	if err != nil {
@@ -247,26 +233,17 @@ func (c *Cache) getKinds(key Key, kinds []uint32, quarantineKindMismatch bool) (
 		} else {
 			c.stats.ReadErrors++
 		}
-		return nil, 0, false
+		return nil, false
 	}
 	gotKind, gotKey, payload, err := DecodeEntry(data)
-	if err != nil || gotKey != key {
+	if err != nil || gotKey != key || gotKind != kind {
 		c.stats.Misses++
 		c.quarantineLocked(m)
-		return nil, 0, false
+		return nil, false
 	}
-	for _, k := range kinds {
-		if gotKind == k {
-			c.stats.Hits++
-			c.moveFront(m)
-			return payload, gotKind, true
-		}
-	}
-	c.stats.Misses++
-	if quarantineKindMismatch {
-		c.quarantineLocked(m)
-	}
-	return nil, 0, false
+	c.stats.Hits++
+	c.moveFront(m)
+	return payload, true
 }
 
 // Put stores payload under (key, kind) with the crash-safe protocol. It

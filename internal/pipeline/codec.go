@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"ccmem/internal/ir"
@@ -12,85 +11,30 @@ import (
 // the kind is stored in the verified entry header and checked on read.
 // The values are part of the on-disk format — append, never renumber.
 //
-// Kinds 1-3 are the original JSON payloads; kinds 4-6 carry the binary
-// codec v2 payloads (codecv2.go). New artifacts are written as v2; the
-// JSON decoders are kept as read-compatibility fallbacks so a cache
-// directory produced by a previous release either decodes correctly or
-// reads as a clean miss — never as a wrong artifact.
+// Kinds 4-6 carry the binary codec v2 payloads (codecv2.go). Kinds 1-3
+// were the JSON payloads of earlier releases; they are reserved and never
+// reused. An entry of a reserved kind under a key this release looks up
+// reads as a miss and is quarantined, so the recompile can store its v2
+// replacement under the same key.
 const (
-	diskKindFront   uint32 = 1
-	diskKindBack    uint32 = 2
-	diskKindProgram uint32 = 3
-
 	diskKindFrontV2   uint32 = 4
 	diskKindBackV2    uint32 = 5
 	diskKindProgramV2 uint32 = 6
 )
 
-// legacyKind maps a v2 kind to the JSON kind a previous release would
-// have written under the same key (identity for kinds that already are
-// legacy). The read path probes both; the legacy-write test seam uses it
-// to produce previous-release cache directories.
-func legacyKind(kind uint32) uint32 {
+// encodeArtifact renders a cache artifact for the persistent tiers.
+// Encoding is total: every value the pipeline produces is representable
+// in codec v2, NaN float immediates included.
+func encodeArtifact(kind uint32, v any) []byte {
 	switch kind {
 	case diskKindFrontV2:
-		return diskKindFront
+		return encodeFrontV2(v.(*frontArtifact))
 	case diskKindBackV2:
-		return diskKindBack
+		return encodeBackV2(v.(*backArtifact))
 	case diskKindProgramV2:
-		return diskKindProgram
+		return encodeProgramV2(v.(*programArtifact))
 	}
-	return kind
-}
-
-// The v1 disk payloads are the JSON encodings of these shadow structs.
-// The IR types are plain exported data, so encoding/json round-trips them
-// exactly — including the post-allocation metadata (Allocated, frame and
-// CCM sizes, physical register counts, diagnostic register names) that
-// the textual ILOC form deliberately omits. The v2 binary payloads carry
-// the same field set in the canonical order of hash.go, plus what JSON
-// cannot: NaN float immediates travel as IEEE-754 bit patterns, so v2
-// encoding is total over real artifacts.
-type diskFront struct {
-	Func   *ir.Func   `json:"func"`
-	Report FuncReport `json:"report"`
-}
-
-type diskBack struct {
-	Func         *ir.Func `json:"func"`
-	CompactAfter int64    `json:"compact_after"`
-	Webs         int      `json:"webs"`
-}
-
-type diskProgram struct {
-	Funcs   []*ir.Func            `json:"funcs"`
-	PerFunc map[string]FuncReport `json:"per_func"`
-}
-
-// encodeArtifact renders a cache artifact for the disk tier. For the v2
-// binary kinds encoding is total in practice; a failure (possible only
-// through the legacy JSON kinds, e.g. a NaN float immediate) makes the
-// caller skip the persistent write, count it, and keep the artifact
-// memory-only.
-func encodeArtifact(kind uint32, v any) ([]byte, error) {
-	switch kind {
-	case diskKindFrontV2:
-		return encodeFrontV2(v.(*frontArtifact)), nil
-	case diskKindBackV2:
-		return encodeBackV2(v.(*backArtifact)), nil
-	case diskKindProgramV2:
-		return encodeProgramV2(v.(*programArtifact)), nil
-	case diskKindFront:
-		a := v.(*frontArtifact)
-		return json.Marshal(&diskFront{Func: a.fn, Report: a.fr})
-	case diskKindBack:
-		a := v.(*backArtifact)
-		return json.Marshal(&diskBack{Func: a.fn, CompactAfter: a.compactAfter, Webs: a.webs})
-	case diskKindProgram:
-		a := v.(*programArtifact)
-		return json.Marshal(&diskProgram{Funcs: a.funcs, PerFunc: a.perFunc})
-	}
-	return nil, fmt.Errorf("pipeline: unknown disk artifact kind %d", kind)
+	panic(fmt.Sprintf("pipeline: unknown disk artifact kind %d", kind))
 }
 
 // decodeArtifact parses a checksum-verified disk payload back into the
@@ -109,51 +53,6 @@ func decodeArtifact(kind uint32, payload []byte) (any, error) {
 		return decodeBackV2(payload)
 	case diskKindProgramV2:
 		return decodeProgramV2(payload)
-	case diskKindFront:
-		var d diskFront
-		if err := json.Unmarshal(payload, &d); err != nil {
-			return nil, err
-		}
-		if err := validateFunc(d.Func); err != nil {
-			return nil, err
-		}
-		d.Func.Renumber()
-		return &frontArtifact{fn: d.Func, fr: d.Report}, nil
-	case diskKindBack:
-		var d diskBack
-		if err := json.Unmarshal(payload, &d); err != nil {
-			return nil, err
-		}
-		if err := validateFunc(d.Func); err != nil {
-			return nil, err
-		}
-		d.Func.Renumber()
-		return &backArtifact{fn: d.Func, compactAfter: d.CompactAfter, webs: d.Webs}, nil
-	case diskKindProgram:
-		var d diskProgram
-		if err := json.Unmarshal(payload, &d); err != nil {
-			return nil, err
-		}
-		if len(d.Funcs) == 0 {
-			return nil, fmt.Errorf("pipeline: disk program artifact has no functions")
-		}
-		seen := make(map[string]bool, len(d.Funcs))
-		for _, f := range d.Funcs {
-			if err := validateFunc(f); err != nil {
-				return nil, err
-			}
-			if seen[f.Name] {
-				return nil, fmt.Errorf("pipeline: disk program artifact repeats function %q", f.Name)
-			}
-			seen[f.Name] = true
-		}
-		if err := checkPerFunc(d.Funcs, d.PerFunc); err != nil {
-			return nil, err
-		}
-		for _, f := range d.Funcs {
-			f.Renumber()
-		}
-		return &programArtifact{funcs: d.Funcs, perFunc: d.PerFunc}, nil
 	}
 	return nil, fmt.Errorf("pipeline: unknown disk artifact kind %d", kind)
 }

@@ -23,8 +23,7 @@ import (
 //     function of the artifact.
 //   - Total for floats: FImm travels as its IEEE-754 bit pattern
 //     (math.Float64bits), so NaN immediates — which encoding/json cannot
-//     carry and which made v1 writers silently skip the disk tier —
-//     round-trip exactly, payload bits included.
+//     carry — round-trip exactly, payload bits included.
 //   - Hostile-input safe: every read is bounds-checked, every element
 //     count is validated against the bytes remaining before allocation,
 //     and no decode path panics. The disk entry checksum already rejects

@@ -2,13 +2,12 @@ package pipeline
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
-	"strings"
+	"path/filepath"
 	"testing"
 
+	"ccmem/internal/diskcache"
 	"ccmem/internal/ir"
-	"ccmem/internal/obs"
 	"ccmem/internal/workload"
 )
 
@@ -42,42 +41,13 @@ func TestCodecV2RoundTrip(t *testing.T) {
 		{diskKindBackV2, back},
 		{diskKindProgramV2, prog},
 	} {
-		payload, err := encodeArtifact(tc.kind, tc.v)
-		if err != nil {
-			t.Fatalf("kind %d: encode: %v", tc.kind, err)
-		}
+		payload := encodeArtifact(tc.kind, tc.v)
 		got, err := decodeArtifact(tc.kind, payload)
 		if err != nil {
 			t.Fatalf("kind %d: decode: %v", tc.kind, err)
 		}
-		re, err := encodeArtifact(tc.kind, got)
-		if err != nil {
-			t.Fatalf("kind %d: re-encode: %v", tc.kind, err)
-		}
-		if !bytes.Equal(re, payload) {
+		if re := encodeArtifact(tc.kind, got); !bytes.Equal(re, payload) {
 			t.Errorf("kind %d: decode∘encode is not the identity (%d vs %d bytes)", tc.kind, len(re), len(payload))
-		}
-	}
-}
-
-// TestCodecV1StillDecodes pins the read-compatibility fallback: the JSON
-// payloads a previous release wrote still decode into working artifacts.
-func TestCodecV1StillDecodes(t *testing.T) {
-	front, back, prog := codecArtifacts(t)
-	for _, tc := range []struct {
-		kind uint32
-		v    any
-	}{
-		{diskKindFront, front},
-		{diskKindBack, back},
-		{diskKindProgram, prog},
-	} {
-		payload, err := encodeArtifact(tc.kind, tc.v)
-		if err != nil {
-			t.Fatalf("kind %d: encode: %v", tc.kind, err)
-		}
-		if _, err := decodeArtifact(tc.kind, payload); err != nil {
-			t.Errorf("kind %d: legacy JSON payload no longer decodes: %v", tc.kind, err)
 		}
 	}
 }
@@ -120,8 +90,8 @@ func FuzzBinaryArtifactDecode(f *testing.F) {
 }
 
 // TestProgramDecodeRejectsPerFuncMismatch: a program artifact whose
-// report map disagrees with its function list is malformed in both
-// formats — served per-function accounting must never be silently wrong.
+// report map disagrees with its function list is malformed — served
+// per-function accounting must never be silently wrong.
 func TestProgramDecodeRejectsPerFuncMismatch(t *testing.T) {
 	_, _, prog := codecArtifacts(t)
 
@@ -137,28 +107,12 @@ func TestProgramDecodeRejectsPerFuncMismatch(t *testing.T) {
 	if _, err := decodeProgramV2(encodeProgramV2(&programArtifact{funcs: prog.funcs, perFunc: wrong})); err == nil {
 		t.Error("v2: program with reports for absent functions decoded")
 	}
-
-	// v1 JSON: same two corruptions through the legacy decoder.
-	pay, err := json.Marshal(&diskProgram{Funcs: prog.funcs, PerFunc: map[string]FuncReport{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeArtifact(diskKindProgram, pay); err == nil {
-		t.Error("v1: program with no reports decoded")
-	}
-	pay, err = json.Marshal(&diskProgram{Funcs: prog.funcs, PerFunc: wrong})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeArtifact(diskKindProgram, pay); err == nil {
-		t.Error("v1: program with reports for absent functions decoded")
-	}
 }
 
 // TestProgramDecodeAllOrNothing: one bad function poisons the whole
 // artifact — a payload whose first function is healthy but whose last is
-// hollow must be rejected outright, in both formats, not partially
-// served or partially canonicalized.
+// hollow must be rejected outright, not partially served or partially
+// canonicalized.
 func TestProgramDecodeAllOrNothing(t *testing.T) {
 	_, _, prog := codecArtifacts(t)
 	bad := append(append([]*ir.Func{}, prog.funcs...), &ir.Func{Name: "hollow"})
@@ -170,13 +124,6 @@ func TestProgramDecodeAllOrNothing(t *testing.T) {
 	if _, err := decodeProgramV2(encodeProgramV2(&programArtifact{funcs: bad, perFunc: perFunc})); err == nil {
 		t.Error("v2: program with a hollow trailing function decoded")
 	}
-	pay, err := json.Marshal(&diskProgram{Funcs: bad, PerFunc: perFunc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeArtifact(diskKindProgram, pay); err == nil {
-		t.Error("v1: program with a hollow trailing function decoded")
-	}
 
 	// Duplicate function names are equally unservable.
 	dup := append(append([]*ir.Func{}, prog.funcs...), prog.funcs[0])
@@ -185,55 +132,70 @@ func TestProgramDecodeAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestMixedVersionCacheDir: one cache directory holding entries from a
-// previous release (JSON v1, fabricated through the legacyPut seam) and
-// from this one (binary v2) serves both, byte-identical to cold compiles,
-// across driver restarts.
-func TestMixedVersionCacheDir(t *testing.T) {
-	dir := t.TempDir()
+// TestStaleKindEntryIsSelfHealingMiss: an entry of a retired kind (the
+// JSON kinds 1-3 of earlier releases) stored under the exact key a
+// compile looks up is one clean miss, on a cache directory and on a
+// cache server alike. The compile is byte-identical to a cold one, the
+// stale entry is quarantined exactly once, and its v2 replacement serves
+// the next process a program-tier hit.
+func TestStaleKindEntryIsSelfHealingMiss(t *testing.T) {
+	const seed = 21
+	const staleKind = 3 // the retired JSON program kind
 	cfg := detConfig(Integrated)
-	wantA := coldILOC(t, 21, cfg)
-	wantB := coldILOC(t, 22, cfg)
+	want := coldILOC(t, seed, cfg)
+	key := diskcache.Key(programKey(workload.RandomProgram(seed), cfg.withDefaults()))
+	stale := []byte(`{"funcs":[],"per_func":{}}`)
 
-	old := New(Options{CacheDir: dir})
-	if err := old.DiskCacheErr(); err != nil {
-		t.Fatal(err)
-	}
-	old.Cache().legacyPut = true
-	mustCompile(t, old, workload.RandomProgram(21), cfg)
-
-	// A new driver reads the v1 entries as hits and writes B as v2.
-	mid := New(Options{CacheDir: dir})
-	pa := workload.RandomProgram(21)
-	rep := mustCompile(t, mid, pa, cfg)
-	if !rep.ProgramCacheHit {
-		t.Error("v1 program entry did not hit under the upgraded driver")
-	}
-	if pa.String() != wantA {
-		t.Error("v1-served compile differs from cold compile")
-	}
-	mustCompile(t, mid, workload.RandomProgram(22), cfg)
-
-	// A third driver serves both generations from the one directory.
-	fresh := New(Options{CacheDir: dir})
-	for _, tc := range []struct {
-		seed int64
-		want string
-	}{{21, wantA}, {22, wantB}} {
-		p := workload.RandomProgram(tc.seed)
-		rep := mustCompile(t, fresh, p, cfg)
-		if !rep.ProgramCacheHit {
-			t.Errorf("seed %d: no program hit from mixed directory", tc.seed)
+	// run compiles over the stale entry, then restarts on the same store;
+	// storeDir is where the stale entry lives and is quarantined.
+	run := func(t *testing.T, opts Options, storeDir string) {
+		t.Helper()
+		d := New(opts)
+		p := workload.RandomProgram(seed)
+		if rep := mustCompile(t, d, p, cfg); rep.ProgramCacheHit {
+			t.Error("stale entry served a program hit")
 		}
-		if p.String() != tc.want {
-			t.Errorf("seed %d: mixed-directory compile differs from cold compile", tc.seed)
+		closeRemote(t, d)
+		if p.String() != want {
+			t.Error("compile over a stale entry differs from cold compile")
+		}
+
+		fresh := New(opts)
+		defer closeRemote(t, fresh)
+		pf := workload.RandomProgram(seed)
+		if rep := mustCompile(t, fresh, pf, cfg); !rep.ProgramCacheHit {
+			t.Error("v2 replacement did not serve the restarted driver a program hit")
+		}
+		if pf.String() != want {
+			t.Error("restarted compile differs from cold compile")
+		}
+		bad, err := filepath.Glob(filepath.Join(storeDir, "*.bad"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bad) != 1 {
+			t.Errorf("%d quarantined entries, want exactly the stale one", len(bad))
 		}
 	}
+
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		dc, err := diskcache.Open(dir, diskcache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dc.Put(key, staleKind, stale)
+		run(t, Options{CacheDir: dir}, dir)
+	})
+	t.Run("remote", func(t *testing.T) {
+		srv, hs := remoteServer(t)
+		srv.Store().Put(key, staleKind, stale)
+		run(t, Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()}, srv.Store().Dir())
+	})
 }
 
 // nanProgram builds a program whose float constant is NaN — the value
-// encoding/json cannot carry, which made v1 writers fail the persistent
-// put.
+// encoding/json cannot carry.
 func nanProgram(t *testing.T) *ir.Program {
 	t.Helper()
 	b := ir.NewBuilder("main", ir.ClassFloat)
@@ -245,38 +207,6 @@ func nanProgram(t *testing.T) *ir.Program {
 		t.Fatal(err)
 	}
 	return &ir.Program{Funcs: []*ir.Func{b.Func()}}
-}
-
-// TestLegacyEncodeFailureSurfaced is the silent-failure regression test:
-// under the v1 JSON writers a NaN immediate made every persistent put
-// fail without a trace. The failure must now be counted, exported
-// through CacheStats and the metrics registry, and carried as a one-shot
-// warning — while the compile itself still succeeds memory-only.
-func TestLegacyEncodeFailureSurfaced(t *testing.T) {
-	reg := obs.NewRegistry()
-	d := New(Options{CacheDir: t.TempDir(), Metrics: reg})
-	if err := d.DiskCacheErr(); err != nil {
-		t.Fatal(err)
-	}
-	d.Cache().legacyPut = true
-
-	rep := mustCompile(t, d, nanProgram(t), detConfig(Integrated))
-	st := d.Cache().Stats()
-	if st.EncodeFailures == 0 {
-		t.Fatal("NaN artifact produced no encode-failure count")
-	}
-	if st.EncodeWarning == "" || !strings.Contains(st.EncodeWarning, "encode") {
-		t.Errorf("encode warning missing or unhelpful: %q", st.EncodeWarning)
-	}
-	if rep.Cache.EncodeFailures == 0 {
-		t.Error("encode failures absent from the compile report")
-	}
-	if n := reg.Counter("pipeline.encode_failures").Value(); n == 0 {
-		t.Error("pipeline.encode_failures counter not bumped")
-	}
-	if st.Disk.Writes != 0 {
-		t.Errorf("unencodable artifact still wrote %d disk entries", st.Disk.Writes)
-	}
 }
 
 // TestCodecV2CarriesNaN: the binary codec is total over floats — the
@@ -291,9 +221,6 @@ func TestCodecV2CarriesNaN(t *testing.T) {
 	}
 	pa := nanProgram(t)
 	mustCompile(t, a, pa, cfg)
-	if st := a.Cache().Stats(); st.EncodeFailures != 0 {
-		t.Fatalf("v2 encode failed on NaN: %q", st.EncodeWarning)
-	}
 	want := pa.String()
 
 	b := New(Options{CacheDir: dir})

@@ -289,11 +289,11 @@ func TestCacheLateAttachKeepsMisses(t *testing.T) {
 	var k1, k2 digest
 	k1[0], k2[0] = 1, 2
 
-	if _, ok := c.get(k1, diskKindFront, nil); ok {
+	if _, ok := c.get(k1, diskKindFrontV2, nil); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.put(k1, diskKindFront, &frontArtifact{})
-	if _, ok := c.get(k1, diskKindFront, nil); !ok {
+	c.put(k1, diskKindFrontV2, &frontArtifact{})
+	if _, ok := c.get(k1, diskKindFrontV2, nil); !ok {
 		t.Fatal("stored artifact missed")
 	}
 
@@ -302,7 +302,7 @@ func TestCacheLateAttachKeepsMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AttachDisk(disk)
-	if _, ok := c.get(k2, diskKindFront, nil); ok {
+	if _, ok := c.get(k2, diskKindFrontV2, nil); ok {
 		t.Fatal("unknown key hit")
 	}
 
