@@ -11,7 +11,6 @@ import (
 
 	"ccmem/internal/authtoken"
 	"ccmem/internal/obs"
-	"ccmem/internal/pipeline"
 )
 
 // Handler builds the service's HTTP surface. The handlers are a thin
@@ -94,7 +93,7 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 		}
 		if state := s.Driver().RemoteCircuit(); state == "open" {
 			writeJSON(w, http.StatusOK, HealthResponse{Status: "degraded",
-				Detail:      remoteDegradedDetail(s.Driver()),
+				Detail:      remoteDegradedDetail,
 				RemoteNodes: s.Driver().RemoteNodes()})
 			return
 		}
@@ -126,7 +125,7 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 		// node is down; the per-node list rides along either way.
 		if state := s.Driver().RemoteCircuit(); state == "open" {
 			writeJSON(w, http.StatusOK, HealthResponse{Status: "degraded",
-				Detail:      remoteDegradedDetail(s.Driver()),
+				Detail:      remoteDegradedDetail,
 				RemoteNodes: s.Driver().RemoteNodes()})
 			return
 		}
@@ -140,14 +139,8 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 }
 
 // remoteDegradedDetail phrases an open remote circuit for the health
-// probes: a fleet that folded to open has every node down, which is
-// worth saying explicitly.
-func remoteDegradedDetail(d *pipeline.Driver) string {
-	if len(d.RemoteNodes()) > 0 {
-		return "remote cache fleet: every node's circuit open; tier skipped until a breaker recovers"
-	}
-	return "remote cache circuit open: tier skipped until the breaker recovers"
-}
+// probes: the fleet folds to open only when every node is down.
+const remoteDegradedDetail = "remote cache fleet: every node's circuit open; tier skipped until a breaker recovers"
 
 // decodeJSON reads one JSON body with a hard size bound and strict
 // field checking, mapping every decode failure onto a 400 APIError.

@@ -406,9 +406,9 @@ func TestHTTPRemoteCircuitDegradedNotDead(t *testing.T) {
 
 	svc, ts := newTestHTTP(t, func(c *Config) {
 		c.Driver = pipeline.New(pipeline.Options{
-			Workers:   2,
-			Metrics:   obs.NewRegistry(),
-			RemoteURL: dead,
+			Workers:    2,
+			Metrics:    obs.NewRegistry(),
+			RemoteURLs: []string{dead},
 			RemoteTuning: remotecache.Tuning{
 				RequestTimeout: 100 * time.Millisecond,
 				Retries:        -1,

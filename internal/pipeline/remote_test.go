@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -73,7 +74,7 @@ func TestRemoteCrossProcessProgramHit(t *testing.T) {
 	const seed = 41
 	want := coldILOC(t, seed, cfg)
 
-	a := New(Options{RemoteURL: hs.URL, RemoteTuning: fastRemoteTuning()})
+	a := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	if err := a.RemoteCacheErr(); err != nil {
 		t.Fatalf("remote tier failed to attach: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestRemoteCrossProcessProgramHit(t *testing.T) {
 	}
 	closeRemote(t, a) // flush write-behind before the "other process" reads
 
-	b := New(Options{RemoteURL: hs.URL, RemoteTuning: fastRemoteTuning()})
+	b := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	defer closeRemote(t, b)
 	pb := workload.RandomProgram(seed)
 	rep := mustCompile(t, b, pb, cfg)
@@ -142,7 +143,7 @@ func TestRemoteFaultMatrixDeterminism(t *testing.T) {
 				_, hs := remoteServer(t)
 				url = hs.URL
 				if sc.warm {
-					w := New(Options{RemoteURL: url, RemoteTuning: fastRemoteTuning()})
+					w := New(Options{RemoteURLs: []string{url}, RemoteTuning: fastRemoteTuning()})
 					mustCompile(t, w, workload.RandomProgram(seed), cfg)
 					closeRemote(t, w)
 				}
@@ -156,8 +157,8 @@ func TestRemoteFaultMatrixDeterminism(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				rt := &remotecache.FaultRT{}
 				rt.Arm(sc.kind)
-				d := New(Options{Workers: workers, RemoteURL: url,
-					RemoteFaultRT: rt, RemoteTuning: fastRemoteTuning()})
+				d := New(Options{Workers: workers, RemoteURLs: []string{url},
+					RemoteFaultRTs: []http.RoundTripper{rt}, RemoteTuning: fastRemoteTuning()})
 				if err := d.RemoteCacheErr(); err != nil {
 					t.Fatalf("attach: %v", err)
 				}
@@ -208,7 +209,7 @@ func TestRemoteCircuitBreakerInReport(t *testing.T) {
 	reg := obs.NewRegistry()
 	tun := fastRemoteTuning()
 	tun.TripAfter = 2 // trip early enough that later lookups get skipped
-	d := New(Options{RemoteURL: deadURL(t), RemoteTuning: tun, Metrics: reg})
+	d := New(Options{RemoteURLs: []string{deadURL(t)}, RemoteTuning: tun, Metrics: reg})
 	defer closeRemote(t, d)
 	p := workload.RandomProgram(seed)
 	rep := mustCompile(t, d, p, cfg)
@@ -242,7 +243,7 @@ func TestRemoteBreakerRecoversAcrossCompiles(t *testing.T) {
 	_, hs := remoteServer(t)
 
 	// Warm the server from a healthy process.
-	w := New(Options{RemoteURL: hs.URL, RemoteTuning: fastRemoteTuning()})
+	w := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	mustCompile(t, w, workload.RandomProgram(seed), cfg)
 	closeRemote(t, w)
 
@@ -253,7 +254,7 @@ func TestRemoteBreakerRecoversAcrossCompiles(t *testing.T) {
 	tun.Now = func() time.Time { return clock }
 	rt := &remotecache.FaultRT{}
 	rt.Arm(remotecache.FaultRefused)
-	d := New(Options{RemoteURL: hs.URL, RemoteFaultRT: rt, RemoteTuning: tun})
+	d := New(Options{RemoteURLs: []string{hs.URL}, RemoteFaultRTs: []http.RoundTripper{rt}, RemoteTuning: tun})
 	defer closeRemote(t, d)
 	mustCompile(t, d, workload.RandomProgram(seed), cfg)
 	if st := d.Cache().Remote().State(); st != remotecache.StateOpen {
@@ -271,7 +272,7 @@ func TestRemoteBreakerRecoversAcrossCompiles(t *testing.T) {
 	}
 
 	// Recovered tier serves: recompile the warm seed on a fresh driver.
-	b := New(Options{RemoteURL: hs.URL, RemoteTuning: fastRemoteTuning()})
+	b := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	defer closeRemote(t, b)
 	rep := mustCompile(t, b, workload.RandomProgram(seed), cfg)
 	if !rep.ProgramCacheHit || rep.Cache.Remote.Hits < 1 {
@@ -286,7 +287,7 @@ func TestRemoteBreakerRecoversAcrossCompiles(t *testing.T) {
 func TestDegradedCompileNeverReachesRemote(t *testing.T) {
 	_, hs := remoteServer(t)
 
-	a := New(Options{RemoteURL: hs.URL, RemoteTuning: fastRemoteTuning()})
+	a := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	fcfg := detConfig(PostPassInterproc)
 	fcfg.postPassHook = func(name string) {
 		if name == "main" {
@@ -304,7 +305,7 @@ func TestDegradedCompileNeverReachesRemote(t *testing.T) {
 
 	// Fresh process, same server, identical cache key, bug "fixed":
 	// nothing degraded may come back from the fleet cache.
-	b := New(Options{RemoteURL: hs.URL, RemoteTuning: fastRemoteTuning()})
+	b := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	defer closeRemote(t, b)
 	cfg := detConfig(PostPassInterproc)
 	rep, err := b.Compile(workload.RandomProgram(45), cfg)
@@ -329,13 +330,13 @@ func TestRemoteThreeTierPromotion(t *testing.T) {
 	want := coldILOC(t, seed, cfg)
 
 	// Process 1 (another machine): populates the server only.
-	w := New(Options{RemoteURL: hs.URL, RemoteTuning: fastRemoteTuning()})
+	w := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	mustCompile(t, w, workload.RandomProgram(seed), cfg)
 	closeRemote(t, w)
 
 	// Process 2: empty disk, warm server → remote hits, promoted to disk.
 	dir := t.TempDir()
-	a := New(Options{CacheDir: dir, RemoteURL: hs.URL, RemoteTuning: fastRemoteTuning()})
+	a := New(Options{CacheDir: dir, RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	pa := workload.RandomProgram(seed)
 	repA := mustCompile(t, a, pa, cfg)
 	if pa.String() != want {
@@ -348,7 +349,7 @@ func TestRemoteThreeTierPromotion(t *testing.T) {
 
 	// Process 3: same disk, server gone → served from the promoted disk
 	// entries, zero remote traffic needed.
-	b := New(Options{CacheDir: dir, RemoteURL: deadURL(t), RemoteTuning: fastRemoteTuning()})
+	b := New(Options{CacheDir: dir, RemoteURLs: []string{deadURL(t)}, RemoteTuning: fastRemoteTuning()})
 	defer closeRemote(t, b)
 	pb := workload.RandomProgram(seed)
 	repB := mustCompile(t, b, pb, cfg)
@@ -365,11 +366,11 @@ func TestRemoteThreeTierPromotion(t *testing.T) {
 	}
 }
 
-// TestRemoteBadURLIsMemoryOnly: a malformed RemoteURL must not fail the
+// TestRemoteBadURLIsMemoryOnly: a malformed remote URL must not fail the
 // driver — it surfaces via RemoteCacheErr and the driver runs without
 // the tier.
 func TestRemoteBadURLIsMemoryOnly(t *testing.T) {
-	d := New(Options{RemoteURL: "not a url"})
+	d := New(Options{RemoteURLs: []string{"not a url"}})
 	if d.RemoteCacheErr() == nil {
 		t.Fatal("no error surfaced for a malformed remote URL")
 	}
@@ -430,10 +431,10 @@ func TestCacheStatsJSONShapeRemote(t *testing.T) {
 
 	// Warm remote tier: hit_rate in (0, 1], circuit named.
 	_, hs := remoteServer(t)
-	w := New(Options{RemoteURL: hs.URL, RemoteTuning: fastRemoteTuning()})
+	w := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	mustCompile(t, w, workload.RandomProgram(48), cfg)
 	closeRemote(t, w)
-	b := New(Options{RemoteURL: hs.URL, RemoteTuning: fastRemoteTuning()})
+	b := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	defer closeRemote(t, b)
 	rep2 := mustCompile(t, b, workload.RandomProgram(48), cfg)
 	remote2 := shape(t, rep2)

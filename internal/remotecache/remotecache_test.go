@@ -389,18 +389,20 @@ func TestPutAfterCloseIsDropped(t *testing.T) {
 	}
 }
 
+// TestReportDecodeFailureReclassifies: a single server is a one-node
+// fleet, and a decode failure reported against its hit moves the lookup
+// from hit to miss and counts one corruption.
 func TestReportDecodeFailureReclassifies(t *testing.T) {
-	_, hs := newTestServer(t)
-	c := newTestClient(t, hs.URL, nil, fastTuning(), nil)
+	h := newFleetHarness(t, 1)
 	payload := []byte("checksum-consistent but undecodable")
 	key := keyOf(payload)
-	c.Put(key, 1, payload)
-	flush(t, c)
-	if _, ok := c.Get(key, 1); !ok {
+	h.fleet.Put(key, 1, payload)
+	flushFleet(t, h.fleet)
+	if _, ok := h.fleet.Get(key, 1); !ok {
 		t.Fatalf("warm Get missed")
 	}
-	c.ReportDecodeFailure()
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0+1 || st.Corruptions != 1 {
+	h.fleet.ReportDecodeFailure()
+	if st := h.fleet.Stats(); st.Hits != 0 || st.Misses != 0+1 || st.Corruptions != 1 {
 		t.Fatalf("after reclassification: %+v", st)
 	}
 }
