@@ -57,7 +57,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8348", "listen address")
 	dir := flag.String("dir", "", "entry store directory (required)")
-	maxBytes := flag.Int64("max-bytes", 0, "store LRU byte budget (0 = unlimited)")
+	maxBytes := flag.Int64("max-bytes", 0, "store LRU byte budget (<= 0 = 256 MiB)")
 	maxEntry := flag.Int64("max-entry-bytes", 0, "max uploaded entry size (0 = 64 MiB)")
 	authToken := flag.String("auth-token", "", "bearer token required on data endpoints (empty = auth off)")
 	authFile := flag.String("auth-file", "", "file holding the bearer token for data endpoints")
