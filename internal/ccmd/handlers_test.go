@@ -169,6 +169,40 @@ func TestHTTPRun(t *testing.T) {
 	}
 }
 
+// TestHTTPHugeGlobal: a short body declaring a global past the
+// simulator's address space is refused before anything that size is
+// allocated — by /run as a run fault, by an oracle-checked /compile as a
+// bad program — and the service goes on serving.
+func TestHTTPHugeGlobal(t *testing.T) {
+	_, ts := newTestHTTP(t, nil)
+	for _, words := range []string{"16777216", "1000000000", "9223372036854775807"} {
+		src := "global G " + words + "\nfunc main() {\nentry:\n\tret\n}\n"
+		for _, tc := range []struct {
+			path, code string
+			body       any
+		}{
+			{"/run", CodeRunFault, RunRequest{Program: src}},
+			{"/compile", CodeBadProgram, CompileRequest{Program: src, Config: RequestConfig{DiffCheck: "final"}}},
+		} {
+			resp := postJSON(t, ts.URL+tc.path, tc.body)
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("%s global G %s: status %d, want 422", tc.path, words, resp.StatusCode)
+			}
+			env := decodeBody[errEnvelope](t, resp)
+			if env.Error == nil || env.Error.Code != tc.code || !strings.Contains(env.Error.Message, "address space") {
+				t.Fatalf("%s global G %s: error %+v, want %s naming the address space", tc.path, words, env.Error, tc.code)
+			}
+		}
+	}
+	resp := postJSON(t, ts.URL+"/run", RunRequest{Program: testProgram(t, 12)})
+	if resp.StatusCode != 200 {
+		t.Fatalf("run after the refusals: status %d", resp.StatusCode)
+	}
+	if out := decodeBody[RunResponse](t, resp); out.Instrs == 0 {
+		t.Fatalf("run after the refusals: empty stats %+v", out)
+	}
+}
+
 func TestHTTPHealthAndVersion(t *testing.T) {
 	svc, ts := newTestHTTP(t, nil)
 	for _, path := range []string{"/healthz", "/readyz"} {

@@ -646,6 +646,9 @@ func compileAPIError(err error) *APIError {
 	if errors.As(err, &ce) {
 		return &APIError{Status: http.StatusUnprocessableEntity, Code: CodeCompileFault, Message: ce.Error()}
 	}
+	if errors.Is(err, sim.ErrAddressSpace) {
+		return errBadProgram(err)
+	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return &APIError{Status: 499, Code: CodeCanceled, Message: err.Error()}
 	}

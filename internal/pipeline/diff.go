@@ -225,8 +225,9 @@ type diffOracle struct {
 	divergentPasses map[string]int64
 }
 
-func newDiffOracle(p *ir.Program, cfg Config, reg *obs.Registry) *diffOracle {
-	seed := programSeed(p, cfg)
+// newDiffOracle captures p before any pass runs; key is programKey(p, cfg).
+func newDiffOracle(p *ir.Program, key digest, cfg Config, reg *obs.Registry) *diffOracle {
+	seed := programSeed(key)
 	return &diffOracle{
 		pre:  p.Clone(),
 		seed: seed,

@@ -167,10 +167,9 @@ func programKey(p *ir.Program, cfg Config) digest {
 }
 
 // programSeed derives the differential oracle's argument-vector seed
-// from the same content hash that addresses the program in the cache:
+// from the programKey that addresses the program in the cache:
 // re-checking an identical (program, Config) pair replays identical
 // vectors, with no wall-clock randomness anywhere.
-func programSeed(p *ir.Program, cfg Config) uint64 {
-	k := programKey(p, cfg)
+func programSeed(k digest) uint64 {
 	return binary.LittleEndian.Uint64(k[:8])
 }

@@ -621,10 +621,13 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	}
 
 	// Whole-program cache: a repeat compile of an identical (program,
-	// Config) pair skips every pass, including verification.
+	// Config) pair skips every pass, including verification. The same key
+	// seeds the differential oracle, so it is hashed once for both.
 	var progKey digest
-	if cache != nil {
+	if cache != nil || cfg.DiffCheck != DiffOff {
 		progKey = programKey(p, cfg)
+	}
+	if cache != nil {
 		if v, ok := cache.get(progKey, diskKindProgramV2, mainSh); ok {
 			art := v.(*programArtifact)
 			// The cached functions are frozen: handing them out by
@@ -648,7 +651,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 
 	var do *diffOracle
 	if cfg.DiffCheck != DiffOff {
-		do = newDiffOracle(p, cfg, d.reg)
+		do = newDiffOracle(p, progKey, cfg, d.reg)
 	}
 	forced := newForcedDegrade()
 	// Each retry strictly escalates one function's quarantine, so the

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,10 +249,12 @@ func TestRemoteBreakerRecoversAcrossCompiles(t *testing.T) {
 	closeRemote(t, w)
 
 	// A second process starts with the network broken; the breaker opens.
-	clock := time.Unix(5000, 0)
+	// Unix seconds, atomic because the client's put worker reads the clock.
+	var clock atomic.Int64
+	clock.Store(5000)
 	tun := fastRemoteTuning()
 	tun.HalfOpenAfter = 2 * time.Second
-	tun.Now = func() time.Time { return clock }
+	tun.Now = func() time.Time { return time.Unix(clock.Load(), 0) }
 	rt := &remotecache.FaultRT{}
 	rt.Arm(remotecache.FaultRefused)
 	d := New(Options{RemoteURLs: []string{hs.URL}, RemoteFaultRTs: []http.RoundTripper{rt}, RemoteTuning: tun})
@@ -265,7 +268,7 @@ func TestRemoteBreakerRecoversAcrossCompiles(t *testing.T) {
 	// lookups (the first one is now memory-cached), and the probe closes
 	// the circuit.
 	rt.Disarm()
-	clock = clock.Add(3 * time.Second)
+	clock.Add(3)
 	mustCompile(t, d, workload.RandomProgram(seed+1), cfg)
 	if st := d.Cache().Remote().State(); st != remotecache.StateClosed {
 		t.Fatalf("breaker did not recover after the server healed: %v", st)

@@ -9,9 +9,10 @@ import (
 
 type execState struct {
 	m      *Machine
-	mem    []uint64
+	mem    []uint64 // words [0, len) of memory; the rest reads 0 until stored
 	ccm    []uint64
 	st     *Stats
+	fstats []FuncStats // this run's per-function counters, by rfunc.idx
 	frames []frame
 	sp     int64           // next free stack byte
 	limit  int64           // first byte past addressable memory
@@ -61,6 +62,28 @@ func (ex *execState) checkAddr(fr *frame, addr int64) error {
 	return nil
 }
 
+// load reads the word at an address checkAddr accepted. A word past the
+// end of mem has never been stored to, so it reads 0.
+func (ex *execState) load(addr int64) uint64 {
+	if w := addr / ir.WordBytes; w < int64(len(ex.mem)) {
+		return ex.mem[w]
+	}
+	return 0
+}
+
+// store writes the word at an address checkAddr accepted, first doubling
+// mem (capped at limit) until it covers the address.
+func (ex *execState) store(addr int64, v uint64) {
+	w := addr / ir.WordBytes
+	if w >= int64(len(ex.mem)) {
+		n := max(2*int64(len(ex.mem)), w+1)
+		grown := make([]uint64, min(n, ex.limit/ir.WordBytes))
+		copy(grown, ex.mem)
+		ex.mem = grown
+	}
+	ex.mem[w] = v
+}
+
 // run drives the interpreter from an initial frame until the outermost
 // return. It is a single flat loop over pre-resolved instructions; calls
 // push frames, returns pop them.
@@ -74,7 +97,7 @@ func (ex *execState) run(f0 frame) error {
 		fr := &ex.frames[len(ex.frames)-1]
 		code := fr.fn.code
 		regs := fr.regs
-		fstats := fr.fn.stats
+		fstats := &ex.fstats[fr.fn.idx]
 
 	inner:
 		for {
@@ -192,7 +215,7 @@ func (ex *execState) run(f0 frame) error {
 				if err := ex.checkAddr(fr, addr); err != nil {
 					return err
 				}
-				regs[in.dst] = ex.mem[addr/ir.WordBytes]
+				regs[in.dst] = ex.load(addr)
 				cost, isMem = ex.memCost(addr, false), true
 				st.OrdinaryLoads++
 			case ir.OpLoadAI, ir.OpFLoadAI:
@@ -200,7 +223,7 @@ func (ex *execState) run(f0 frame) error {
 				if err := ex.checkAddr(fr, addr); err != nil {
 					return err
 				}
-				regs[in.dst] = ex.mem[addr/ir.WordBytes]
+				regs[in.dst] = ex.load(addr)
 				cost, isMem = ex.memCost(addr, false), true
 				st.OrdinaryLoads++
 			case ir.OpStore, ir.OpFStore:
@@ -208,7 +231,7 @@ func (ex *execState) run(f0 frame) error {
 				if err := ex.checkAddr(fr, addr); err != nil {
 					return err
 				}
-				ex.mem[addr/ir.WordBytes] = regs[in.a0]
+				ex.store(addr, regs[in.a0])
 				cost, isMem = ex.memCost(addr, true), true
 				st.OrdinaryStores++
 			case ir.OpStoreAI, ir.OpFStoreAI:
@@ -216,7 +239,7 @@ func (ex *execState) run(f0 frame) error {
 				if err := ex.checkAddr(fr, addr); err != nil {
 					return err
 				}
-				ex.mem[addr/ir.WordBytes] = regs[in.a0]
+				ex.store(addr, regs[in.a0])
 				cost, isMem = ex.memCost(addr, true), true
 				st.OrdinaryStores++
 
@@ -225,7 +248,7 @@ func (ex *execState) run(f0 frame) error {
 				if err := ex.checkAddr(fr, addr); err != nil {
 					return err
 				}
-				ex.mem[addr/ir.WordBytes] = regs[in.a0]
+				ex.store(addr, regs[in.a0])
 				cost, isMem = ex.memCost(addr, true), true
 				st.SpillStores++
 			case ir.OpRestore, ir.OpFRestore:
@@ -233,7 +256,7 @@ func (ex *execState) run(f0 frame) error {
 				if err := ex.checkAddr(fr, addr); err != nil {
 					return err
 				}
-				regs[in.dst] = ex.mem[addr/ir.WordBytes]
+				regs[in.dst] = ex.load(addr)
 				cost, isMem = ex.memCost(addr, false), true
 				st.SpillLoads++
 
@@ -300,7 +323,7 @@ func (ex *execState) run(f0 frame) error {
 				for i, p := range callee.f.Params {
 					nf.regs[p] = regs[in.args[i]]
 				}
-				callee.stats.Calls++
+				ex.fstats[callee.idx].Calls++
 				fr.pc++
 				ex.frames = append(ex.frames, nf)
 				break inner

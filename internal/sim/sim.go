@@ -16,6 +16,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -63,16 +64,27 @@ func TracesEqual(a, b []Value) bool {
 	return true
 }
 
+// Address-space bounds, in 8-byte words. Every run gets a stack of
+// stackWords words above the globals; New rejects a program whose trap
+// word, globals and stack together exceed maxMemWords.
+const (
+	stackWords  = 1 << 16
+	maxMemWords = 1 << 24
+)
+
+// ErrAddressSpace is wrapped by New's error for a program whose globals
+// do not fit the address space: the program, not the run, is at fault.
+var ErrAddressSpace = errors.New("globals and stack exceed the simulated address space")
+
 // Config parameterizes one run.
 type Config struct {
-	MemCost    int          // cycles per main-memory op; default 2
-	CCMCost    int          // cycles per CCM op; default 1
-	CCMBytes   int64        // CCM capacity; 0 means no CCM present
-	CCMBase    int64        // per-process base offset into the CCM (§2.1)
-	StackWords int          // stack region size in words; default 1<<16
-	MaxSteps   int64        // dynamic instruction budget; default 500M
-	MaxDepth   int          // call-depth limit; default 4096
-	Memory     memsys.Model // optional pricing model for main memory
+	MemCost  int          // cycles per main-memory op; default 2
+	CCMCost  int          // cycles per CCM op; default 1
+	CCMBytes int64        // CCM capacity; 0 means no CCM present
+	CCMBase  int64        // per-process base offset into the CCM (§2.1)
+	MaxSteps int64        // dynamic instruction budget; default 500M
+	MaxDepth int          // call-depth limit; default 4096
+	Memory   memsys.Model // optional pricing model for main memory
 
 	// Trace, when non-nil, receives one line per executed instruction
 	// ("func block\tinstruction") — a debugging aid; TraceLimit bounds the
@@ -92,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CCMCost == 0 {
 		c.CCMCost = 1
-	}
-	if c.StackWords == 0 {
-		c.StackWords = 1 << 16
 	}
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 500_000_000
@@ -199,12 +208,12 @@ type rinstr struct {
 
 type rfunc struct {
 	f          *ir.Func
+	idx        int // index into a run's per-function stats
 	code       []rinstr
 	blockOf    []string    // diagnostic: instr index -> block label
 	src        []*ir.Instr // diagnostic: instr index -> source instruction
 	nregs      int
 	frameBytes int64
-	stats      *FuncStats
 }
 
 // Machine is a resolved program ready to run; resolving once lets tests
@@ -215,7 +224,7 @@ type Machine struct {
 	funcs      map[string]*rfunc
 	globalBase map[string]int64
 	globalEnd  int64 // first byte past the global region
-	memWords   int
+	memWords   int64 // addressable words: trap word, globals and stack
 }
 
 // New resolves a program against a configuration. The program must be
@@ -230,18 +239,22 @@ func New(p *ir.Program, cfg Config) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg, prog: p, funcs: map[string]*rfunc{}, globalBase: map[string]int64{}}
 
-	// Lay out globals from byte 8 upward (0 is the trap page).
-	addr := int64(ir.WordBytes)
+	// Lay out globals from byte 8 upward (0 is the trap page). Sizes are
+	// compared in words before any byte arithmetic, so no declared size
+	// can overflow the layout or reach the allocator unbounded.
+	words := int64(1)
 	for _, g := range p.Globals {
-		m.globalBase[g.Name] = addr
-		addr += g.Bytes()
+		if g.Words < 0 || int64(g.Words) > maxMemWords-stackWords-words {
+			return nil, fmt.Errorf("sim: global %s (%d words): %w (%d words)", g.Name, g.Words, ErrAddressSpace, maxMemWords)
+		}
+		m.globalBase[g.Name] = words * ir.WordBytes
+		words += int64(g.Words)
 	}
-	m.globalEnd = addr
-	m.memWords = int(addr/ir.WordBytes) + cfg.StackWords
+	m.globalEnd = words * ir.WordBytes
+	m.memWords = words + stackWords
 
-	for _, f := range p.Funcs {
-		rf := &rfunc{f: f, nregs: len(f.Regs), stats: &FuncStats{}}
-		m.funcs[f.Name] = rf
+	for i, f := range p.Funcs {
+		m.funcs[f.Name] = &rfunc{f: f, idx: i, nregs: len(f.Regs)}
 	}
 	for _, f := range p.Funcs {
 		if err := m.resolveFunc(m.funcs[f.Name]); err != nil {
@@ -359,14 +372,14 @@ func (m *Machine) RunContext(ctx context.Context, entry string, args ...Value) (
 	if len(args) != len(rf.f.Params) {
 		return nil, fmt.Errorf("sim: %s wants %d arguments, got %d", entry, len(rf.f.Params), len(args))
 	}
-	for _, frf := range m.funcs {
-		*frf.stats = FuncStats{}
-	}
 	if m.cfg.Memory != nil {
 		m.cfg.Memory.Reset()
 	}
 
-	mem := make([]uint64, m.memWords)
+	// Memory starts as the globals plus the entry frame and grows on
+	// store (execState.store); the untouched rest of the stack reads 0.
+	entryFrame := min(rf.frameBytes, stackWords*ir.WordBytes)
+	mem := make([]uint64, (m.globalEnd+entryFrame+ir.WordBytes-1)/ir.WordBytes)
 	a := int64(ir.WordBytes) / ir.WordBytes
 	for _, g := range m.prog.Globals {
 		copy(mem[a:a+int64(g.Words)], g.Init)
@@ -377,19 +390,23 @@ func (m *Machine) RunContext(ctx context.Context, entry string, args ...Value) (
 		ccm = make([]uint64, m.cfg.CCMBytes/ir.WordBytes)
 	}
 
-	st := &Stats{PerFunc: map[string]*FuncStats{}}
+	// Each run owns its counters, so a later run on this Machine cannot
+	// rewrite the Stats an earlier one returned.
+	fstats := make([]FuncStats, len(m.prog.Funcs))
+	st := &Stats{PerFunc: make(map[string]*FuncStats, len(m.funcs))}
 	for name, frf := range m.funcs {
-		st.PerFunc[name] = frf.stats
+		st.PerFunc[name] = &fstats[frf.idx]
 	}
 
 	ex := &execState{
-		m:     m,
-		mem:   mem,
-		ccm:   ccm,
-		st:    st,
-		sp:    m.globalEnd,
-		limit: int64(m.memWords) * ir.WordBytes,
-		done:  ctx.Done(),
+		m:      m,
+		mem:    mem,
+		ccm:    ccm,
+		st:     st,
+		fstats: fstats,
+		sp:     m.globalEnd,
+		limit:  m.memWords * ir.WordBytes,
+		done:   ctx.Done(),
 	}
 	f0 := frame{fn: rf, regs: make([]uint64, rf.nregs), base: ex.sp, retDst: ir.NoReg}
 	ex.sp += rf.frameBytes
@@ -399,7 +416,7 @@ func (m *Machine) RunContext(ctx context.Context, entry string, args ...Value) (
 		}
 		f0.regs[p] = args[i].Bits
 	}
-	rf.stats.Calls++
+	fstats[rf.idx].Calls++
 	if err := ex.run(f0); err != nil {
 		return st, err
 	}

@@ -98,11 +98,13 @@ echo "== e2e: go test $SHORTFLAG -run 'TestFarmMatchesSolo|TestFarmWorkerFailure
 go test $SHORTFLAG -run 'TestFarmMatchesSolo|TestFarmWorkerFailureFailsLoudly|TestFarmFleetFailoverTransparent' ./cmd/ccmbench/
 
 # Allocation guards: the program-tier cache hit must stay clone-free
-# (handing out frozen artifacts by reference) and the liveness solver
-# must keep its reset-not-realloc arena discipline. Run with -count=1 so
-# a cached 'ok' can never mask an allocation regression, and without
-# -race (the race runtime inflates allocation counts).
-echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/"
-go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/
+# (handing out frozen artifacts by reference), the liveness solver
+# must keep its reset-not-realloc arena discipline, and a simulator run
+# must allocate the memory it touches rather than the whole stack. Run
+# with -count=1 so a cached 'ok' can never mask an allocation
+# regression, and without -race (the race runtime inflates allocation
+# counts).
+echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/"
+go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/
 
 echo '== verify.sh: all green'
