@@ -55,6 +55,10 @@ func (s Set) Has(i int) bool {
 	return s.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
+// Words returns the set's backing words for reading, aliasing the set:
+// bit i is bit i%64 of word i/64, and bits at or above Len are clear.
+func (s Set) Words() []uint64 { return s.words }
+
 // Reset clears every bit.
 func (s Set) Reset() {
 	for i := range s.words {

@@ -68,6 +68,23 @@ func TestFillRespectsTail(t *testing.T) {
 	}
 }
 
+// TestWords: the word view places bit i at bit i%64 of word i/64 and
+// aliases the set.
+func TestWords(t *testing.T) {
+	s := New(70)
+	for _, i := range []int{0, 63, 64, 69} {
+		s.Set(i)
+	}
+	w := s.Words()
+	if len(w) != 2 || w[0] != 1|1<<63 || w[1] != 1|1<<5 {
+		t.Fatalf("Words() = %#x", w)
+	}
+	s.Clear(69)
+	if w[1] != 1 {
+		t.Fatalf("Words() does not alias the set: %#x", w)
+	}
+}
+
 func TestUnionIntersectDifference(t *testing.T) {
 	a := New(100)
 	b := New(100)

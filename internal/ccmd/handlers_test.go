@@ -203,6 +203,40 @@ func TestHTTPHugeGlobal(t *testing.T) {
 	}
 }
 
+// TestHTTPHugeRegister: a short body naming a register past ir.MaxRegs is
+// a bad program on /compile and /run, refused before a register table
+// that size is allocated, and the service goes on serving.
+func TestHTTPHugeRegister(t *testing.T) {
+	_, ts := newTestHTTP(t, nil)
+	for _, reg := range []string{"r65536", "r10000000", "f2000000000", "r9223372036854775807"} {
+		src := "func main() {\nentry:\n\t" + reg + " = loadi 1\n\tret\n}\n"
+		for _, tc := range []struct {
+			path string
+			body any
+		}{
+			{"/compile", CompileRequest{Program: src}},
+			{"/run", RunRequest{Program: src}},
+		} {
+			path := tc.path
+			resp := postJSON(t, ts.URL+path, tc.body)
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("%s %s: status %d, want 422", path, reg, resp.StatusCode)
+			}
+			env := decodeBody[errEnvelope](t, resp)
+			if env.Error == nil || env.Error.Code != CodeBadProgram || !strings.Contains(env.Error.Message, "bad register") {
+				t.Fatalf("%s %s: error %+v, want %s naming the bad register", path, reg, env.Error, CodeBadProgram)
+			}
+		}
+	}
+	resp := postJSON(t, ts.URL+"/compile", CompileRequest{Program: testProgram(t, 12)})
+	if resp.StatusCode != 200 {
+		t.Fatalf("compile after the refusals: status %d", resp.StatusCode)
+	}
+	if out := decodeBody[CompileResponse](t, resp); out.Output == "" {
+		t.Fatalf("compile after the refusals: empty output")
+	}
+}
+
 func TestHTTPHealthAndVersion(t *testing.T) {
 	svc, ts := newTestHTTP(t, nil)
 	for _, path := range []string{"/healthz", "/readyz"} {

@@ -473,8 +473,20 @@ func (s *Service) pipelineConfig(req *CompileRequest, shed int) (pipeline.Config
 	if req.Config.CCMBytes < 0 {
 		return zero, errBadRequest("config.ccm_bytes", "must be >= 0, got %d", req.Config.CCMBytes)
 	}
-	if req.Config.IntRegs < 0 || req.Config.FloatRegs < 0 {
-		return zero, errBadRequest("config.int_regs", "register counts must be >= 0")
+	if req.Config.IntRegs < 0 {
+		return zero, errBadRequest("config.int_regs", "must be >= 0, got %d", req.Config.IntRegs)
+	}
+	if req.Config.FloatRegs < 0 {
+		return zero, errBadRequest("config.float_regs", "must be >= 0, got %d", req.Config.FloatRegs)
+	}
+	// The pipeline rejects the same sum, but as a compile error, which
+	// would surface as a 500.
+	if ni, nf := regsOrDefault(req.Config.IntRegs), regsOrDefault(req.Config.FloatRegs); ni > ir.MaxRegs-nf {
+		field := "config.int_regs"
+		if nf > ni {
+			field = "config.float_regs"
+		}
+		return zero, errBadRequest(field, "int_regs + float_regs must be <= %d, got %d + %d", ir.MaxRegs, ni, nf)
 	}
 	if req.Config.DiffVectors < 0 {
 		return zero, errBadRequest("config.diff_vectors", "must be >= 0, got %d", req.Config.DiffVectors)
@@ -533,6 +545,15 @@ func strategyOrDefault(s string) string {
 		return "none"
 	}
 	return s
+}
+
+// regsOrDefault is the register count a compile uses: 0 selects the
+// pipeline's default.
+func regsOrDefault(n int) int {
+	if n == 0 {
+		return pipeline.DefaultRegs
+	}
+	return n
 }
 
 func diffOrDefault(s string) string {

@@ -3,6 +3,7 @@ package ccmd
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"path/filepath"
 	"reflect"
@@ -105,6 +106,16 @@ func TestCompileValidation(t *testing.T) {
 			Config: RequestConfig{Workers: -1}}, 400, CodeBadRequest, "config.workers"},
 		{"negative timeout", CompileRequest{Program: testProgram(t, 2),
 			Config: RequestConfig{TimeoutMS: -5}}, 400, CodeBadRequest, "config.timeout_ms"},
+		{"negative int regs", CompileRequest{Program: testProgram(t, 2),
+			Config: RequestConfig{IntRegs: -1}}, 400, CodeBadRequest, "config.int_regs"},
+		{"negative float regs", CompileRequest{Program: testProgram(t, 2),
+			Config: RequestConfig{FloatRegs: -3}}, 400, CodeBadRequest, "config.float_regs"},
+		{"oversized int regs", CompileRequest{Program: testProgram(t, 2),
+			Config: RequestConfig{IntRegs: 1 << 22}}, 400, CodeBadRequest, "config.int_regs"},
+		{"oversized float regs", CompileRequest{Program: testProgram(t, 2),
+			Config: RequestConfig{FloatRegs: ir.MaxRegs - 31}}, 400, CodeBadRequest, "config.float_regs"},
+		{"int regs summing past MaxInt", CompileRequest{Program: testProgram(t, 2),
+			Config: RequestConfig{IntRegs: math.MaxInt}}, 400, CodeBadRequest, "config.int_regs"},
 		{"bad tenant", CompileRequest{Program: testProgram(t, 2),
 			Tenant: "../escape"}, 400, CodeBadRequest, "tenant"},
 		{"tenant with slash", CompileRequest{Program: testProgram(t, 2),

@@ -1,20 +1,26 @@
-// Package intgraph provides the symmetric bit-matrix used as the
-// membership half of Chaitin-style interference graphs (adjacency lists
-// provide the iteration half). It is shared by the register allocator and
-// by the CCM allocators in internal/core.
+// Package intgraph provides the symmetric bit matrix that holds
+// Chaitin-style interference graphs. Every node owns a row of whole
+// words, so graph construction can add a live set's words to a row
+// (AddWord) and a consumer can walk a node's neighbours by scanning its
+// row. It is shared by the register allocator and by the CCM allocators
+// in internal/core.
 package intgraph
 
-// Matrix is a symmetric boolean matrix over n nodes, stored as a packed
-// lower triangle.
+import "math/bits"
+
+// Matrix is a symmetric boolean matrix over n nodes, stored as n square
+// rows of ⌈n/64⌉ words: bit b%64 of word b/64 in row a is the (a, b)
+// entry.
 type Matrix struct {
-	n    int
-	bits []uint64
+	n, stride int
+	bits      []uint64
 }
 
 // NewMatrix returns an empty n×n symmetric matrix.
 func NewMatrix(n int) *Matrix {
-	total := n * (n + 1) / 2
-	return &Matrix{n: n, bits: make([]uint64, (total+63)/64)}
+	m := new(Matrix)
+	m.Reset(n)
+	return m
 }
 
 // Reset reinitializes m as an empty n×n matrix, reusing the backing
@@ -22,37 +28,44 @@ func NewMatrix(n int) *Matrix {
 // interference matrices every round; Reset lets a pooled matrix absorb
 // those rebuilds without reallocating.
 func (m *Matrix) Reset(n int) {
-	total := n * (n + 1) / 2
-	words := (total + 63) / 64
+	m.n, m.stride = n, (n+63)/64
+	words := n * m.stride
 	if cap(m.bits) < words {
 		m.bits = make([]uint64, words)
 	} else {
 		m.bits = m.bits[:words]
-		for i := range m.bits {
-			m.bits[i] = 0
-		}
+		clear(m.bits)
 	}
-	m.n = n
 }
 
 // Len returns the node count.
 func (m *Matrix) Len() int { return m.n }
 
-func (m *Matrix) index(a, b int) int {
-	if a < b {
-		a, b = b, a
-	}
-	return a*(a+1)/2 + b
-}
-
 // Set marks (a, b) as adjacent.
 func (m *Matrix) Set(a, b int) {
-	i := m.index(a, b)
-	m.bits[i/64] |= 1 << uint(i%64)
+	m.bits[a*m.stride+b/64] |= 1 << uint(b%64)
+	m.bits[b*m.stride+a/64] |= 1 << uint(a%64)
 }
 
 // Has reports whether (a, b) are adjacent.
 func (m *Matrix) Has(a, b int) bool {
-	i := m.index(a, b)
-	return m.bits[i/64]&(1<<uint(i%64)) != 0
+	return m.bits[a*m.stride+b/64]&(1<<uint(b%64)) != 0
+}
+
+// AddWord makes a adjacent to the nodes 64i+k for every set bit k of w,
+// a word of row a at a time: they are OR-ed into word i of a's row, and
+// a's bit is set in the row of each one that was not already there.
+func (m *Matrix) AddWord(a, i int, w uint64) {
+	at := a*m.stride + i
+	added := w &^ m.bits[at]
+	m.bits[at] |= added
+	col, bit := a/64, uint64(1)<<uint(a%64)
+	for ; added != 0; added &= added - 1 {
+		m.bits[(i*64+bits.TrailingZeros64(added))*m.stride+col] |= bit
+	}
+}
+
+// Row returns node a's row for reading; it aliases the matrix.
+func (m *Matrix) Row(a int) []uint64 {
+	return m.bits[a*m.stride : (a+1)*m.stride : (a+1)*m.stride]
 }

@@ -60,3 +60,36 @@ func TestAgainstReference(t *testing.T) {
 		}
 	}
 }
+
+// Property: adding random words to random rows gives the same symmetric
+// matrix as setting each of their bits pair by pair, and each row's words
+// read back through Row.
+func TestAddWordMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 130
+	m, ref := NewMatrix(n), NewMatrix(n)
+	for k := 0; k < 300; k++ {
+		a, i := rng.Intn(n), rng.Intn((n+63)/64)
+		w := rng.Uint64()
+		if i == n/64 {
+			w &= 1<<(n%64) - 1
+		}
+		m.AddWord(a, i, w)
+		for b := 0; b < 64; b++ {
+			if w&(1<<b) != 0 {
+				ref.Set(a, i*64+b)
+			}
+		}
+	}
+	for a := 0; a < n; a++ {
+		row := m.Row(a)
+		for b := 0; b < n; b++ {
+			if m.Has(a, b) != ref.Has(a, b) || m.Has(a, b) != m.Has(b, a) {
+				t.Fatalf("mismatch at (%d,%d)", a, b)
+			}
+			if got := row[b/64]>>(b%64)&1 != 0; got != ref.Has(a, b) {
+				t.Fatalf("row %d bit %d = %v, want %v", a, b, got, ref.Has(a, b))
+			}
+		}
+	}
+}

@@ -21,6 +21,13 @@ type Reg int32
 // NoReg marks the absence of a register (e.g. a call with no result).
 const NoReg Reg = -1
 
+// MaxRegs bounds register numbers: the parser rejects a register numbered
+// MaxRegs or above, because a function's register table grows to the
+// largest number it names, and allocated code names registers up to
+// IntRegs+FloatRegs, so a compile's register counts must sum to at most
+// MaxRegs for its output to parse back.
+const MaxRegs = 1 << 16
+
 // WordBytes is the size of the machine word; every register and memory
 // slot holds one word.
 const WordBytes = 8

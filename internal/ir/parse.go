@@ -202,7 +202,7 @@ func (p *parser) reg(tok string) (Reg, error) {
 		return NoReg, p.errf("bad register %q", tok)
 	}
 	n, err := strconv.Atoi(tok[1:])
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n >= MaxRegs {
 		return NoReg, p.errf("bad register %q", tok)
 	}
 	c := ClassInt

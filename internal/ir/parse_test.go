@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -158,6 +159,7 @@ func TestParseErrors(t *testing.T) {
 		{"func f() {\nentry:\n\tr0 = loadi xyz\n}", "loadi wants an integer"},
 		{"func f() {\nentry:\n\tr0 = add r1\n}", "add wants 2 operands"},
 		{"func f() {\nentry:\n\tr0 = add q1, r2\n}", "bad register"},
+		{fmt.Sprintf("func main() {\nentry:\n\tr%d = loadi 1\n\tret\n}", MaxRegs), "bad register"},
 		{"func f() {\nentry:\n\tr0 = loadi 1\n\tf0 = loadf 1.0\n\tret\n}", "both int and float"},
 		{"func f() {\n\tr0 = loadi 1\n}", "before any label"},
 		{"r0 = loadi 1", "outside function"},

@@ -182,12 +182,15 @@ type Config struct {
 	postPassHook func(name string)
 }
 
+// DefaultRegs is the register count of a class whose Config count is 0.
+const DefaultRegs = 32
+
 func (c Config) withDefaults() Config {
 	if c.IntRegs == 0 {
-		c.IntRegs = 32
+		c.IntRegs = DefaultRegs
 	}
 	if c.FloatRegs == 0 {
-		c.FloatRegs = 32
+		c.FloatRegs = DefaultRegs
 	}
 	return c
 }
@@ -195,6 +198,12 @@ func (c Config) withDefaults() Config {
 func (c Config) validate() error {
 	if c.Strategy != NoCCM && c.CCMBytes <= 0 {
 		return fmt.Errorf("pipeline: strategy %v requires CCMBytes > 0", c.Strategy)
+	}
+	if c.IntRegs < 0 || c.FloatRegs < 0 {
+		return fmt.Errorf("pipeline: register counts must be >= 0, got IntRegs %d, FloatRegs %d", c.IntRegs, c.FloatRegs)
+	}
+	if c.IntRegs > ir.MaxRegs-c.FloatRegs { // the sum could overflow
+		return fmt.Errorf("pipeline: IntRegs + FloatRegs must be <= %d, got %d + %d", ir.MaxRegs, c.IntRegs, c.FloatRegs)
 	}
 	if c.FuncRetries < 0 {
 		return fmt.Errorf("pipeline: FuncRetries must be >= 0, got %d", c.FuncRetries)

@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ccmem/internal/ir"
@@ -285,6 +287,35 @@ func TestConfigValidation(t *testing.T) {
 		if err != nil || got != s {
 			t.Errorf("ParseStrategy(%q) = %v, %v", name, got, err)
 		}
+	}
+}
+
+// TestConfigRegisterCounts: a negative register count, or counts summing
+// (after defaults) past ir.MaxRegs, fail validation before any pass runs.
+func TestConfigRegisterCounts(t *testing.T) {
+	d := New(Options{Workers: 1})
+	for _, tc := range []struct {
+		name          string
+		ints, floats  int
+		wantErrSubstr string
+	}{
+		{"defaults", 0, 0, ""},
+		{"reduced", 6, 4, ""},
+		{"negative int", -1, 0, "register counts must be >= 0"},
+		{"negative float", 0, -3, "register counts must be >= 0"},
+		{"oversized int", 1 << 22, 0, "IntRegs + FloatRegs must be <="},
+		{"oversized float over default int", 0, ir.MaxRegs - 31, "IntRegs + FloatRegs must be <="},
+		{"sum past MaxInt", math.MaxInt, DefaultRegs, "IntRegs + FloatRegs must be <="},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := d.Compile(workload.RandomProgram(1), Config{Strategy: NoCCM, IntRegs: tc.ints, FloatRegs: tc.floats})
+			switch {
+			case tc.wantErrSubstr == "" && err != nil:
+				t.Fatalf("compile failed: %v", err)
+			case tc.wantErrSubstr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErrSubstr)):
+				t.Fatalf("error %v, want one containing %q", err, tc.wantErrSubstr)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package regalloc
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"ccmem/internal/ir"
@@ -14,14 +15,14 @@ import (
 // already involved in a merge is skipped (the graph no longer reflects it).
 func (a *allocation) coalesce() int {
 	merged := 0
-	touched, tgen := a.sc.freshMark(a.n)
+	touched := a.sc.arena.New(a.n)
 	for _, cs := range a.copies {
 		in := &a.f.Blocks[cs.block].Instrs[cs.index]
 		if in.Op != ir.OpCopy && in.Op != ir.OpFCopy {
 			continue
 		}
 		d, s := int(in.Dst), int(in.Args[0])
-		if d == s || touched[d] == tgen || touched[s] == tgen {
+		if d == s || touched.Has(d) || touched.Has(s) {
 			continue
 		}
 		if a.matrix.Has(d, s) {
@@ -31,7 +32,8 @@ func (a *allocation) coalesce() int {
 			continue
 		}
 		a.alias.Union(d, s)
-		touched[d], touched[s] = tgen, tgen
+		touched.Set(d)
+		touched.Set(s)
 		merged++
 	}
 	return merged
@@ -40,30 +42,26 @@ func (a *allocation) coalesce() int {
 // briggsSafe applies the Briggs conservative test: the combined node has
 // fewer than k neighbors of significant degree.
 func (a *allocation) briggsSafe(d, s int) bool {
-	sc := a.sc
 	k := a.kFor(d)
-	sc.seenMark = stamped(sc.seenMark, a.nodes, &sc.seenGen)
-	seen, sgen := sc.seenMark, sc.seenGen
+	rd, rs := a.matrix.Row(d), a.matrix.Row(s)
 	significant := 0
-	consider := func(w int32) {
-		if seen[w] == sgen || !a.isRange(int(w)) {
-			return
+	for i := range a.words {
+		both := rd[i] & rs[i]
+		for word := rd[i] | rs[i]; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			w := i*64 + b
+			if w >= a.n {
+				break // CCM-slot columns
+			}
+			deg := a.degree[w]
+			// A neighbor adjacent to both d and s loses one edge in the merge.
+			if both&(1<<uint(b)) != 0 {
+				deg--
+			}
+			if deg >= k {
+				significant++
+			}
 		}
-		seen[w] = sgen
-		deg := a.degree[w]
-		// A neighbor adjacent to both d and s loses one edge in the merge.
-		if a.matrix.Has(int(w), d) && a.matrix.Has(int(w), s) {
-			deg--
-		}
-		if deg >= k {
-			significant++
-		}
-	}
-	for e := sc.adjHead[d]; e >= 0; e = sc.adjNext[e] {
-		consider(sc.adjTo[e])
-	}
-	for e := sc.adjHead[s]; e >= 0; e = sc.adjNext[e] {
-		consider(sc.adjTo[e])
 	}
 	return significant < k
 }
@@ -266,12 +264,11 @@ func (a *allocation) simplify() {
 		removed[v] = true
 		remaining--
 		a.stack = append(a.stack, int32(v))
-		for e := sc.adjHead[v]; e >= 0; e = sc.adjNext[e] {
-			w := sc.adjTo[e]
-			if a.isRange(int(w)) && !removed[w] {
+		a.forNeighbours(v, func(w int) {
+			if !removed[w] {
 				deg[w]--
 			}
-		}
+		})
 	}
 
 	for remaining > 0 {
@@ -342,14 +339,11 @@ func (a *allocation) sel() []int {
 		for c := 0; c < k; c++ {
 			used[c] = false
 		}
-		for e := sc.adjHead[v]; e >= 0; e = sc.adjNext[e] {
-			w := sc.adjTo[e]
-			if a.isRange(int(w)) && a.color[w] >= 0 {
-				if int(a.color[w]) < k {
-					used[a.color[w]] = true
-				}
+		a.forNeighbours(v, func(w int) {
+			if c := a.color[w]; c >= 0 && int(c) < k {
+				used[c] = true
 			}
-		}
+		})
 		chosen := int32(-1)
 		for c := 0; c < k; c++ {
 			if !used[c] {

@@ -2,6 +2,7 @@ package regalloc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ccmem/internal/bitset"
 	"ccmem/internal/cfg"
@@ -28,24 +29,26 @@ type allocation struct {
 	live *liveness.Result
 
 	n        int // live-range count
+	words    int // ⌈n/64⌉: the row words holding live-range columns
 	ccmSlots int
-	nodes    int // n + ccmSlots
 
-	// Adjacency as an edge store shared through sc: adjHead[u] is the
-	// first edge of u, adjNext/adjTo the links. Neighbor iteration order
-	// is most-recent-first; no consumer is order-sensitive (they count,
-	// mark, or decrement), so the representation change cannot perturb
-	// coloring decisions.
+	// matrix holds the interference graph as one bit row per node. A live
+	// range's row has its same-class live-range neighbours in columns
+	// 0..n-1, then the CCM slots it conflicts with; a slot's row has the
+	// live ranges it conflicts with. Neighbour walks scan a row's first
+	// words in ascending order and skip columns n and up. No consumer is
+	// order-sensitive (they count, mark, or decrement).
 	matrix         *intgraph.Matrix
 	degree         []int // same-class live-range neighbors only
-	liveAcrossCall []bool
+	liveAcrossCall bitset.Set
+	float          bitset.Set // the float-class live ranges
 
 	// anyMatrix records value-value interference regardless of register
-	// class. Register coloring ignores cross-class pairs (they never
-	// compete for colors), but CCM slots are class-agnostic: two values
-	// spilled in the same round may share a slot only if they do not
-	// interfere as values (paper footnote 5), including an integer
-	// against a float.
+	// class, in integrated mode only (nil otherwise). Register coloring
+	// ignores cross-class pairs (they never compete for colors), but CCM
+	// slots are class-agnostic: two values spilled in the same round may
+	// share a slot only if they do not interfere as values (paper
+	// footnote 5), including an integer against a float.
 	anyMatrix *intgraph.Matrix
 
 	cost    []float64
@@ -71,26 +74,13 @@ type copySiteRef struct {
 }
 
 func newAllocation(f *ir.Func, opts Options, sc *scratch) (*allocation, error) {
-	a := &allocation{
+	return &allocation{
 		f:        f,
 		opts:     opts,
 		sc:       sc,
 		n:        len(f.Regs),
 		ccmSlots: int(opts.CCMBytes / ir.WordBytes),
-	}
-	a.nodes = a.n + a.ccmSlots
-	return a, nil
-}
-
-func (a *allocation) slotNode(slot int) int { return a.n + slot }
-
-func (a *allocation) isRange(node int) bool { return node < a.n }
-
-func (a *allocation) classOf(node int) ir.Class {
-	if node < a.n {
-		return a.f.Regs[node].Class
-	}
-	return ir.ClassNone // CCM slot
+	}, nil
 }
 
 // kFor returns the color budget for a live range's class.
@@ -101,40 +91,42 @@ func (a *allocation) kFor(node int) int {
 	return a.opts.IntRegs
 }
 
-// pushAdj links v into u's adjacency chain.
-func (a *allocation) pushAdj(u, v int) {
-	sc := a.sc
-	e := int32(len(sc.adjTo))
-	sc.adjTo = append(sc.adjTo, int32(v))
-	sc.adjNext = append(sc.adjNext, sc.adjHead[u])
-	sc.adjHead[u] = e
+// forNeighbours calls visit with each live-range neighbour of u in
+// ascending order, skipping the row's CCM-slot columns.
+func (a *allocation) forNeighbours(u int, visit func(w int)) {
+	for i, word := range a.matrix.Row(u)[:a.words] {
+		for ; word != 0; word &= word - 1 {
+			if w := i*64 + bits.TrailingZeros64(word); w < a.n {
+				visit(w)
+			}
+		}
+	}
 }
 
-func (a *allocation) addEdge(u, v int) {
-	if u == v {
-		return
+// interfere records a definition of live range d at which the ranges in
+// live are live, a word at a time. In the register graph d interferes
+// with every member of its own class except itself and src, a copy's
+// source (or -1): Chaitin's copy exception leaves the source free to share
+// d's register. It may still not share d's CCM slot, since either range
+// can be redefined while the other lives, so in the any-class relation d
+// interferes with every member except itself.
+func (a *allocation) interfere(d int, live bitset.Set, src int) {
+	fw := a.float.Words()
+	var class uint64 // XOR-ed into the float words, it selects d's class
+	if !a.float.Has(d) {
+		class = ^uint64(0)
 	}
-	ur, vr := a.isRange(u), a.isRange(v)
-	if ur && vr {
-		a.anyMatrix.Set(u, v)
-	}
-	if a.matrix.Has(u, v) {
-		return
-	}
-	switch {
-	case ur && vr:
-		if a.classOf(u) != a.classOf(v) {
-			return // distinct classes never compete for colors
+	for i, w := range live.Words() {
+		if i == d/64 {
+			w &^= 1 << uint(d%64)
 		}
-	case !ur && !vr:
-		return // slot-slot edges carry no information
-	}
-	a.matrix.Set(u, v)
-	a.pushAdj(u, v)
-	a.pushAdj(v, u)
-	if ur && vr {
-		a.degree[u]++
-		a.degree[v]++
+		if a.anyMatrix != nil {
+			a.anyMatrix.AddWord(d, i, w)
+		}
+		if src >= 0 && i == src/64 {
+			w &^= 1 << uint(src%64)
+		}
+		a.matrix.AddWord(d, i, w&(fw[i]^class))
 	}
 }
 
@@ -144,7 +136,7 @@ func (a *allocation) buildGraph() error {
 	f := a.f
 	sc := a.sc
 	a.n = len(f.Regs)
-	a.nodes = a.n + a.ccmSlots
+	a.words = (a.n + 63) / 64
 
 	g, err := cfg.New(f)
 	if err != nil {
@@ -160,51 +152,32 @@ func (a *allocation) buildGraph() error {
 	// Liveness over live ranges; CCM slots are tracked manually below.
 	a.live = liveness.RegistersIn(&sc.arena, f, g)
 
-	sc.adjHead = sized(sc.adjHead, a.nodes)
-	for i := range sc.adjHead {
-		sc.adjHead[i] = -1
-	}
-	sc.adjNext = sc.adjNext[:0]
-	sc.adjTo = sc.adjTo[:0]
-	sc.matrix.Reset(a.nodes)
-	sc.anyMatrix.Reset(a.n)
+	sc.matrix.Reset(a.n + a.ccmSlots)
 	a.matrix = &sc.matrix
-	a.anyMatrix = &sc.anyMatrix
-	sc.degree = sized(sc.degree, a.n)
-	a.degree = sc.degree
-	sc.liveAcrossCall = sized(sc.liveAcrossCall, a.n)
-	a.liveAcrossCall = sc.liveAcrossCall
+	if a.ccmSlots > 0 {
+		sc.anyMatrix.Reset(a.n)
+		a.anyMatrix = &sc.anyMatrix
+	}
+	a.liveAcrossCall = sc.arena.New(a.n)
+	a.float = sc.arena.New(a.n)
+	for r := range f.Regs {
+		if f.Regs[r].Class == ir.ClassFloat {
+			a.float.Set(r)
+		}
+	}
 	a.copies = sc.copies[:0]
 	sc.alias.Reset(a.n)
 	a.alias = &sc.alias
 
 	// Values carried into the function (parameters, and any
 	// read-before-write ranges) are all written by the caller at entry, so
-	// they must occupy distinct registers: add pairwise edges. The stamp
-	// array dedups without a per-round map; the node list is built in
-	// ascending register order (entry liveness first, in set order, then
-	// any parameters not already seen), matching the old map-keyed
-	// iteration's edge set exactly — addEdge is order-insensitive.
-	sc.entryMark = stamped(sc.entryMark, a.n, &sc.entryGen)
-	entryNodes := sc.entryNodes[:0]
-	a.live.In[0].ForEach(func(r int) {
-		if sc.entryMark[r] != sc.entryGen {
-			sc.entryMark[r] = sc.entryGen
-			entryNodes = append(entryNodes, r)
-		}
-	})
+	// they must occupy distinct registers: each interferes with the rest.
+	entry := sc.arena.New(a.n)
+	entry.CopyFrom(a.live.In[0])
 	for _, p := range f.Params {
-		if sc.entryMark[p] != sc.entryGen {
-			sc.entryMark[p] = sc.entryGen
-			entryNodes = append(entryNodes, int(p))
-		}
+		entry.Set(int(p))
 	}
-	sc.entryNodes = entryNodes
-	for i := 0; i < len(entryNodes); i++ {
-		for j := i + 1; j < len(entryNodes); j++ {
-			a.addEdge(entryNodes[i], entryNodes[j])
-		}
-	}
+	entry.ForEach(func(r int) { a.interfere(r, entry, -1) })
 
 	// CCM slot liveness: solve the backward problem over slots first so
 	// block-exit slot liveness is available. Slots are used by ccmrestore
@@ -237,19 +210,14 @@ func (a *allocation) buildGraph() error {
 	a.maxLiveInt, a.maxLiveFloat = 0, 0
 	pressure := func(live bitset.Set) {
 		ni, nf := 0, 0
-		live.ForEach(func(r int) {
-			if f.Regs[r].Class == ir.ClassFloat {
-				nf++
-			} else {
-				ni++
-			}
-		})
-		if ni > a.maxLiveInt {
-			a.maxLiveInt = ni
+		fw := a.float.Words()
+		for i, w := range live.Words() {
+			fl := bits.OnesCount64(w & fw[i])
+			nf += fl
+			ni += bits.OnesCount64(w) - fl
 		}
-		if nf > a.maxLiveFloat {
-			a.maxLiveFloat = nf
-		}
+		a.maxLiveInt = max(a.maxLiveInt, ni)
+		a.maxLiveFloat = max(a.maxLiveFloat, nf)
 	}
 	liveNow := sc.arena.New(a.n)
 	var slotNow bitset.Set
@@ -274,32 +242,25 @@ func (a *allocation) buildGraph() error {
 			isCopy := in.Op == ir.OpCopy || in.Op == ir.OpFCopy
 
 			if in.Op == ir.OpCall {
-				liveNow.ForEach(func(r int) { a.liveAcrossCall[r] = true })
+				a.liveAcrossCall.UnionWith(liveNow)
 			}
 
 			// Definition point.
 			switch {
 			case in.Op.IsCCMSpill():
 				s := int(in.Imm / ir.WordBytes)
-				node := a.slotNode(s)
-				liveNow.ForEach(func(r int) { a.addEdge(node, r) })
+				for i, w := range liveNow.Words() {
+					a.matrix.AddWord(a.n+s, i, w)
+				}
 				slotNow.Clear(s)
 			case in.Dst != ir.NoReg:
-				d := int(in.Dst)
-				liveNow.ForEach(func(r int) {
-					if isCopy && r == int(in.Args[0]) {
-						// Chaitin's copy exception: no register edge, but
-						// the values still may not share a CCM slot (the
-						// range can be redefined while the other lives).
-						if d != r {
-							a.anyMatrix.Set(d, r)
-						}
-						return
-					}
-					a.addEdge(d, r)
-				})
+				d, src := int(in.Dst), -1
+				if isCopy {
+					src = int(in.Args[0])
+				}
+				a.interfere(d, liveNow, src)
 				if a.ccmSlots > 0 {
-					slotNow.ForEach(func(s int) { a.addEdge(d, a.slotNode(s)) })
+					slotNow.ForEach(func(s int) { a.matrix.Set(d, a.n+s) })
 				}
 				liveNow.Clear(d)
 			}
@@ -319,5 +280,19 @@ func (a *allocation) buildGraph() error {
 		}
 	}
 	sc.copies = a.copies // keep any regrown backing array for the next round
+
+	// A range's degree is the popcount of its row's live-range columns,
+	// with the CCM-slot columns from n on masked off.
+	sc.degree = sized(sc.degree, a.n)
+	a.degree = sc.degree
+	tail := ^uint64(0) >> uint(a.words*64-a.n)
+	for u := range a.degree {
+		row := a.matrix.Row(u)[:a.words]
+		deg := bits.OnesCount64(row[a.words-1] & tail)
+		for _, w := range row[:a.words-1] {
+			deg += bits.OnesCount64(w)
+		}
+		a.degree[u] = deg
+	}
 	return nil
 }

@@ -10,47 +10,32 @@ import (
 )
 
 // scratch is the reusable working storage of one Allocate call: the
-// interference-graph edge store, the bit matrices, the liveness arena,
-// and every per-node side array the build/coalesce/simplify/select
-// machinery needs. A cold compile rebuilds all of this once per round
-// per function; carving it from a sync.Pool (one scratch per worker in
-// steady state) replaces those rebuild allocations with reset-not-
-// realloc reuse.
+// interference-graph bit rows, the liveness arena, and every per-node
+// side array the build/coalesce/simplify/select machinery needs. A cold
+// compile rebuilds all of this once per round per function; carving it
+// from a sync.Pool (one scratch per worker in steady state) replaces
+// those rebuild allocations with reset-not-realloc reuse.
 //
-// Every field is fully reinitialized (sized and zeroed, or stamped) by
-// its user before reads, so pooled reuse cannot leak state between
-// functions — allocation results stay a pure function of the input,
-// which the byte-identical determinism contract depends on.
+// Every field is fully reinitialized (sized and zeroed, or reset) by its
+// user before reads, so pooled reuse cannot leak state between functions
+// — allocation results stay a pure function of the input, which the
+// byte-identical determinism contract depends on.
 type scratch struct {
+	// arena backs every bit set of a round: liveness, the live-across-call
+	// and float-class sets, and coalesce's merged-this-pass set.
 	arena bitset.Arena
-
-	// Adjacency lists as an edge store: head[u] is u's first edge index
-	// (-1 when none), and each edge e is (to[e], next[e]). addEdge pushes
-	// two records per undirected edge into the shared arrays — amortized
-	// zero allocations once the arrays are warm, where per-node []int32
-	// appends allocated on nearly every edge.
-	adjHead []int32
-	adjNext []int32
-	adjTo   []int32
 
 	matrix    intgraph.Matrix
 	anyMatrix intgraph.Matrix
 	alias     uf.Set
 
-	degree         []int
-	liveAcrossCall []bool
-	cost           []float64
-	noSpill        []bool
-	remat          []*ir.Instr
-	stack          []int32
-	color          []int32
-	copies         []copySiteRef
-
-	// Entry-node pairwise interference (buildGraph): mark is stamped per
-	// buildGraph call, nodes is the dedup'd list.
-	entryMark  []int32
-	entryGen   int32
-	entryNodes []int
+	degree  []int
+	cost    []float64
+	noSpill []bool
+	remat   []*ir.Instr
+	stack   []int32
+	color   []int32
+	copies  []copySiteRef
 
 	// computeSpillCosts occurrence records, flattened: occs[occOff[r] :
 	// occOff[r+1]] are range r's occurrences in program order.
@@ -60,20 +45,11 @@ type scratch struct {
 	sameDef []*ir.Instr
 	bad     []bool
 
-	// simplify / sel / coalesce working sets.
+	// simplify / sel working sets.
 	deg     []int
 	removed []bool
 	used    []bool
 	spilled []int
-
-	// mark is the epoch-stamped membership set of coalesce (nodes already
-	// merged this pass); seenMark is a second, independent set for
-	// briggsSafe, which needs a fresh epoch per call while coalesce's
-	// epoch spans the whole pass.
-	mark     []int32
-	markGen  int32
-	seenMark []int32
-	seenGen  int32
 }
 
 // occ is one occurrence of a live range (computeSpillCosts).
@@ -96,32 +72,4 @@ func sized[T any](buf []T, n int) []T {
 		buf[i] = zero
 	}
 	return buf
-}
-
-// stamped returns buf resized to n for use as a generation-stamped set,
-// filling with -1 only when the backing array had to grow or the
-// generation counter wrapped.
-func stamped(buf []int32, n int, gen *int32) []int32 {
-	*gen++
-	if cap(buf) < n || *gen <= 0 {
-		buf = make([]int32, n)
-		for i := range buf {
-			buf[i] = -1
-		}
-		*gen = 1
-		return buf
-	}
-	old := len(buf)
-	buf = buf[:n]
-	for i := old; i < n; i++ {
-		buf[i] = -1
-	}
-	return buf
-}
-
-// mark returns the epoch-stamped membership buffer sized for n nodes
-// with a fresh epoch: markHas/markSet treat entries ≠ epoch as absent.
-func (sc *scratch) freshMark(n int) ([]int32, int32) {
-	sc.mark = stamped(sc.mark, n, &sc.markGen)
-	return sc.mark, sc.markGen
 }

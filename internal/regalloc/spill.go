@@ -43,9 +43,9 @@ func (a *allocation) insertSpills(spilled []int) (nFrame, nCCM, nRemat int, err 
 			continue
 		}
 		assigned := false
-		if a.ccmSlots > 0 && !a.liveAcrossCall[v] {
+		if a.ccmSlots > 0 && !a.liveAcrossCall.Has(v) {
 			for s := 0; s < a.ccmSlots; s++ {
-				if a.matrix.Has(v, a.slotNode(s)) {
+				if a.matrix.Has(v, a.n+s) {
 					continue
 				}
 				conflict := false

@@ -99,12 +99,13 @@ go test $SHORTFLAG -run 'TestFarmMatchesSolo|TestFarmWorkerFailureFailsLoudly|Te
 
 # Allocation guards: the program-tier cache hit must stay clone-free
 # (handing out frozen artifacts by reference), the liveness solver
-# must keep its reset-not-realloc arena discipline, and a simulator run
-# must allocate the memory it touches rather than the whole stack. Run
-# with -count=1 so a cached 'ok' can never mask an allocation
-# regression, and without -race (the race runtime inflates allocation
-# counts).
-echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/"
-go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/
+# must keep its reset-not-realloc arena discipline, a simulator run
+# must allocate the memory it touches rather than the whole stack, and
+# the register allocator must carve each round's interference rows from
+# its pooled scratch. Run with -count=1 so a cached 'ok' can never mask
+# an allocation regression, and without -race (the race runtime
+# inflates allocation counts).
+echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/"
+go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/
 
 echo '== verify.sh: all green'
