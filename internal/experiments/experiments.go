@@ -99,16 +99,6 @@ type Config struct {
 	// interrupted sweep stops cleanly at the next boundary instead of
 	// dying mid-write). Nil means never cancelled.
 	Ctx context.Context
-
-	// ShardIndex/ShardCount partition the routine suite across
-	// cooperating processes (ccmbench -farm): RunRoutineSuite measures
-	// only the routines whose position in workload.All() is congruent to
-	// ShardIndex modulo ShardCount. Every measurement is simulated
-	// cycles, so a merge of all shards (MergeRoutineShards) is
-	// byte-identical to a solo run. ShardCount <= 1 disables
-	// partitioning.
-	ShardIndex int
-	ShardCount int
 }
 
 // ctx returns the configured cancellation context or Background.
@@ -310,10 +300,7 @@ func RunRoutineSuite(cfg Config) (*SuiteResults, error) {
 	res := &SuiteResults{Config: cfg}
 	drv := cfg.driver()
 
-	for i, r := range workload.All() {
-		if cfg.ShardCount > 1 && i%cfg.ShardCount != cfg.ShardIndex {
-			continue
-		}
+	for _, r := range workload.All() {
 		rr := &RoutineResult{
 			Name:   r.Name,
 			Family: r.Family,
