@@ -23,7 +23,7 @@ import (
 // /report, /metrics, /trace) behind a bearer token — a request without
 // it is a 401 in the same structured-error shape as every other
 // failure. Health probes (/healthz, /readyz, /version) stay open so
-// load balancers and fleet tooling need no secret.
+// load balancers need no secret.
 func Handler(s *Service, version string, authToken string) http.Handler {
 	authed := func(h http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
@@ -93,12 +93,10 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 		}
 		if state := s.Driver().RemoteCircuit(); state == "open" {
 			writeJSON(w, http.StatusOK, HealthResponse{Status: "degraded",
-				Detail:      remoteDegradedDetail,
-				RemoteNodes: s.Driver().RemoteNodes()})
+				Detail: remoteDegradedDetail})
 			return
 		}
-		writeJSON(w, http.StatusOK, HealthResponse{Status: "ok",
-			RemoteNodes: s.Driver().RemoteNodes()})
+		writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		// Readiness gates traffic: draining or a broken persistent tier
@@ -119,18 +117,13 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 		// keep flowing (the tier is skipped and every lookup falls through
 		// to a local compile), so readiness stays 200 and the state rides
 		// along for operators. Failing readiness here would take capacity
-		// offline exactly when the fleet's shared cache already is. For a
-		// replicated fleet the driver folds per-node breakers with
-		// any-node-healthy semantics, so "open" here already means every
-		// node is down; the per-node list rides along either way.
+		// offline exactly when the shared cache already is.
 		if state := s.Driver().RemoteCircuit(); state == "open" {
 			writeJSON(w, http.StatusOK, HealthResponse{Status: "degraded",
-				Detail:      remoteDegradedDetail,
-				RemoteNodes: s.Driver().RemoteNodes()})
+				Detail: remoteDegradedDetail})
 			return
 		}
-		writeJSON(w, http.StatusOK, HealthResponse{Status: "ok",
-			RemoteNodes: s.Driver().RemoteNodes()})
+		writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 	})
 	mux.HandleFunc("GET /version", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, VersionResponse{Version: version})
@@ -139,8 +132,8 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 }
 
 // remoteDegradedDetail phrases an open remote circuit for the health
-// probes: the fleet folds to open only when every node is down.
-const remoteDegradedDetail = "remote cache fleet: every node's circuit open; tier skipped until a breaker recovers"
+// probes.
+const remoteDegradedDetail = "remote cache circuit open; tier skipped until the breaker recovers"
 
 // decodeJSON reads one JSON body with a hard size bound and strict
 // field checking, mapping every decode failure onto a 400 APIError.

@@ -45,7 +45,7 @@ type Cache struct {
 	entries map[digest]*list.Element
 	lru     *list.List // front = most recently used
 	disk    *diskcache.Cache
-	remote  *remotecache.Fleet
+	remote  *remotecache.Client
 
 	hits      int64
 	misses    int64
@@ -97,14 +97,14 @@ func (c *Cache) Disk() *diskcache.Cache {
 
 // AttachRemote backs the cache with a remote HTTP tier, consulted after
 // a disk miss. Safe to call on a cache already in use; nil detaches.
-func (c *Cache) AttachRemote(r *remotecache.Fleet) {
+func (c *Cache) AttachRemote(r *remotecache.Client) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.remote = r
 }
 
 // Remote returns the attached remote tier (nil when none).
-func (c *Cache) Remote() *remotecache.Fleet {
+func (c *Cache) Remote() *remotecache.Client {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.remote
@@ -358,7 +358,7 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // remoteTierStats converts a remotecache snapshot into the report
-// shape, recursing into the fleet's per-node blocks.
+// shape.
 func remoteTierStats(rs remotecache.Stats) RemoteTierStats {
 	st := RemoteTierStats{
 		Hits:        rs.Hits,
@@ -375,18 +375,9 @@ func remoteTierStats(rs remotecache.Stats) RemoteTierStats {
 		Trips:       rs.Trips,
 		Probes:      rs.Probes,
 		Circuit:     rs.Circuit,
-
-		Failovers: rs.Failovers,
-		Repairs:   rs.Repairs,
 	}
 	if lookups := rs.Hits + rs.Misses; lookups > 0 {
 		st.HitRate = float64(rs.Hits) / float64(lookups)
-	}
-	for _, ns := range rs.Nodes {
-		st.Nodes = append(st.Nodes, RemoteNodeStats{
-			URL:             ns.URL,
-			RemoteTierStats: remoteTierStats(ns.Stats),
-		})
 	}
 	return st
 }

@@ -252,28 +252,22 @@ type Options struct {
 	DiskFS diskcache.FS
 
 	// RemoteURLs enables the remote HTTP tier (internal/remotecache):
-	// one or more ccmcached base URLs consulted after a disk miss, with
-	// hits promoted into the upper tiers and stores written behind
-	// asynchronously. The URLs form one remotecache.Fleet — rendezvous
-	// placement, per-node circuit breakers, failover reads, replicated
-	// write-behind puts, and async read-repair — a single URL being a
-	// one-node fleet. Like the disk tier it is an accelerator, not a
-	// dependency: a sick or absent server costs time, never bytes, and
-	// never fails a compile. Empty disables the tier; a malformed URL is
-	// reported via RemoteCacheErr and the driver runs without the tier.
+	// one ccmcached base URL consulted after a disk miss, behind a
+	// circuit breaker, with hits promoted into the upper tiers and
+	// stores written behind asynchronously. Like the disk tier it is an
+	// accelerator, not a dependency: a sick or absent server costs
+	// time, never bytes, and never fails a compile. Empty disables the
+	// tier; a malformed URL or more than one URL is reported via
+	// RemoteCacheErr and the driver runs without the tier.
 	RemoteURLs []string
 	// RemoteToken is the bearer token sent with every remote-tier
-	// request — required to join a fleet whose ccmcached runs with
-	// -auth-token. Empty sends no Authorization header.
+	// request — required when ccmcached runs with -auth-token. Empty
+	// sends no Authorization header.
 	RemoteToken string
-	// RemoteFaultRTs overrides transports per fleet node — the network
-	// fault-injection seam (remotecache.FaultRT). When non-nil it must
-	// match RemoteURLs exactly; nil entries use the real transport.
-	RemoteFaultRTs []http.RoundTripper
-	// RemoteReplicas is how many healthy fleet nodes each write-behind
-	// put lands on; <= 0 uses the fleet default (2, capped at the node
-	// count).
-	RemoteReplicas int
+	// RemoteFaultRT overrides the remote tier's transport — the network
+	// fault-injection seam (remotecache.FaultRT). nil uses the real
+	// transport.
+	RemoteFaultRT http.RoundTripper
 	// RemoteTuning adjusts the remote client's hardening knobs (timeouts,
 	// retries, breaker thresholds); zero fields take remotecache defaults.
 	RemoteTuning remotecache.Tuning
@@ -359,20 +353,21 @@ func New(opts Options) *Driver {
 				d.cache.AttachDisk(dc)
 			}
 		}
-		if len(opts.RemoteURLs) > 0 {
-			fl, err := remotecache.NewFleet(remotecache.FleetOptions{
-				BaseURLs:      opts.RemoteURLs,
-				RoundTrippers: opts.RemoteFaultRTs,
-				AuthToken:     opts.RemoteToken,
-				Obs:           opts.Metrics,
-				Tuning:        opts.RemoteTuning,
-				Replicas:      opts.RemoteReplicas,
+		if n := len(opts.RemoteURLs); n > 1 {
+			// Same contract as the disk tier: no remote, no failure.
+			d.remoteErr = fmt.Errorf("pipeline: %d remote cache URLs; the remote tier takes one", n)
+		} else if n == 1 {
+			rc, err := remotecache.NewClient(remotecache.Options{
+				BaseURL:      opts.RemoteURLs[0],
+				RoundTripper: opts.RemoteFaultRT,
+				AuthToken:    opts.RemoteToken,
+				Obs:          opts.Metrics,
+				Tuning:       opts.RemoteTuning,
 			})
 			if err != nil {
-				// Same contract as the disk tier: no remote, no failure.
 				d.remoteErr = err
 			} else {
-				d.cache.AttachRemote(fl)
+				d.cache.AttachRemote(rc)
 			}
 		}
 	}
@@ -408,40 +403,12 @@ func (d *Driver) RemoteCircuit() string {
 	if rc == nil {
 		return ""
 	}
-	return rc.Stats().Circuit
-}
-
-// RemoteNodeStatus is one fleet node's health line for /readyz: the
-// node URL and its circuit-breaker position.
-type RemoteNodeStatus struct {
-	URL     string `json:"url"`
-	Circuit string `json:"circuit"`
-}
-
-// RemoteNodes reports the per-node circuit state of the remote fleet,
-// in configured node order; nil when no remote tier is attached. The
-// fleet-level circuit folds these with "any healthy node keeps the tier
-// usable" semantics, so a degraded report means every node here is
-// open.
-func (d *Driver) RemoteNodes() []RemoteNodeStatus {
-	if d.cache == nil {
-		return nil
-	}
-	rc := d.cache.Remote()
-	if rc == nil {
-		return nil
-	}
-	st := rc.Stats()
-	out := make([]RemoteNodeStatus, len(st.Nodes))
-	for i, ns := range st.Nodes {
-		out[i] = RemoteNodeStatus{URL: ns.URL, Circuit: ns.Stats.Circuit}
-	}
-	return out
+	return rc.State().String()
 }
 
 // CloseRemote drains the remote tier's write-behind queue (bounded by
 // ctx) and shuts its worker down — the exit barrier a process runs so
-// its artifacts reach the fleet before it reports. Safe to call when no
+// its artifacts reach the server before it reports. Safe to call when no
 // remote tier is attached; compiles after CloseRemote still read from
 // the tier but no longer store into it.
 func (d *Driver) CloseRemote(ctx context.Context) error {
@@ -1384,11 +1351,6 @@ func (d *Driver) finish(rep *Report, cs *compileState, do *diffOracle, m *metric
 				d.reg.Gauge("remotecache.skipped").Set(cst.Remote.Skipped)
 				d.reg.Gauge("remotecache.trips").Set(cst.Remote.Trips)
 				d.reg.Gauge("remotecache.probes").Set(cst.Remote.Probes)
-				// The live remotecache.fleet.* counters are bumped by the
-				// fleet as events happen; these gauges snapshot the same
-				// totals per report.
-				d.reg.Gauge("remotecache.failovers").Set(cst.Remote.Failovers)
-				d.reg.Gauge("remotecache.repairs").Set(cst.Remote.Repairs)
 			}
 		}
 	}

@@ -92,23 +92,6 @@ type RemoteTierStats struct {
 	Trips   int64  `json:"trips"`
 	Probes  int64  `json:"probes"`
 	Circuit string `json:"circuit,omitempty"`
-
-	// Fleet counters (zero in a per-node block): lookups the fleet
-	// absorbed a node failure on, and read-repair puts queued back
-	// toward a key's preferred nodes.
-	Failovers int64 `json:"failovers,omitempty"`
-	Repairs   int64 `json:"repairs,omitempty"`
-
-	// Nodes breaks the fleet out per server, in configured order. Empty
-	// with no remote tier and in a per-node block.
-	Nodes []RemoteNodeStats `json:"nodes,omitempty"`
-}
-
-// RemoteNodeStats is one fleet node's own counter block: the node's URL
-// plus that server's own counters.
-type RemoteNodeStats struct {
-	URL string `json:"url"`
-	RemoteTierStats
 }
 
 // CacheStats is a snapshot of the content-addressed cache's counters
