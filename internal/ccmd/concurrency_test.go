@@ -79,7 +79,7 @@ func TestConcurrentClientsByteIdentity(t *testing.T) {
 			continue
 		}
 		svcRef := newTestService(t, nil)
-		pcfg, apiErr := svcRef.pipelineConfig(&CompileRequest{Config: c.cfg}, shedNone)
+		pcfg, apiErr := svcRef.pipelineConfig(&CompileRequest{Config: c.cfg})
 		if apiErr != nil {
 			t.Fatalf("%s: pipelineConfig: %v", c.name, apiErr)
 		}
