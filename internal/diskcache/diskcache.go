@@ -35,7 +35,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 const (
@@ -57,15 +56,6 @@ type Options struct {
 	// MaxBytes is the byte budget; <= 0 uses DefaultMaxBytes. Entries
 	// larger than the whole budget are not stored.
 	MaxBytes int64
-	// TTL is how long an entry stays servable after it was stored; <= 0
-	// means entries never expire. Expiry is lazy (an expired entry reads
-	// as a miss and is deleted) plus whatever Sweep passes the owner
-	// schedules. Entries indexed at Open age from their file mtime, so a
-	// restart does not refresh the fleet's artifacts.
-	TTL time.Duration
-	// Now is the clock TTL expiry is judged against; nil means time.Now.
-	// Injected by tests.
-	Now func() time.Time
 	// FS is the filesystem to run on; nil uses the real one.
 	FS FS
 }
@@ -88,22 +78,18 @@ type Stats struct {
 	DegradedToMemory int64 `json:"degraded_to_memory"`
 
 	Evictions int64 `json:"evictions"`
-	// Expired counts entries deleted because they outlived the TTL,
-	// whether caught lazily by Get or by a Sweep.
-	Expired int64 `json:"expired"`
-	Entries int   `json:"entries"`
-	Bytes   int64 `json:"bytes"`
+	Entries   int   `json:"entries"`
+	Bytes     int64 `json:"bytes"`
 	// Degraded is true while the write path is off.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
 // entryMeta is one indexed on-disk entry.
 type entryMeta struct {
-	key      Key
-	size     int64
-	storedAt time.Time  // when the entry landed (file mtime for indexed ones)
-	prev     *entryMeta // toward most recently used
-	next     *entryMeta // toward least recently used
+	key  Key
+	size int64
+	prev *entryMeta // toward most recently used
+	next *entryMeta // toward least recently used
 }
 
 // Cache is one handle on a cache directory. It is safe for concurrent
@@ -114,8 +100,6 @@ type Cache struct {
 	dir string
 	fs  FS
 	max int64
-	ttl time.Duration
-	now func() time.Time
 
 	mu      sync.Mutex
 	index   map[Key]*entryMeta
@@ -141,11 +125,7 @@ func Open(dir string, opts Options) (*Cache, error) {
 	if max <= 0 {
 		max = DefaultMaxBytes
 	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	c := &Cache{dir: dir, fs: fsys, max: max, ttl: opts.TTL, now: now, index: make(map[Key]*entryMeta)}
+	c := &Cache{dir: dir, fs: fsys, max: max, index: make(map[Key]*entryMeta)}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskcache: open %s: %w", dir, err)
 	}
@@ -190,7 +170,7 @@ func Open(dir string, opts Options) (*Cache, error) {
 		return arts[i].name < arts[j].name
 	})
 	for _, a := range arts {
-		m := &entryMeta{key: a.key, size: a.size, storedAt: time.Unix(0, a.mtime)}
+		m := &entryMeta{key: a.key, size: a.size}
 		c.index[a.key] = m
 		c.pushFront(m)
 		c.total += a.size
@@ -213,14 +193,6 @@ func (c *Cache) Get(key Key, kind uint32) ([]byte, bool) {
 	defer c.mu.Unlock()
 	m, ok := c.index[key]
 	if !ok {
-		c.stats.Misses++
-		return nil, false
-	}
-	if c.expiredLocked(m) {
-		// The entry is withdrawn from the index before the file is
-		// removed, so a concurrent reader can never be handed a
-		// partially-deleted entry — it simply misses.
-		c.expireLocked(m)
 		c.stats.Misses++
 		return nil, false
 	}
@@ -277,7 +249,7 @@ func (c *Cache) Put(key Key, kind uint32, payload []byte) {
 	}
 	c.consec = 0
 	c.stats.Writes++
-	m := &entryMeta{key: key, size: int64(len(data)), storedAt: c.now()}
+	m := &entryMeta{key: key, size: int64(len(data))}
 	c.index[key] = m
 	c.pushFront(m)
 	c.total += m.size
@@ -322,27 +294,6 @@ func (c *Cache) ReportDecodeFailure(key Key) {
 	if m, ok := c.index[key]; ok {
 		c.quarantineLocked(m)
 	}
-}
-
-// Sweep deletes every entry that has outlived the TTL and returns how
-// many it removed. With no TTL configured it is a no-op. Owners with a
-// GC loop call this on a timer; lazy expiry in Get covers the rest.
-func (c *Cache) Sweep() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ttl <= 0 {
-		return 0
-	}
-	n := 0
-	for m := c.tail; m != nil; {
-		prev := m.prev // toward MRU; survives m's unlink
-		if c.expiredLocked(m) {
-			c.expireLocked(m)
-			n++
-		}
-		m = prev
-	}
-	return n
 }
 
 // Stats returns a counter snapshot.
@@ -427,18 +378,6 @@ func (c *Cache) quarantineLocked(m *entryMeta) {
 	}
 	c.stats.Quarantines++
 	c.dropLocked(m)
-}
-
-func (c *Cache) expiredLocked(m *entryMeta) bool {
-	return c.ttl > 0 && c.now().Sub(m.storedAt) >= c.ttl
-}
-
-// expireLocked deletes an entry that outlived the TTL: index first, file
-// second, so no reader observes a half-deleted entry.
-func (c *Cache) expireLocked(m *entryMeta) {
-	c.dropLocked(m)
-	c.fs.Remove(c.path(entryName(m.key)))
-	c.stats.Expired++
 }
 
 func (c *Cache) evictLocked() {

@@ -310,84 +310,3 @@ func TestDecodeEntryErrors(t *testing.T) {
 		t.Fatalf("valid entry decode = %d, %x, %q, %v", kind, key[:4], payload, err)
 	}
 }
-
-func TestTTLExpiryLazyAndSweep(t *testing.T) {
-	clock := time.Unix(1_000_000, 0)
-	now := func() time.Time { return clock }
-	dir := t.TempDir()
-	c := mustOpen(t, dir, Options{TTL: time.Minute, Now: now})
-	c.Put(keyOf("a"), 1, []byte("aa"))
-	clock = clock.Add(30 * time.Second)
-	c.Put(keyOf("b"), 1, []byte("bb"))
-
-	// Fresh entries serve.
-	if _, ok := c.Get(keyOf("a"), 1); !ok {
-		t.Fatal("fresh entry missed")
-	}
-
-	// a crosses its TTL; b is 30s younger and survives.
-	clock = clock.Add(31 * time.Second)
-	if _, ok := c.Get(keyOf("a"), 1); ok {
-		t.Fatal("expired entry served")
-	}
-	if _, ok := c.Get(keyOf("b"), 1); !ok {
-		t.Fatal("unexpired entry missed")
-	}
-	st := c.Stats()
-	if st.Expired != 1 || st.Entries != 1 {
-		t.Fatalf("after lazy expiry: %+v", st)
-	}
-	// The file is gone, not just the index entry.
-	if _, err := os.Stat(filepath.Join(dir, entryName(keyOf("a")))); !os.IsNotExist(err) {
-		t.Fatalf("expired entry file still on disk: %v", err)
-	}
-
-	// Sweep catches b without a Get touching it.
-	clock = clock.Add(time.Minute)
-	if n := c.Sweep(); n != 1 {
-		t.Fatalf("Sweep removed %d entries, want 1", n)
-	}
-	st = c.Stats()
-	if st.Expired != 2 || st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("after sweep: %+v", st)
-	}
-	// A second sweep finds nothing.
-	if n := c.Sweep(); n != 0 {
-		t.Fatalf("idle Sweep removed %d entries", n)
-	}
-}
-
-func TestTTLZeroNeverExpires(t *testing.T) {
-	clock := time.Unix(1_000_000, 0)
-	now := func() time.Time { return clock }
-	c := mustOpen(t, t.TempDir(), Options{Now: now})
-	c.Put(keyOf("a"), 1, []byte("aa"))
-	clock = clock.Add(1000 * time.Hour)
-	if _, ok := c.Get(keyOf("a"), 1); !ok {
-		t.Fatal("entry expired with no TTL configured")
-	}
-	if n := c.Sweep(); n != 0 {
-		t.Fatalf("Sweep with no TTL removed %d entries", n)
-	}
-}
-
-func TestTTLSurvivesReopenFromMtime(t *testing.T) {
-	dir := t.TempDir()
-	c := mustOpen(t, dir, Options{})
-	c.Put(keyOf("old"), 1, []byte("aged artifact"))
-
-	// Age the file on disk, then reopen with a TTL: the entry ages from
-	// its mtime, so the restart does not refresh it.
-	path := filepath.Join(dir, entryName(keyOf("old")))
-	aged := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(path, aged, aged); err != nil {
-		t.Fatal(err)
-	}
-	c2 := mustOpen(t, dir, Options{TTL: time.Hour})
-	if _, ok := c2.Get(keyOf("old"), 1); ok {
-		t.Fatal("entry older than the TTL served after reopen")
-	}
-	if st := c2.Stats(); st.Expired != 1 {
-		t.Fatalf("reopen expiry not counted: %+v", st)
-	}
-}
