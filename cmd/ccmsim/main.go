@@ -6,8 +6,7 @@
 //
 //	ccmsim [-entry main] [-ccm BYTES] [-memcost N] [-trace] [-perfunc]
 //	       [-cache SETSxWAYSxLINE] [-max-steps N] [-max-depth N]
-//	       [-repro-dir DIR] [-cache-dir DIR] [-cache-bytes N]
-//	       [-metrics-out FILE] [-version] prog.iloc
+//	       [-repro-dir DIR] [-metrics-out FILE] [-version] prog.iloc
 //
 // -max-steps and -max-depth bound the dynamic instruction count and the
 // call-stack depth; exceeding either is a structured resource-limit
@@ -17,25 +16,13 @@
 // execution fails, in the same format the compiler pipeline uses for
 // pass faults.
 //
-// -cache-dir enables a persistent run-result cache: the instrumented
-// statistics of a successful run are stored (crash-safely, with
-// integrity trailers — the same store the compiler pipeline uses for
-// artifacts) under a key covering the program text, entry point, and
-// every cost-relevant knob, so re-simulating an unchanged program is
-// answered from disk. Execution is deterministic, so a verified cached
-// result is byte-identical to a fresh run; corrupt entries are
-// quarantined and re-simulated. -debug bypasses the cache (its
-// instruction trace is a side effect only a real run produces).
-//
 // -metrics-out writes the run's dynamic costs — and, with -cache, the
 // data-cache model's hit/miss/eviction counters — as a JSON gauge
 // snapshot, the machine-readable companion to the human-readable stats
-// on stdout. It also bypasses the run-result cache: the model's
-// counters only exist after a real run.
+// on stdout.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,15 +31,10 @@ import (
 	"strings"
 
 	ccm "ccmem"
-	"ccmem/internal/diskcache"
 	"ccmem/internal/memsys"
 	"ccmem/internal/obs"
 	"ccmem/internal/repro"
 )
-
-// runResultKind tags ccmsim's run-result entries in the shared
-// diskcache format, distinct from the pipeline's artifact kinds.
-const runResultKind uint32 = 0x52554e31 // "RUN1"
 
 func main() {
 	entry := flag.String("entry", "main", "entry function")
@@ -65,8 +47,6 @@ func main() {
 	maxDepth := flag.Int("max-depth", 0, "bound the call-stack depth (0 = default)")
 	debug := flag.Int64("debug", 0, "trace the first N executed instructions to stderr")
 	reproDir := flag.String("repro-dir", "", "write a crash repro bundle to this directory if the run fails")
-	cacheDir := flag.String("cache-dir", "", "persistent run-result cache directory (empty = off)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "persistent cache byte budget (0 = default)")
 	metricsOut := flag.String("metrics-out", "", "write run and memory-hierarchy metrics as a JSON gauge snapshot to this file")
 	version := flag.Bool("version", false, "print the build version and exit")
 	flag.Parse()
@@ -121,34 +101,6 @@ func main() {
 		}
 	}
 
-	// Persistent run-result cache: execution is deterministic, so the
-	// stats are a pure function of the program text and the cost knobs.
-	// -debug and -metrics-out runs bypass it (the trace and the model's
-	// hit/miss counters are side effects only a real run produces).
-	var rcache *diskcache.Cache
-	var rkey diskcache.Key
-	if *cacheDir != "" && *debug == 0 && *metricsOut == "" {
-		var cerr error
-		rcache, cerr = diskcache.Open(*cacheDir, diskcache.Options{MaxBytes: *cacheBytes})
-		if cerr != nil {
-			fmt.Fprintf(os.Stderr, "ccmsim: warning: run-result cache disabled: %v\n", cerr)
-		} else {
-			h := sha256.New()
-			fmt.Fprintf(h, "ccmsim-run-v1\x00%s\x00%s\x00%d\x00%d\x00%s\x00%d\x00%d\x00",
-				src, *entry, *ccmBytes, *memCost, *cacheSpec, *maxSteps, *maxDepth)
-			rkey = diskcache.Key(h.Sum(nil))
-			if payload, ok := rcache.Get(rkey, runResultKind); ok {
-				var cached ccm.RunStats
-				if jerr := json.Unmarshal(payload, &cached); jerr == nil {
-					printStats(&cached, *perFunc, *trace)
-					return
-				}
-				// Verified bytes, garbage payload: withdraw and re-run.
-				rcache.ReportDecodeFailure(rkey)
-			}
-		}
-	}
-
 	st, err := prog.Run(*entry, opts...)
 	if err != nil {
 		if *reproDir != "" {
@@ -166,11 +118,6 @@ func main() {
 			}
 		}
 		fatal(err)
-	}
-	if rcache != nil {
-		if payload, jerr := json.Marshal(st); jerr == nil {
-			rcache.Put(rkey, runResultKind, payload)
-		}
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, st, memModel); err != nil {
