@@ -3,7 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"time"
+	"strings"
 
 	"ccmem/internal/ir"
 	"ccmem/internal/obs"
@@ -115,6 +115,16 @@ func newSnapRecorder(n int) *snapRecorder {
 	return &snapRecorder{front: make([][]passSnap, n), back: make([][]passSnap, n)}
 }
 
+// add records a snapshot taken by a per-function pass of the front or
+// back stage.
+func (r *snapRecorder) add(back bool, s passSnap) {
+	if back {
+		r.back[s.idx] = append(r.back[s.idx], s)
+	} else {
+		r.front[s.idx] = append(r.front[s.idx], s)
+	}
+}
+
 // upTo returns the deterministic global snapshot order for everything
 // recorded through the given stage: front snapshots in (function, pass)
 // order, then barrier, then back. The order is the bisection axis, so it
@@ -143,25 +153,28 @@ const (
 	diffStageFinal    = "final"
 )
 
-// forcedDegrade is the quarantine state the divergence-handling retry
-// loop accumulates: per-function forcings that strip exactly the
-// machinery the bisected culprit pass belongs to. Each escalation
-// strictly increases a finite per-function lattice, so the retry loop
-// terminates.
+// forcedDegrade is the quarantine the attempt loop accumulates: every
+// recoverable fault and every bisected divergence strips the machinery
+// its pass belongs to from its function, and the driver recompiles the
+// frozen input under it. Each escalation strictly raises a finite
+// per-function lattice, so the loop terminates.
 type forcedDegrade struct {
-	level     map[string]degradeLevel // front-stage rung to start at
-	noCCM     map[string]bool         // exclude from post-pass CCM promotion
-	noCompact map[string]bool         // skip the back stage
-	reason    map[string]*MiscompileError
+	funcs  map[string]quarantine
+	noWalk bool // skip the barrier: a fault in it named no new culprit
+}
+
+// quarantine is what the attempt loop has stripped from one function,
+// and why.
+type quarantine struct {
+	level     degradeLevel // front-stage rung to compile at
+	noCCM     bool         // exclude from post-pass CCM promotion
+	noCompact bool         // skip the back stage
+	faults    int          // front-stage faults, for FuncReport.Attempts
+	pass, err string       // the last fault or divergence escalated
 }
 
 func newForcedDegrade() *forcedDegrade {
-	return &forcedDegrade{
-		level:     map[string]degradeLevel{},
-		noCCM:     map[string]bool{},
-		noCompact: map[string]bool{},
-		reason:    map[string]*MiscompileError{},
-	}
+	return &forcedDegrade{funcs: map[string]quarantine{}}
 }
 
 // escalate records the quarantine for one bisected miscompile and
@@ -169,44 +182,112 @@ func newForcedDegrade() *forcedDegrade {
 // divergence survived maximal degradation of its function — the compile
 // must fail rather than ship wrong code.
 func (fd *forcedDegrade) escalate(me *MiscompileError, cfg Config) bool {
-	fn := me.Func
+	q := fd.funcs[me.Func]
 	ok := false
 	switch me.Pass {
 	case PassOptimize:
-		ok = fd.raiseLevel(fn, levelNoOpt) || fd.raiseLevel(fn, levelBaseline)
+		ok = q.raise(levelNoOpt) || q.raise(levelBaseline)
 	case PassRegalloc:
-		ok = fd.raiseLevel(fn, levelBaseline)
+		ok = q.raise(levelBaseline)
 	case PassPostPass:
-		if fn != "" && !fd.noCCM[fn] {
-			fd.noCCM[fn] = true
-			ok = true
-		}
+		ok, q.noCCM = !q.noCCM, true
 	case PassCleanup, PassCompact:
-		if fn != "" && !fd.noCompact[fn] {
-			fd.noCompact[fn] = true
-			ok = true
-		}
+		ok, q.noCompact = !q.noCompact, true
 	default:
 		// An injected experimental pass: levelNoOpt drops all of them.
 		for _, ip := range cfg.InjectFront {
 			if ip.Name == me.Pass {
-				ok = fd.raiseLevel(fn, levelNoOpt) || fd.raiseLevel(fn, levelBaseline)
+				ok = q.raise(levelNoOpt) || q.raise(levelBaseline)
 				break
 			}
 		}
 	}
-	if ok && fn != "" {
-		fd.reason[fn] = me
-	}
-	return ok
-}
-
-func (fd *forcedDegrade) raiseLevel(fn string, to degradeLevel) bool {
-	if fn == "" || fd.level[fn] >= to {
+	if !ok || me.Func == "" {
 		return false
 	}
-	fd.level[fn] = to
+	q.pass, q.err = me.Pass, "miscompile: "+me.Divergence.Detail
+	fd.funcs[me.Func] = q
 	return true
+}
+
+// dropRung moves fn one rung down the ladder after a front-stage fault;
+// false when fn already faulted on the bottom rung.
+func (fd *forcedDegrade) dropRung(fn string, cerr *CompileError) bool {
+	q := fd.funcs[fn]
+	if !q.raise(q.level + 1) {
+		return false
+	}
+	q.faults++
+	fd.blame(fn, q, cerr)
+	return true
+}
+
+// skipCompact ships fn uncompacted after a back-stage fault. It always
+// succeeds: a function already shipped uncompacted runs no back pass.
+func (fd *forcedDegrade) skipCompact(fn string, cerr *CompileError) bool {
+	q := fd.funcs[fn]
+	q.noCompact = true
+	fd.blame(fn, q, cerr)
+	return true
+}
+
+// skipCCM excludes the culprit of a barrier fault from CCM promotion. A
+// fault that names no new culprit excludes every function the walk would
+// still promote and skips the walk, degrading the whole barrier.
+func (fd *forcedDegrade) skipCCM(p *ir.Program, cerr *CompileError) {
+	if q := fd.funcs[cerr.Func]; cerr.Func != "" && !q.noCCM {
+		q.noCCM = true
+		fd.blame(cerr.Func, q, cerr)
+		return
+	}
+	for _, f := range p.Funcs {
+		if q := fd.funcs[f.Name]; q.level < levelBaseline && !q.noCCM {
+			q.noCCM = true
+			fd.blame(f.Name, q, cerr)
+		}
+	}
+	fd.noWalk = true
+}
+
+// blame stores q as fn's quarantine, with cerr as its last fault.
+func (fd *forcedDegrade) blame(fn string, q quarantine, cerr *CompileError) {
+	q.pass, q.err = cerr.Pass, cerr.Err.Error()
+	fd.funcs[fn] = q
+}
+
+// count returns how many of p's functions ship below full fidelity.
+func (fd *forcedDegrade) count(p *ir.Program) int64 {
+	var n int64
+	for _, f := range p.Funcs {
+		if fd.funcs[f.Name].degraded() != "" {
+			n++
+		}
+	}
+	return n
+}
+
+func (q *quarantine) raise(to degradeLevel) bool {
+	if to >= numLevels || q.level >= to {
+		return false
+	}
+	q.level = to
+	return true
+}
+
+// degraded names the rungs the function ships at, "" at full fidelity.
+// The baseline rung is never promoted, so no-ccm adds nothing to it.
+func (q quarantine) degraded() string {
+	var rungs []string
+	if q.level > levelFull {
+		rungs = append(rungs, q.level.String())
+	}
+	if q.noCCM && q.level < levelBaseline {
+		rungs = append(rungs, "no-ccm")
+	}
+	if q.noCompact {
+		rungs = append(rungs, "no-compact")
+	}
+	return strings.Join(rungs, "+")
 }
 
 // diffOracle drives the oracle for one compile: it owns the pristine
@@ -336,23 +417,5 @@ func (cs *compileState) recordMiscompile(me *MiscompileError, post *ir.Program, 
 		Config:  marshalConfig(cs.cfg),
 		Error:   me.Error(),
 	}
-	var t0 time.Time
-	if sh != nil {
-		t0 = time.Now()
-	}
-	path, err := repro.Write(cs.cfg.ReproDir, b)
-	if sh != nil {
-		sh.Record("repro:write", "repro", t0, time.Since(t0),
-			obs.Attr{Key: "func", Value: me.Func}, obs.Attr{Key: "pass", Value: me.Pass})
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if err != nil {
-		if cs.reproErr == nil {
-			cs.reproErr = err
-		}
-		return
-	}
-	me.ReproPath = path
-	cs.repros = append(cs.repros, path)
+	me.ReproPath = cs.writeRepro(b, sh)
 }

@@ -154,6 +154,25 @@ func TestMiscompileStrict(t *testing.T) {
 	}
 }
 
+// TestFaultCountedOnceAcrossRecompiles: a front fault in helper and a
+// divergence in main take two recompiles, but the fault is counted once,
+// because every recompile starts helper at its quarantined rung.
+func TestFaultCountedOnceAcrossRecompiles(t *testing.T) {
+	cfg := detConfig(PostPassInterproc)
+	cfg.DiffCheck = DiffFinal
+	cfg.InjectFront = []InjectedPass{panicOn("helper", "exp-bad"), miscompileOn("main", "exp-dup")}
+	rep := mustCompile(t, New(Options{DisableCache: true}), diffProgram(t), cfg)
+	if rep.Failures != 1 {
+		t.Errorf("failures = %d, want 1", rep.Failures)
+	}
+	if fr := rep.PerFunc["helper"]; fr.Degraded != "no-opt" || fr.FailedPass != "exp-bad" || fr.Attempts != 2 {
+		t.Errorf("helper: degraded=%q pass=%q attempts=%d, want no-opt/exp-bad/2", fr.Degraded, fr.FailedPass, fr.Attempts)
+	}
+	if fr := rep.PerFunc["main"]; fr.Degraded != "no-opt" || fr.FailedPass != "exp-dup" || fr.Attempts != 1 {
+		t.Errorf("main: degraded=%q pass=%q attempts=%d, want no-opt/exp-dup/1", fr.Degraded, fr.FailedPass, fr.Attempts)
+	}
+}
+
 // TestBarrierMiscompileQuarantined: a miscompile introduced inside the
 // interprocedural barrier bisects to the postpass and is quarantined by
 // excluding exactly that function from CCM promotion.
@@ -163,8 +182,8 @@ func TestBarrierMiscompileQuarantined(t *testing.T) {
 
 	cfg := detConfig(PostPassInterproc)
 	cfg.DiffCheck = DiffFinal
-	cfg.postPassHook = func(name string) {
-		if name == "main" {
+	cfg.passHook = func(pass, name string) {
+		if pass == PassPostPass && name == "main" {
 			dupFirstEmit(p.Func("main"))
 		}
 	}

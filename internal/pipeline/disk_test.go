@@ -279,8 +279,8 @@ func TestDegradedCompileNotPersisted(t *testing.T) {
 	a := New(Options{CacheDir: dir})
 
 	fcfg := detConfig(PostPassInterproc)
-	fcfg.postPassHook = func(name string) {
-		if name == "main" {
+	fcfg.passHook = func(pass, name string) {
+		if pass == PassPostPass && name == "main" {
 			panic("transient allocator bug")
 		}
 	}

@@ -105,9 +105,9 @@ func runGuarded(pass, fn string, level degradeLevel, body func() error) (cerr *C
 // prog is nil by design: checkpoints run inside the parallel front stage
 // while sibling functions are being rewritten, so cross-function checks
 // (call signatures) are deferred to the sequential final verify.
-func checkpoint(pass string, f *ir.Func, level degradeLevel, allowPhi bool) *CompileError {
+func checkpoint(pass string, f *ir.Func, level degradeLevel) *CompileError {
 	return runGuarded(pass, f.Name, level, func() error {
-		if err := ir.VerifyFunc(f, nil, ir.VerifyOptions{AllowPhi: allowPhi}); err != nil {
+		if err := ir.VerifyFunc(f, nil, ir.VerifyOptions{}); err != nil {
 			return err
 		}
 		return VerifyLiveness(f)

@@ -7,11 +7,11 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"ccmem/internal/ir"
+	"ccmem/internal/obs"
 	"ccmem/internal/repro"
 	"ccmem/internal/sim"
 	"ccmem/internal/workload"
@@ -273,34 +273,6 @@ entry:
 	}
 }
 
-// TestFuncRetries: a flaky pass that fails once succeeds on the bounded
-// retry at the same rung, without degrading.
-func TestFuncRetries(t *testing.T) {
-	var calls atomic.Int64
-	flaky := InjectedPass{Name: "exp-flaky", Fn: func(_ context.Context, f *ir.Func) error {
-		if f.Name == "main" && calls.Add(1) == 1 {
-			return fmt.Errorf("transient fault")
-		}
-		return nil
-	}}
-	cfg := detConfig(NoCCM)
-	cfg.InjectFront = []InjectedPass{flaky}
-	cfg.FuncRetries = 1
-
-	d := New(Options{})
-	rep, err := d.Compile(workload.RandomProgram(9), cfg)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	fr := rep.PerFunc["main"]
-	if fr.Degraded != "" {
-		t.Errorf("retry at the same rung should not degrade, got %q", fr.Degraded)
-	}
-	if fr.Attempts != 2 || rep.Failures != 1 {
-		t.Errorf("attempts=%d failures=%d, want 2/1", fr.Attempts, rep.Failures)
-	}
-}
-
 // TestPostPassFaultQuarantinesFunction: a fault inside the sequential
 // interprocedural barrier is attributed to the function being processed,
 // which alone loses its CCM promotion; the rest of the program still
@@ -321,8 +293,8 @@ func TestPostPassFaultQuarantinesFunction(t *testing.T) {
 
 	cfg := detConfig(PostPassInterproc)
 	cfg.ReproDir = t.TempDir()
-	cfg.postPassHook = func(name string) {
-		if name == victim {
+	cfg.passHook = func(pass, name string) {
+		if pass == PassPostPass && name == victim {
 			panic("allocator bug on " + name)
 		}
 	}
@@ -441,47 +413,176 @@ func TestTimeoutDoesNotAbortSiblings(t *testing.T) {
 	}
 }
 
-// TestDegradationDeterminism: with a deterministic fault injected, the
-// degraded output of workers=8 must be byte-identical to workers=1 —
-// the ladder is part of the deterministic pipeline, not a race.
-func TestDegradationDeterminism(t *testing.T) {
-	// Panic on every function whose post-optimize instruction count is
-	// even: input-dependent, scheduling-independent.
-	deterministicFault := func() []InjectedPass {
-		return []InjectedPass{{Name: "exp-parity", Fn: func(_ context.Context, f *ir.Func) error {
-			if f.NumInstrs()%2 == 0 {
-				panic(fmt.Sprintf("parity fault in %s (%d instrs)", f.Name, f.NumInstrs()))
-			}
-			return nil
-		}}}
-	}
-	for _, strat := range []Strategy{NoCCM, PostPassInterproc, Integrated} {
-		for seed := int64(1); seed <= detSeeds; seed++ {
-			cfg := faultConfig(strat)
-			cfg.InjectFront = deterministicFault()
+// parityFault is an injected pass that panics on every function whose
+// post-optimize instruction count is even: input-dependent,
+// scheduling-independent.
+func parityFault() []InjectedPass {
+	return []InjectedPass{{Name: "exp-parity", Fn: func(_ context.Context, f *ir.Func) error {
+		if f.NumInstrs()%2 == 0 {
+			panic(fmt.Sprintf("parity fault in %s (%d instrs)", f.Name, f.NumInstrs()))
+		}
+		return nil
+	}}}
+}
 
-			p1 := workload.RandomProgram(seed)
-			p8 := workload.RandomProgram(seed)
-			rep1, err := New(Options{Workers: 1, DisableCache: true}).Compile(p1, cfg)
-			if err != nil {
-				t.Fatalf("strat %v seed %d workers=1: %v", strat, seed, err)
-			}
-			rep8, err := New(Options{Workers: 8, DisableCache: true}).Compile(p8, cfg)
-			if err != nil {
-				t.Fatalf("strat %v seed %d workers=8: %v", strat, seed, err)
-			}
-			if p1.String() != p8.String() {
-				t.Errorf("strat %v seed %d: degraded ILOC differs between workers=1 and workers=8", strat, seed)
-			}
-			if !reflect.DeepEqual(rep1.PerFunc, rep8.PerFunc) {
-				t.Errorf("strat %v seed %d: degraded per-func reports differ:\n w1=%+v\n w8=%+v",
-					strat, seed, rep1.PerFunc, rep8.PerFunc)
-			}
-			if rep1.Failures != rep8.Failures || rep1.Degraded != rep8.Degraded {
-				t.Errorf("strat %v seed %d: counters differ: w1=%d/%d w8=%d/%d",
-					strat, seed, rep1.Failures, rep1.Degraded, rep8.Failures, rep8.Degraded)
+// hookFault returns a passHook that panics in pass on the named functions.
+func hookFault(pass string, names ...string) func(string, string) {
+	return func(p, fn string) {
+		for _, name := range names {
+			if p == pass && fn == name {
+				panic("injected " + pass + " fault in " + fn)
 			}
 		}
+	}
+}
+
+// TestDegradationDeterminism: with a deterministic fault injected in the
+// front stage, the barrier or the back stage, the degraded output of
+// workers=8 must be byte-identical to workers=1 — recovery is part of
+// the deterministic pipeline, not a race.
+func TestDegradationDeterminism(t *testing.T) {
+	faults := []struct {
+		name   string
+		inject func(cfg *Config)
+	}{
+		{"front", func(cfg *Config) { cfg.InjectFront = parityFault() }},
+		{"barrier", func(cfg *Config) { cfg.passHook = hookFault(PassPostPass, "main", "leaf1") }},
+		{"compact", func(cfg *Config) { cfg.passHook = hookFault(PassCompact, "main", "leaf1") }},
+	}
+	for _, fault := range faults {
+		for _, strat := range []Strategy{NoCCM, PostPassInterproc, Integrated} {
+			for seed := int64(1); seed <= detSeeds; seed++ {
+				cfg := faultConfig(strat)
+				fault.inject(&cfg)
+
+				p1 := workload.RandomProgram(seed)
+				p8 := workload.RandomProgram(seed)
+				rep1, err := New(Options{Workers: 1, DisableCache: true}).Compile(p1, cfg)
+				if err != nil {
+					t.Fatalf("%s fault, strat %v seed %d workers=1: %v", fault.name, strat, seed, err)
+				}
+				rep8, err := New(Options{Workers: 8, DisableCache: true}).Compile(p8, cfg)
+				if err != nil {
+					t.Fatalf("%s fault, strat %v seed %d workers=8: %v", fault.name, strat, seed, err)
+				}
+				if p1.String() != p8.String() {
+					t.Errorf("%s fault, strat %v seed %d: degraded ILOC differs between workers=1 and workers=8", fault.name, strat, seed)
+				}
+				if !reflect.DeepEqual(rep1.PerFunc, rep8.PerFunc) {
+					t.Errorf("%s fault, strat %v seed %d: degraded per-func reports differ:\n w1=%+v\n w8=%+v",
+						fault.name, strat, seed, rep1.PerFunc, rep8.PerFunc)
+				}
+				if rep1.Failures != rep8.Failures || rep1.Degraded != rep8.Degraded {
+					t.Errorf("%s fault, strat %v seed %d: counters differ: w1=%d/%d w8=%d/%d",
+						fault.name, strat, seed, rep1.Failures, rep1.Degraded, rep8.Failures, rep8.Degraded)
+				}
+			}
+		}
+	}
+}
+
+// TestStrictFaultDeterministic: when several functions fault in one
+// stage, a Strict compile lets the stage finish and returns the fault of
+// the lowest-index function, so the error and the bundles written do not
+// depend on which worker failed first.
+func TestStrictFaultDeterministic(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		var wantErr string
+		wantBundles := -1
+		for _, workers := range []int{1, 8} {
+			for run := 0; run < 3; run++ {
+				cfg := faultConfig(NoCCM)
+				cfg.Strict = true
+				cfg.InjectFront = parityFault()
+				cfg.ReproDir = t.TempDir()
+				_, err := New(Options{Workers: workers}).Compile(workload.RandomProgram(seed), cfg)
+				bundles, lerr := repro.LoadDir(cfg.ReproDir)
+				if lerr != nil {
+					t.Fatal(lerr)
+				}
+				if wantBundles < 0 {
+					wantErr, wantBundles = fmt.Sprint(err), len(bundles)
+					continue
+				}
+				if fmt.Sprint(err) != wantErr || len(bundles) != wantBundles {
+					t.Errorf("seed %d workers=%d run %d: error %q with %d bundles, want %q with %d",
+						seed, workers, run, err, len(bundles), wantErr, wantBundles)
+				}
+			}
+		}
+	}
+}
+
+// TestErrorExitCountsFailures: a compile that ends in an error still adds
+// its failures to the driver's totals and to the metrics registry.
+func TestErrorExitCountsFailures(t *testing.T) {
+	rows := []struct {
+		name   string
+		inject func(cfg *Config)
+	}{
+		{"front", func(cfg *Config) { cfg.InjectFront = []InjectedPass{panicOn("main", "exp-bad")} }},
+		{"barrier", func(cfg *Config) { cfg.passHook = hookFault(PassPostPass, "main") }},
+	}
+	for _, row := range rows {
+		cfg := detConfig(PostPassInterproc)
+		cfg.Strict = true
+		row.inject(&cfg)
+		reg := obs.NewRegistry()
+		d := New(Options{Metrics: reg})
+		if _, err := d.Compile(workload.RandomProgram(3), cfg); err == nil {
+			t.Fatalf("%s: strict compile with a fault succeeded", row.name)
+		}
+		if got := d.Metrics().Failures; got != 1 {
+			t.Errorf("%s: driver failures = %d, want 1", row.name, got)
+		}
+		if got := reg.Counter("pipeline.failures").Value(); got != 1 {
+			t.Errorf("%s: registry pipeline.failures = %d, want 1", row.name, got)
+		}
+	}
+}
+
+// TestCompactFaultShipsUncompacted: a fault in spill compaction ships its
+// function with the post-barrier body, while every other function still
+// compacts exactly as in a clean compile.
+func TestCompactFaultShipsUncompacted(t *testing.T) {
+	cfg := faultConfig(NoCCM)
+	cfg.IntRegs, cfg.FloatRegs = 4, 4 // seed 14 then spills in main and leaf1
+	clean := mustCompile(t, New(Options{DisableCache: true}), workload.RandomProgram(14), cfg)
+
+	p := workload.RandomProgram(14)
+	want := mustCompileClean(t, p.Clone())
+	cfg.ReproDir = t.TempDir()
+	cfg.passHook = hookFault(PassCompact, "main")
+	rep := mustCompile(t, New(Options{}), p, cfg)
+
+	fr := rep.PerFunc["main"]
+	if fr.Degraded != "no-compact" || fr.FailedPass != PassCompact {
+		t.Errorf("main: degraded=%q pass=%q, want no-compact/compact", fr.Degraded, fr.FailedPass)
+	}
+	if fr.SpillWebs != 0 || fr.SpillBytesCompacted != 0 {
+		t.Errorf("main: compaction stats %d webs/%d bytes survived the fault", fr.SpillWebs, fr.SpillBytesCompacted)
+	}
+	compacted := 0
+	for name, ofr := range rep.PerFunc {
+		if name == "main" {
+			continue
+		}
+		// The recompile after the fault is served from the front and back
+		// artifacts the first attempt stored.
+		ofr.FrontCacheHit, ofr.BackCacheHit = false, false
+		if ofr != clean.PerFunc[name] {
+			t.Errorf("%s: report %+v, want the clean compile's %+v", name, ofr, clean.PerFunc[name])
+		}
+		compacted += ofr.SpillWebs
+	}
+	if compacted == 0 {
+		t.Fatal("no other function compacted a spill web (test setup broken)")
+	}
+	if rep.Failures != 1 || rep.Degraded != 1 || len(rep.Repros) != 1 {
+		t.Errorf("failures=%d degraded=%d bundles=%d, want 1/1/1", rep.Failures, rep.Degraded, len(rep.Repros))
+	}
+	if got := runEmit(t, p, 0); !reflect.DeepEqual(got, want) {
+		t.Error("program with an uncompacted function diverges from the input")
 	}
 }
 
@@ -515,8 +616,8 @@ func TestDegradedCompileNotCached(t *testing.T) {
 	d := New(Options{})
 
 	fcfg := detConfig(PostPassInterproc)
-	fcfg.postPassHook = func(name string) {
-		if name == "main" {
+	fcfg.passHook = func(pass, name string) {
+		if pass == PassPostPass && name == "main" {
 			panic("transient allocator bug")
 		}
 	}

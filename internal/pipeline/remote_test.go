@@ -362,8 +362,8 @@ func TestDegradedCompileNeverReachesRemote(t *testing.T) {
 
 	a := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	fcfg := detConfig(PostPassInterproc)
-	fcfg.postPassHook = func(name string) {
-		if name == "main" {
+	fcfg.passHook = func(pass, name string) {
+		if pass == PassPostPass && name == "main" {
 			panic("transient allocator bug")
 		}
 	}

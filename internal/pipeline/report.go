@@ -124,11 +124,11 @@ type FuncReport struct {
 	FrontCacheHit       bool  `json:"front_cache_hit"`
 	BackCacheHit        bool  `json:"back_cache_hit"`
 
-	// Fault-isolation outcome. Attempts counts front-stage tries (1 =
-	// clean first try); Degraded names the rung the function shipped at
-	// ("no-opt", "baseline", "no-ccm", with "+no-compact" appended when
-	// the back stage also degraded); FailedPass and Error describe the
-	// last recovered fault.
+	// Fault-isolation outcome. Attempts counts front-stage tries, one per
+	// rung (1 = clean first try); Degraded names the rung the function
+	// shipped at ("no-opt", "baseline", "no-ccm", with "+no-compact"
+	// appended when the back stage also degraded); FailedPass and Error
+	// describe the last recovered fault or divergence.
 	Attempts   int    `json:"attempts,omitempty"`
 	Degraded   string `json:"degraded,omitempty"`
 	FailedPass string `json:"failed_pass,omitempty"`
