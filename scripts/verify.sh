@@ -1,12 +1,12 @@
 #!/bin/sh
 # verify.sh — the repository's full verification gate.
 #
-# Runs tier-1 (build, vet, full test suite), then the race-detector
-# suites the ROADMAP requires for the concurrent driver, the miscompile
-# oracle, and the persistent disk cache. The long fault-injection soak
-# is part of the default run; pass short=1 in the environment to gate it
-# off (go test -short). Intended for CI and for humans before
-# committing:
+# Runs tier-1 (build, vet, full test suite), vets the perfbench module,
+# then runs the race-detector suites the ROADMAP requires for the
+# concurrent driver, the miscompile oracle, and the persistent disk
+# cache. The long fault-injection soak is part of the default run; pass
+# short=1 in the environment to gate it off (go test -short). Intended
+# for CI and for humans before committing:
 #
 #	./scripts/verify.sh
 #
@@ -38,6 +38,12 @@ go vet ./...
 
 echo '== tier-1: go test ./...'
 go test ./...
+
+# perfbench is its own module (replace ccmem => ../), so the tier-1
+# steps above never build it; vet it here so a pipeline API change that
+# breaks the benchmark fails this gate instead of the benchmark run.
+echo '== perfbench: go vet ./... (its own module)'
+(cd perfbench && GOWORK=off go vet ./...)
 
 echo "== race: go test -race $SHORTFLAG ./internal/pipeline/... ./internal/oracle/..."
 go test -race $SHORTFLAG ./internal/pipeline/... ./internal/oracle/...
