@@ -277,8 +277,11 @@ func countCCMOps(f *ir.Func) int {
 // RunSuite performs every compile+run combination needed by the tables
 // and figures: per routine and per program, the baseline plus each
 // strategy at each CCM size. The whole run shares one driver, so the
-// compile cache carries artifacts across variants (the front stage is
-// identical for the baseline and both post-pass strategies).
+// compile cache carries artifacts across variants: front artifacts (the
+// front stage is identical for the baseline and both post-pass
+// strategies) and whole programs. Under Config.DiffCheck, which ccmbench
+// and perfbench always set, per-function caching is off and only
+// whole-program artifacts are shared.
 func RunSuite(cfg Config) (*SuiteResults, error) {
 	if cfg.Driver == nil {
 		cfg.Driver = cfg.driver()
