@@ -369,176 +369,3 @@ func BenchmarkParserRoundTrip(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationRematerialization compares plain spilling against
-// Briggs-style rematerialization of constant-defined ranges across the
-// suite's spilling routines, reporting the cycle ratio (remat/plain).
-func BenchmarkAblationRematerialization(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		var plainCycles, rematCycles int64
-		for _, r := range workload.All() {
-			measure := func(remat bool) int64 {
-				p, err := r.Build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := opt.OptimizeProgram(p); err != nil {
-					b.Fatal(err)
-				}
-				spilled := false
-				for _, f := range p.Funcs {
-					res, err := regalloc.Allocate(f, regalloc.Options{Rematerialize: remat})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.SpilledRanges > 0 {
-						spilled = true
-					}
-				}
-				if !spilled {
-					return -1
-				}
-				st, err := sim.Run(p, "main", sim.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				return st.Cycles
-			}
-			pc := measure(false)
-			if pc < 0 {
-				continue
-			}
-			rc := measure(true)
-			plainCycles += pc
-			rematCycles += rc
-		}
-		ratio = float64(rematCycles) / float64(plainCycles)
-	}
-	b.ReportMetric(ratio, "remat/plain-cycles")
-}
-
-// BenchmarkAblationSpillHeuristic compares the three spill-candidate
-// heuristics (Chaitin's cost/degree vs. cost-only vs. degree-only) by
-// total suite cycles relative to cost/degree.
-func BenchmarkAblationSpillHeuristic(b *testing.B) {
-	heuristics := []regalloc.SpillHeuristic{
-		regalloc.HeuristicCostOverDegree,
-		regalloc.HeuristicCostOnly,
-		regalloc.HeuristicDegreeOnly,
-	}
-	totals := make([]int64, len(heuristics))
-	for i := 0; i < b.N; i++ {
-		for hi, h := range heuristics {
-			var total int64
-			for _, r := range workload.All() {
-				p, err := r.Build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := opt.OptimizeProgram(p); err != nil {
-					b.Fatal(err)
-				}
-				for _, f := range p.Funcs {
-					if _, err := regalloc.Allocate(f, regalloc.Options{Heuristic: h}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				st, err := sim.Run(p, "main", sim.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += st.Cycles
-			}
-			totals[hi] = total
-		}
-	}
-	base := float64(totals[0])
-	b.ReportMetric(float64(totals[1])/base, "cost-only/chaitin")
-	b.ReportMetric(float64(totals[2])/base, "degree-only/chaitin")
-}
-
-// BenchmarkAblationSpillCleanup measures the post-allocation spill-code
-// peephole (restore-after-spill forwarding) across the suite.
-func BenchmarkAblationSpillCleanup(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		var before, after int64
-		for _, r := range workload.All() {
-			p, err := r.Build()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := opt.OptimizeProgram(p); err != nil {
-				b.Fatal(err)
-			}
-			for _, f := range p.Funcs {
-				if _, err := regalloc.Allocate(f, regalloc.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			stBefore, err := sim.Run(p.Clone(), "main", sim.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			regalloc.CleanupProgram(p)
-			stAfter, err := sim.Run(p, "main", sim.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			before += stBefore.Cycles
-			after += stAfter.Cycles
-		}
-		ratio = float64(after) / float64(before)
-	}
-	b.ReportMetric(ratio, "cleanup/plain-cycles")
-}
-
-// BenchmarkAblationAllocators compares the Chaitin-Briggs allocator against
-// the textbook local (Belady) baseline across the suite, and shows how
-// much CCM promotion recovers on each.
-func BenchmarkAblationAllocators(b *testing.B) {
-	var chaitin, local, localCCM int64
-	for i := 0; i < b.N; i++ {
-		chaitin, local, localCCM = 0, 0, 0
-		for _, r := range workload.All() {
-			run := func(useLocal, promote bool) int64 {
-				p, err := r.Build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := opt.OptimizeProgram(p); err != nil {
-					b.Fatal(err)
-				}
-				for _, f := range p.Funcs {
-					var err error
-					if useLocal {
-						_, err = regalloc.AllocateLocal(f, regalloc.Options{})
-					} else {
-						_, err = regalloc.Allocate(f, regalloc.Options{})
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				ccmBytes := int64(0)
-				if promote {
-					ccmBytes = 2048
-					if _, err := core.PostPass(p, core.PostPassOptions{CCMBytes: ccmBytes, Interprocedural: true}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				st, err := sim.Run(p, "main", sim.Config{CCMBytes: ccmBytes})
-				if err != nil {
-					b.Fatal(err)
-				}
-				return st.Cycles
-			}
-			chaitin += run(false, false)
-			local += run(true, false)
-			localCCM += run(true, true)
-		}
-	}
-	b.ReportMetric(float64(local)/float64(chaitin), "local/chaitin-cycles")
-	b.ReportMetric(float64(localCCM)/float64(local), "ccm-on-local")
-}

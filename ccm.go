@@ -142,12 +142,6 @@ type Config struct {
 	// DisableCompaction skips spill-memory compaction (footnote 3).
 	DisableCompaction bool
 
-	// CleanupSpills enables the post-allocation spill-code peephole
-	// (restore-after-spill forwarding). Off by default: the paper's
-	// pipeline does not include it, and the experiment harness measures
-	// the paper-faithful configuration.
-	CleanupSpills bool
-
 	// VerifyPasses checkpoints IR and liveness invariants after every
 	// pass, attributing the first breakage to the pass that introduced
 	// it (slower; a debugging and hardening mode).
@@ -383,7 +377,6 @@ func (pr *Program) CompileContext(ctx context.Context, cfg Config) (*CompileRepo
 		FloatRegs:         cfg.FloatRegs,
 		DisableOptimizer:  cfg.DisableOptimizer,
 		DisableCompaction: cfg.DisableCompaction,
-		CleanupSpills:     cfg.CleanupSpills,
 		VerifyPasses:      cfg.VerifyPasses,
 		FuncTimeout:       cfg.FuncTimeout,
 		Strict:            cfg.Strict,

@@ -6,18 +6,17 @@
 // Usage:
 //
 //	ccmc [-strategy none|postpass|postpass-ipa|integrated] [-ccm BYTES]
-//	     [-regs N] [-no-opt] [-no-compact] [-cleanup] [-workers N]
+//	     [-regs N] [-no-opt] [-no-compact] [-workers N]
 //	     [-verify-passes] [-timeout D] [-strict] [-repro-dir DIR]
 //	     [-diff-check off|final|per-stage] [-diff-vectors N]
 //	     [-cache-dir DIR] [-cache-bytes N]
 //	     [-trace out.json] [-metrics]
 //	     [-stats] [-json] [-o out.iloc] [-version] in.iloc
 //
-// -cleanup runs the post-allocation spill-code peephole. -stats prints
-// per-function spill statistics to stderr; -json emits the pipeline's
-// full structured report (per-pass wall time, instruction deltas, spill
-// statistics, cache counters) to stderr as one JSON object. The output is
-// allocated ILOC, runnable with ccmsim.
+// -stats prints per-function spill statistics to stderr; -json emits the
+// pipeline's full structured report (per-pass wall time, instruction
+// deltas, spill statistics, cache counters) to stderr as one JSON object.
+// The output is allocated ILOC, runnable with ccmsim.
 //
 // The fault-isolation flags: -verify-passes checkpoints IR and liveness
 // invariants after every pass, attributing the first breakage to the pass
@@ -92,7 +91,6 @@ func main() {
 	regs := flag.Int("regs", 32, "physical registers per class")
 	noOpt := flag.Bool("no-opt", false, "skip the scalar optimizer")
 	noCompact := flag.Bool("no-compact", false, "skip spill-memory compaction")
-	cleanup := flag.Bool("cleanup", false, "run the post-allocation spill-code peephole")
 	workers := flag.Int("workers", 0, "compilation worker pool size (0 = GOMAXPROCS)")
 	verifyPasses := flag.Bool("verify-passes", false, "verify IR and liveness invariants after every pass")
 	timeout := flag.Duration("timeout", 0, "per-function compile attempt timeout (0 = none)")
@@ -141,7 +139,6 @@ func main() {
 		FloatRegs:         *regs,
 		DisableOptimizer:  *noOpt,
 		DisableCompaction: *noCompact,
-		CleanupSpills:     *cleanup,
 		VerifyPasses:      *verifyPasses,
 		FuncTimeout:       *timeout,
 		Strict:            *strict,

@@ -71,7 +71,6 @@ type RequestConfig struct {
 
 	DisableOptimizer  bool `json:"no_opt,omitempty"`
 	DisableCompaction bool `json:"no_compact,omitempty"`
-	CleanupSpills     bool `json:"cleanup,omitempty"`
 
 	VerifyPasses bool   `json:"verify_passes,omitempty"`
 	TimeoutMS    int64  `json:"timeout_ms,omitempty"` // per-function attempt timeout, clamped to the service max

@@ -389,7 +389,7 @@ type frontArtifact struct {
 	fr FuncReport // naive spill bytes, spilled ranges, integrated CCM use
 }
 
-// backArtifact is a function after the back stage (cleanup + compaction).
+// backArtifact is a function after the back stage (compaction).
 type backArtifact struct {
 	fn           *ir.Func
 	compactAfter int64

@@ -191,7 +191,7 @@ func (fd *forcedDegrade) escalate(me *MiscompileError, cfg Config) bool {
 		ok = q.raise(levelBaseline)
 	case PassPostPass:
 		ok, q.noCCM = !q.noCCM, true
-	case PassCleanup, PassCompact:
+	case PassCompact:
 		ok, q.noCompact = !q.noCompact, true
 	default:
 		// An injected experimental pass: levelNoOpt drops all of them.

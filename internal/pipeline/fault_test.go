@@ -593,7 +593,6 @@ func TestVerifyPassesCleanSuite(t *testing.T) {
 	for _, strat := range allStrategies {
 		cfg := faultConfig(strat)
 		cfg.Strict = true
-		cfg.CleanupSpills = true
 		for seed := int64(1); seed <= detSeeds; seed++ {
 			d := New(Options{DisableCache: true})
 			rep, err := d.Compile(workload.RandomProgram(seed), cfg)

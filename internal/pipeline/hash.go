@@ -14,8 +14,8 @@ import (
 // returned (relevant only to long-lived shared caches).
 const (
 	frontKeyTag   = "ccm-pipeline-front-v2"
-	backKeyTag    = "ccm-pipeline-back-v2"
-	programKeyTag = "ccm-pipeline-prog-v3" // v3: DiffCheck/DiffVectors entered the key
+	backKeyTag    = "ccm-pipeline-back-v3" // v3: the cleanup flag left the key
+	programKeyTag = "ccm-pipeline-prog-v4" // v4: the cleanup flag left the key
 )
 
 // hasher streams a canonical binary encoding of IR and Config into
@@ -127,7 +127,6 @@ func frontKey(f *ir.Func, cfg Config) digest {
 // the functions they rewrote.
 func backKey(f *ir.Func, cfg Config) digest {
 	h := newHasher(backKeyTag)
-	h.bool(cfg.CleanupSpills)
 	h.bool(cfg.DisableCompaction)
 	h.bool(cfg.VerifyPasses)
 	h.fn(f)
@@ -143,7 +142,6 @@ func programKey(p *ir.Program, cfg Config) digest {
 	h.int(cfg.FloatRegs)
 	h.bool(cfg.DisableOptimizer)
 	h.bool(cfg.DisableCompaction)
-	h.bool(cfg.CleanupSpills)
 	h.bool(cfg.VerifyPasses)
 	// Differential checking can change the shipped program (divergence
 	// quarantine degrades functions), so checked and unchecked compiles

@@ -16,14 +16,13 @@ const (
 	PassOptimize = "optimize"
 	PassRegalloc = "regalloc"
 	PassPostPass = "postpass"
-	PassCleanup  = "cleanup"
 	PassCompact  = "compact"
 	PassVerify   = "verify"
 )
 
 // passOrder fixes the order passes appear in a Report regardless of
 // completion order under parallelism.
-var passOrder = []string{PassOptimize, PassRegalloc, PassPostPass, PassCleanup, PassCompact, PassVerify}
+var passOrder = []string{PassOptimize, PassRegalloc, PassPostPass, PassCompact, PassVerify}
 
 // PassStat aggregates one pass over every function it ran on. Cache hits
 // skip passes entirely, so Runs counts real executions only; under a

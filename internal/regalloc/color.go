@@ -118,43 +118,6 @@ func (a *allocation) computeSpillCosts() {
 	a.cost = sc.cost
 	sc.noSpill = sized(sc.noSpill, a.n)
 	a.noSpill = sc.noSpill
-	sc.remat = sized(sc.remat, a.n)
-	a.remat = sc.remat
-
-	// Rematerialization candidates: every def of the range is the same
-	// constant-producing instruction. Parameters (no defs) never qualify.
-	if a.opts.Rematerialize {
-		sameDef := sized(sc.sameDef, a.n)
-		sc.sameDef = sameDef
-		bad := sized(sc.bad, a.n)
-		sc.bad = bad
-		for _, b := range f.Blocks {
-			for ii := range b.Instrs {
-				in := &b.Instrs[ii]
-				if in.Dst == ir.NoReg {
-					continue
-				}
-				d := int(in.Dst)
-				switch in.Op {
-				case ir.OpLoadI, ir.OpLoadF, ir.OpAddr:
-					prev := sameDef[d]
-					if prev == nil {
-						sameDef[d] = in
-					} else if prev.Op != in.Op || prev.Imm != in.Imm ||
-						prev.FImm != in.FImm || prev.Sym != in.Sym {
-						bad[d] = true
-					}
-				default:
-					bad[d] = true
-				}
-			}
-		}
-		for r := 0; r < a.n; r++ {
-			if !bad[r] && sameDef[r] != nil {
-				a.remat[r] = sameDef[r]
-			}
-		}
-	}
 
 	// Occurrence records, flattened into one shared buffer: pass one
 	// counts per-range occurrences, a prefix sum carves each range's
@@ -213,10 +176,10 @@ func (a *allocation) computeSpillCosts() {
 
 	// A range whose occurrences form def/use pairs within single blocks,
 	// separated only by other spill code or constant materializations, is
-	// a spill (or rematerialization) temporary: re-spilling it reproduces
-	// the same shape and makes no progress, so its cost is infinite.
-	// (Restores and rematerialized constants for an instruction with
-	// several spilled operands stack up, so the gap may hold them.)
+	// a spill temporary: re-spilling it reproduces the same shape and
+	// makes no progress, so its cost is infinite. (Restores and constants
+	// for an instruction with several spilled operands stack up, so the
+	// gap may hold them.)
 	spillCode := func(op ir.Op) bool {
 		return op.IsRestore() || op.IsSpill() || op.IsCCMRestore() || op.IsCCMSpill() ||
 			op == ir.OpLoadI || op == ir.OpLoadF || op == ir.OpAddr
@@ -285,23 +248,14 @@ func (a *allocation) simplify() {
 		if progressed {
 			continue
 		}
-		// All remaining nodes are high degree: push the best spill
-		// candidate (per the configured heuristic) optimistically.
+		// All remaining nodes are high degree: push the cheapest spill
+		// candidate by Chaitin's cost/degree optimistically.
 		best, bestScore := -1, math.Inf(1)
 		for v := 0; v < a.n; v++ {
 			if removed[v] || a.noSpill[v] {
 				continue
 			}
-			var score float64
-			switch a.opts.Heuristic {
-			case HeuristicCostOnly:
-				score = a.cost[v]
-			case HeuristicDegreeOnly:
-				score = -float64(deg[v])
-			default: // Chaitin's cost/degree
-				score = a.cost[v] / float64(deg[v]+1)
-			}
-			if score < bestScore {
+			if score := a.cost[v] / float64(deg[v]+1); score < bestScore {
 				best, bestScore = v, score
 			}
 		}

@@ -16,14 +16,12 @@ import (
 // rows were filled a word at a time. It is the reference the word-built
 // graph must equal.
 type refGraph struct {
-	f     *ir.Func
-	n     int
-	reg   [][]bool // live ranges then CCM slots, as allocation.matrix
-	any   [][]bool // live ranges only, as allocation.anyMatrix
-	deg   []int
-	call  []bool
-	maxLI int
-	maxLF int
+	f    *ir.Func
+	n    int
+	reg  [][]bool // live ranges then CCM slots, as allocation.matrix
+	any  [][]bool // live ranges only, as allocation.anyMatrix
+	deg  []int
+	call []bool
 }
 
 func (r *refGraph) addEdge(u, v int) {
@@ -105,17 +103,6 @@ func buildRefGraph(t *testing.T, f *ir.Func, ccmSlots int) *refGraph {
 		slotLive = liveness.Backward(g, use, def, nil)
 	}
 
-	pressure := func(live bitset.Set) {
-		ni, nf := 0, 0
-		live.ForEach(func(v int) {
-			if f.Regs[v].Class == ir.ClassFloat {
-				nf++
-			} else {
-				ni++
-			}
-		})
-		r.maxLI, r.maxLF = max(r.maxLI, ni), max(r.maxLF, nf)
-	}
 	for bi := len(f.Blocks) - 1; bi >= 0; bi-- {
 		if !g.Reachable(bi) {
 			continue
@@ -126,7 +113,6 @@ func buildRefGraph(t *testing.T, f *ir.Func, ccmSlots int) *refGraph {
 		if ccmSlots > 0 {
 			slotNow = slotLive.Out[bi].Copy()
 		}
-		pressure(liveNow)
 		for ii := len(b.Instrs) - 1; ii >= 0; ii-- {
 			in := &b.Instrs[ii]
 			isCopy := in.Op == ir.OpCopy || in.Op == ir.OpFCopy
@@ -160,7 +146,6 @@ func buildRefGraph(t *testing.T, f *ir.Func, ccmSlots int) *refGraph {
 			for _, u := range in.Args {
 				liveNow.Set(int(u))
 			}
-			pressure(liveNow)
 		}
 	}
 	return r
@@ -224,10 +209,6 @@ func checkGraph(t *testing.T, a *allocation, cov *coverage) {
 			t.Fatalf("%s: liveAcrossCall[%d] = %v, reference %v", name, u, a.liveAcrossCall.Has(u), ref.call[u])
 		}
 	}
-	if a.maxLiveInt != ref.maxLI || a.maxLiveFloat != ref.maxLF {
-		t.Fatalf("%s: MAXLIVE int/float = %d/%d, reference %d/%d",
-			name, a.maxLiveInt, a.maxLiveFloat, ref.maxLI, ref.maxLF)
-	}
 }
 
 // eachGraph runs Allocate's round loop on f with scratch sc, calling check
@@ -259,7 +240,7 @@ func eachGraph(t *testing.T, sc *scratch, f *ir.Func, opts Options, check func(*
 		if len(spilled) == 0 {
 			return
 		}
-		if _, _, _, err := a.insertSpills(spilled); err != nil {
+		if _, _, err := a.insertSpills(spilled); err != nil {
 			return // registers too scarce: every built graph was checked
 		}
 	}
@@ -267,7 +248,7 @@ func eachGraph(t *testing.T, sc *scratch, f *ir.Func, opts Options, check func(*
 
 // TestGraphMatchesPairwiseReference: the word-built interference graph
 // equals the per-pair reference in edge set, degrees, slot edges,
-// any-class pairs, the live-across-call set and MAXLIVE, over random
+// any-class pairs and the live-across-call set, over random
 // programs and every suite routine, with and without CCM slots.
 func TestGraphMatchesPairwiseReference(t *testing.T) {
 	// Random programs also run on a tight register file; the suite's

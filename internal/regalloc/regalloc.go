@@ -33,48 +33,12 @@ type Options struct {
 	// MaxRounds bounds the build-spill iteration (default 64).
 	MaxRounds int
 
-	// Rematerialize enables Briggs-style rematerialization: a spill
-	// candidate whose every definition is the same constant-producing
-	// instruction (loadi, loadf, addr) is recomputed before each use
-	// instead of travelling through memory. Off by default to keep the
-	// paper-faithful pipeline; the ablation benchmarks flip it.
-	Rematerialize bool
-
-	// Heuristic selects how the spill candidate is chosen when simplify
-	// blocks (default: Chaitin's cost/degree).
-	Heuristic SpillHeuristic
-
 	// Obs, when non-nil, receives allocation counters (regalloc.spills,
-	// regalloc.coalesces, regalloc.remat, regalloc.rounds,
-	// regalloc.frame_ranges, regalloc.ccm_ranges) for every successful
-	// Allocate. The counters are a pure function of (f, Options), so
-	// their totals are identical however calls are scheduled.
+	// regalloc.coalesces, regalloc.rounds, regalloc.frame_ranges,
+	// regalloc.ccm_ranges) for every successful Allocate. The counters
+	// are a pure function of (f, Options), so their totals are identical
+	// however calls are scheduled.
 	Obs *obs.Registry
-}
-
-// SpillHeuristic orders spill candidates when the graph is stuck.
-type SpillHeuristic int
-
-const (
-	// HeuristicCostOverDegree is Chaitin's classic choice: minimize
-	// estimated dynamic cost divided by interference degree.
-	HeuristicCostOverDegree SpillHeuristic = iota
-	// HeuristicCostOnly minimizes estimated dynamic cost alone.
-	HeuristicCostOnly
-	// HeuristicDegreeOnly maximizes degree (frees the most pressure).
-	HeuristicDegreeOnly
-)
-
-func (h SpillHeuristic) String() string {
-	switch h {
-	case HeuristicCostOverDegree:
-		return "cost/degree"
-	case HeuristicCostOnly:
-		return "cost"
-	case HeuristicDegreeOnly:
-		return "degree"
-	}
-	return "unknown"
 }
 
 func (o Options) withDefaults() Options {
@@ -99,13 +63,6 @@ type Result struct {
 	FrameBytes      int64 // naive frame usage (one slot per spilled range)
 	CCMBytesUsed    int64 // high-water CCM usage of this function's own code
 	CopiesCoalesced int
-	Rematerialized  int // spill candidates recomputed instead of spilled
-
-	// MaxLiveInt/MaxLiveFloat are the register-pressure peaks (MAXLIVE)
-	// observed in the first allocation round — the quantity that, compared
-	// against the 32+32 register file, predicts whether a routine spills.
-	MaxLiveInt   int
-	MaxLiveFloat int
 }
 
 // Allocate rewrites f in place to use physical registers, inserting spill
@@ -156,9 +113,6 @@ func Allocate(f *ir.Func, opts Options) (*Result, error) {
 			}
 			a.applyCoalesce()
 		}
-		if round == 0 {
-			res.MaxLiveInt, res.MaxLiveFloat = a.maxLiveInt, a.maxLiveFloat
-		}
 
 		a.computeSpillCosts()
 		a.simplify()
@@ -167,21 +121,19 @@ func Allocate(f *ir.Func, opts Options) (*Result, error) {
 			a.rewritePhysical()
 			break
 		}
-		nFrame, nCCM, nRemat, err := a.insertSpills(spilled)
+		nFrame, nCCM, err := a.insertSpills(spilled)
 		if err != nil {
 			return nil, err
 		}
 		res.SpilledRanges += len(spilled)
 		res.FrameRanges += nFrame
 		res.CCMRanges += nCCM
-		res.Rematerialized += nRemat
 	}
 	res.FrameBytes = f.FrameBytes
 	res.CCMBytesUsed = f.CCMBytes
 	if opts.Obs != nil {
 		opts.Obs.Counter("regalloc.spills").Add(int64(res.SpilledRanges))
 		opts.Obs.Counter("regalloc.coalesces").Add(int64(res.CopiesCoalesced))
-		opts.Obs.Counter("regalloc.remat").Add(int64(res.Rematerialized))
 		opts.Obs.Counter("regalloc.rounds").Add(int64(res.Rounds))
 		opts.Obs.Counter("regalloc.frame_ranges").Add(int64(res.FrameRanges))
 		opts.Obs.Counter("regalloc.ccm_ranges").Add(int64(res.CCMRanges))

@@ -5,7 +5,6 @@ import (
 
 	"ccmem/internal/bitset"
 	"ccmem/internal/intgraph"
-	"ccmem/internal/ir"
 	"ccmem/internal/uf"
 )
 
@@ -32,18 +31,15 @@ type scratch struct {
 	degree  []int
 	cost    []float64
 	noSpill []bool
-	remat   []*ir.Instr
 	stack   []int32
 	color   []int32
 	copies  []copySiteRef
 
 	// computeSpillCosts occurrence records, flattened: occs[occOff[r] :
 	// occOff[r+1]] are range r's occurrences in program order.
-	occCnt  []int32
-	occOff  []int32
-	occs    []occ
-	sameDef []*ir.Instr
-	bad     []bool
+	occCnt []int32
+	occOff []int32
+	occs   []occ
 
 	// simplify / sel working sets.
 	deg     []int

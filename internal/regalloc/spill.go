@@ -14,13 +14,8 @@ import (
 // live across any call (the conservative interprocedural rule). Everything
 // else gets a fresh activation-record slot.
 //
-// With rematerialization on, a range whose value is a recomputable
-// constant gets no memory at all: each use is preceded by a fresh copy of
-// its defining instruction and the original definitions are deleted.
-//
-// It returns how many ranges went to the frame, to the CCM, and were
-// rematerialized.
-func (a *allocation) insertSpills(spilled []int) (nFrame, nCCM, nRemat int, err error) {
+// It returns how many ranges went to the frame and to the CCM.
+func (a *allocation) insertSpills(spilled []int) (nFrame, nCCM int, err error) {
 	f := a.f
 
 	type location struct {
@@ -28,19 +23,13 @@ func (a *allocation) insertSpills(spilled []int) (nFrame, nCCM, nRemat int, err 
 		off int64
 	}
 	locs := make(map[ir.Reg]location, len(spilled))
-	rematSet := make(map[ir.Reg]*ir.Instr)
 	// roundAssign[slot] lists ranges assigned to the slot in this round.
 	roundAssign := make(map[int][]int)
 
 	for _, v := range spilled {
 		if a.noSpill[v] {
-			return 0, 0, 0, fmt.Errorf("regalloc: %s: forced to spill unspillable range %s (registers too scarce)",
+			return 0, 0, fmt.Errorf("regalloc: %s: forced to spill unspillable range %s (registers too scarce)",
 				f.Name, f.RegName(ir.Reg(v)))
-		}
-		if a.remat[v] != nil {
-			rematSet[ir.Reg(v)] = a.remat[v]
-			nRemat++
-			continue
 		}
 		assigned := false
 		if a.ccmSlots > 0 && !a.liveAcrossCall.Has(v) {
@@ -83,31 +72,9 @@ func (a *allocation) insertSpills(spilled []int) (nFrame, nCCM, nRemat int, err 
 		out := make([]ir.Instr, 0, len(b.Instrs))
 		for ii := range b.Instrs {
 			in := b.Instrs[ii]
-			// A rematerialized range's definitions disappear: the value is
-			// recomputed at each use instead.
-			if in.Dst != ir.NoReg {
-				if _, ok := rematSet[in.Dst]; ok {
-					continue
-				}
-			}
 			// Restores for spilled uses: one temp per distinct spilled reg.
 			var tempFor map[ir.Reg]ir.Reg
 			for _, u := range in.Args {
-				if def, ok := rematSet[u]; ok {
-					if tempFor == nil {
-						tempFor = map[ir.Reg]ir.Reg{}
-					}
-					if _, done := tempFor[u]; done {
-						continue
-					}
-					t := f.NewReg(f.RegClass(u), f.Regs[u].Name+".m")
-					tempFor[u] = t
-					clone := *def
-					clone.Dst = t
-					clone.Args = nil
-					out = append(out, clone)
-					continue
-				}
 				loc, ok := locs[u]
 				if !ok {
 					continue
@@ -176,7 +143,7 @@ func (a *allocation) insertSpills(spilled []int) (nFrame, nCCM, nRemat int, err 
 	if len(paramSpills) > 0 {
 		entry.Instrs = append(paramSpills, entry.Instrs...)
 	}
-	return nFrame, nCCM, nRemat, nil
+	return nFrame, nCCM, nil
 }
 
 // rewritePhysical maps every live range to its physical register: integer
