@@ -203,6 +203,43 @@ func TestHTTPHugeGlobal(t *testing.T) {
 	}
 }
 
+// TestHTTPHugeCCM: a CCM size the simulator cannot have is refused
+// before a CCM that size is allocated — by /run as a run fault, by
+// /compile as a 400 on config.ccm_bytes with or without the oracle, as is
+// an unaligned size — and the service goes on serving.
+func TestHTTPHugeCCM(t *testing.T) {
+	_, ts := newTestHTTP(t, nil)
+	text := testProgram(t, 3)
+	resp := postJSON(t, ts.URL+"/run", RunRequest{Program: text, CCMBytes: 1 << 62})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("/run ccm_bytes 1<<62: status %d, want 422", resp.StatusCode)
+	}
+	if env := decodeBody[errEnvelope](t, resp); env.Error == nil || env.Error.Code != CodeRunFault ||
+		!strings.Contains(env.Error.Message, "address space") {
+		t.Fatalf("/run ccm_bytes 1<<62: error %+v, want %s naming the address space", env.Error, CodeRunFault)
+	}
+	for _, ccm := range []int64{12, 1 << 62} {
+		for _, diff := range []string{"", "final"} {
+			resp := postJSON(t, ts.URL+"/compile", CompileRequest{Program: text,
+				Config: RequestConfig{Strategy: "postpass", CCMBytes: ccm, DiffCheck: diff}})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("/compile ccm_bytes %d diff %q: status %d, want 400", ccm, diff, resp.StatusCode)
+			}
+			if env := decodeBody[errEnvelope](t, resp); env.Error == nil || env.Error.Code != CodeBadRequest ||
+				env.Error.Field != "config.ccm_bytes" {
+				t.Fatalf("/compile ccm_bytes %d diff %q: error %+v, want %s on config.ccm_bytes", ccm, diff, env.Error, CodeBadRequest)
+			}
+		}
+	}
+	resp = postJSON(t, ts.URL+"/run", RunRequest{Program: text, CCMBytes: 512})
+	if resp.StatusCode != 200 {
+		t.Fatalf("run after the refusals: status %d", resp.StatusCode)
+	}
+	if out := decodeBody[RunResponse](t, resp); out.Instrs == 0 {
+		t.Fatalf("run after the refusals: empty stats %+v", out)
+	}
+}
+
 // TestHTTPHugeRegister: a short body naming a register past ir.MaxRegs is
 // a bad program on /compile and /run, refused before a register table
 // that size is allocated, and the service goes on serving.

@@ -178,6 +178,31 @@ func TestAddressSpaceCap(t *testing.T) {
 	}
 }
 
+// TestCCMCap: New refuses a CCM larger than the main-memory cap before
+// anything is allocated, since a run allocates the whole CCM.
+func TestCCMCap(t *testing.T) {
+	p := mustParse(t, "func main() {\nentry:\n\tret\n}\n")
+	for _, tc := range []struct {
+		name  string
+		bytes int64
+		ok    bool
+	}{
+		{"cap itself", maxMemWords * ir.WordBytes, true},
+		{"one word over", (maxMemWords + 1) * ir.WordBytes, false},
+		{"1<<62", 1 << 62, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(p, Config{CCMBytes: tc.bytes})
+			if tc.ok && err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if !tc.ok && !errors.Is(err, ErrAddressSpace) {
+				t.Fatalf("New: err = %v, want ErrAddressSpace", err)
+			}
+		})
+	}
+}
+
 // TestStatsOwnedPerRun: each run returns its own per-function counters,
 // so running a Machine again leaves an earlier run's Stats intact.
 func TestStatsOwnedPerRun(t *testing.T) {

@@ -72,9 +72,14 @@ const (
 	maxMemWords = 1 << 24
 )
 
+// MaxCCMBytes is the largest CCM New accepts: the CCM is allocated whole
+// on every run, so it is held to the main-memory cap.
+const MaxCCMBytes = maxMemWords * ir.WordBytes
+
 // ErrAddressSpace is wrapped by New's error for a program whose globals
-// do not fit the address space: the program, not the run, is at fault.
-var ErrAddressSpace = errors.New("globals and stack exceed the simulated address space")
+// do not fit the address space, or for a CCM larger than MaxCCMBytes:
+// the program or its configuration, not the run, is at fault.
+var ErrAddressSpace = errors.New("exceeds the simulated address space")
 
 // Config parameterizes one run.
 type Config struct {
@@ -237,6 +242,9 @@ func New(p *ir.Program, cfg Config) (*Machine, error) {
 	if cfg.CCMBytes%ir.WordBytes != 0 || cfg.CCMBytes < 0 {
 		return nil, fmt.Errorf("sim: CCMBytes %d must be a non-negative multiple of %d", cfg.CCMBytes, ir.WordBytes)
 	}
+	if cfg.CCMBytes > MaxCCMBytes {
+		return nil, fmt.Errorf("sim: CCMBytes %d %w (%d bytes)", cfg.CCMBytes, ErrAddressSpace, MaxCCMBytes)
+	}
 	m := &Machine{cfg: cfg, prog: p, funcs: map[string]*rfunc{}, globalBase: map[string]int64{}}
 
 	// Lay out globals from byte 8 upward (0 is the trap page). Sizes are
@@ -245,7 +253,7 @@ func New(p *ir.Program, cfg Config) (*Machine, error) {
 	words := int64(1)
 	for _, g := range p.Globals {
 		if g.Words < 0 || int64(g.Words) > maxMemWords-stackWords-words {
-			return nil, fmt.Errorf("sim: global %s (%d words): %w (%d words)", g.Name, g.Words, ErrAddressSpace, maxMemWords)
+			return nil, fmt.Errorf("sim: global %s (%d words) with the stack %w (%d words)", g.Name, g.Words, ErrAddressSpace, maxMemWords)
 		}
 		m.globalBase[g.Name] = words * ir.WordBytes
 		words += int64(g.Words)
