@@ -240,6 +240,52 @@ func TestSaturation(t *testing.T) {
 	}
 }
 
+// TestConfigValidatedBeforeAdmission: a request whose config can never
+// compile is refused as a 400 on its field even when admission would
+// have refused it with a retryable 429 or 503.
+func TestConfigValidatedBeforeAdmission(t *testing.T) {
+	svc := newTestService(t, func(c *Config) {
+		c.MaxInflight = 1
+		c.MaxQueue = 1
+	})
+	hold := make(chan struct{})
+	entered := make(chan struct{}, 8)
+	svc.testCompileHook = func() {
+		entered <- struct{}{}
+		<-hold
+	}
+	text := testProgram(t, 3)
+	results := make(chan *APIError, 2)
+	for range 2 {
+		go func() {
+			_, apiErr := svc.Compile(context.Background(), &CompileRequest{Program: text})
+			results <- apiErr
+		}()
+	}
+	// One request holds the only slot and the other fills the queue.
+	<-entered
+	waitFor(t, func() bool { return svc.Stats().Queued == 1 })
+
+	bogus := &CompileRequest{Program: text, Config: RequestConfig{Strategy: "bogus"}}
+	check := func(when string) {
+		t.Helper()
+		_, apiErr := svc.Compile(context.Background(), bogus)
+		if apiErr == nil || apiErr.Status != http.StatusBadRequest || apiErr.Field != "config.strategy" {
+			t.Fatalf("%s: got %v, want 400 on config.strategy", when, apiErr)
+		}
+	}
+	check("saturated")
+	svc.BeginDrain()
+	check("draining")
+
+	close(hold)
+	for range 2 {
+		if err := <-results; err != nil {
+			t.Fatalf("held request failed: %v", err)
+		}
+	}
+}
+
 // TestQueuedClientGivesUp: a queued request whose context dies leaves
 // the queue without consuming a slot.
 func TestQueuedClientGivesUp(t *testing.T) {
