@@ -167,7 +167,9 @@ type Shard struct {
 // Record appends one completed span. start is the wall-clock start, dur
 // the measured duration (callers already time their regions for the
 // per-pass report, so the span reuses those measurements instead of
-// reading the clock again). No-op on a nil shard.
+// reading the clock again). No-op on a nil shard. The span keeps a copy
+// of attrs, so the variadic slice does not escape and a disabled call
+// allocates nothing.
 func (s *Shard) Record(name, cat string, start time.Time, dur time.Duration, attrs ...Attr) {
 	if s == nil {
 		return
@@ -185,7 +187,7 @@ func (s *Shard) Record(name, cat string, start time.Time, dur time.Duration, att
 		Seq:        s.seq,
 		StartNanos: start.Sub(s.t.epoch).Nanoseconds(),
 		DurNanos:   dur.Nanoseconds(),
-		Attrs:      attrs,
+		Attrs:      append([]Attr(nil), attrs...),
 	})
 }
 
