@@ -69,6 +69,12 @@ func TestConcurrentClientsByteIdentity(t *testing.T) {
 				client{fmt.Sprintf("%s/%s", rname, s.strat), text, cfg},
 				// The duplicate: same key, racing for the same cache slot.
 				client{fmt.Sprintf("%s/%s/dup", rname, s.strat), text, cfg})
+			// Checked clients on the shared driver share its oracle
+			// memo; every strategy checks the same input runs.
+			cfg = RequestConfig{Strategy: s.strat, CCMBytes: s.ccm, DiffCheck: "final"}
+			clients = append(clients,
+				client{fmt.Sprintf("%s/%s/final", rname, s.strat), text, cfg},
+				client{fmt.Sprintf("%s/%s/final/dup", rname, s.strat), text, cfg})
 		}
 	}
 

@@ -66,8 +66,17 @@ type Options struct {
 
 	// Obs, when non-nil, receives the check's counters (oracle.entries,
 	// oracle.runs, oracle.inconclusive, oracle.divergences). The verdict
-	// and counters are deterministic, so the totals are too.
+	// and counters are deterministic, so the totals are too. With a Memo
+	// it also receives oracle.memo_hits and oracle.memo_misses, which
+	// depend on what earlier checks sharing the memo stored.
 	Obs *obs.Registry
+
+	// Memo, when non-nil, serves every run an earlier check already
+	// observed instead of simulating it again; a hit counts as the run it
+	// replaces. PreDigest and PostDigest identify the two programs'
+	// content for its key: equal digests must mean equal programs.
+	Memo                  *Memo
+	PreDigest, PostDigest [32]byte
 }
 
 func (o Options) withDefaults(pre, post *ir.Program) Options {
@@ -122,6 +131,8 @@ func Check(ctx context.Context, pre, post *ir.Program, opts Options) (*Result, e
 		MaxSteps: opts.MaxSteps,
 		MaxDepth: opts.MaxDepth,
 	}
+	// Both programs are resolved even when every run will hit the memo, so
+	// a program the simulator rejects fails the check either way.
 	preM, err := sim.New(pre, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: resolving pre program: %w", err)
@@ -129,6 +140,12 @@ func Check(ctx context.Context, pre, post *ir.Program, opts Options) (*Result, e
 	postM, err := sim.New(post, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: resolving post program: %w", err)
+	}
+	preS := side{m: preM, memo: opts.Memo}
+	postS := side{m: postM, memo: opts.Memo}
+	if opts.Memo != nil {
+		preS.key = opts.memoKey(opts.PreDigest, pre)
+		postS.key = opts.memoKey(opts.PostDigest, post)
 	}
 
 	entries := opts.Entries
@@ -153,6 +170,10 @@ func Check(ctx context.Context, pre, post *ir.Program, opts Options) (*Result, e
 		if res.Divergence != nil {
 			opts.Obs.Counter("oracle.divergences").Inc()
 		}
+		if opts.Memo != nil {
+			opts.Obs.Counter("oracle.memo_hits").Add(preS.hits + postS.hits)
+			opts.Obs.Counter("oracle.memo_misses").Add(preS.misses + postS.misses)
+		}
 	}
 	for _, entry := range entries {
 		ef := pre.Func(entry)
@@ -172,11 +193,11 @@ func Check(ctx context.Context, pre, post *ir.Program, opts Options) (*Result, e
 		}
 		for v := 0; v < nvec; v++ {
 			args := argVector(opts.Seed, entry, v, ef)
-			preObs, err := observe(ctx, preM, entry, args)
+			preObs, err := preS.observe(ctx, entry, args)
 			if err != nil {
 				return nil, err
 			}
-			postObs, err := observe(ctx, postM, entry, args)
+			postObs, err := postS.observe(ctx, entry, args)
 			if err != nil {
 				return nil, err
 			}

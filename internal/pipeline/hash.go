@@ -16,6 +16,8 @@ const (
 	frontKeyTag   = "ccm-pipeline-front-v2"
 	backKeyTag    = "ccm-pipeline-back-v3" // v3: the cleanup flag left the key
 	programKeyTag = "ccm-pipeline-prog-v4" // v4: the cleanup flag left the key
+
+	programDigestTag = "ccm-pipeline-digest-v1"
 )
 
 // hasher streams a canonical binary encoding of IR and Config into
@@ -148,6 +150,21 @@ func programKey(p *ir.Program, cfg Config) digest {
 	// must not share artifacts.
 	h.int(int(cfg.DiffCheck))
 	h.int(cfg.DiffVectors)
+	h.program(p)
+	return h.sum()
+}
+
+// programDigest addresses a program's content alone, with no Config: the
+// differential oracle seeds its argument vectors from the input's digest
+// and keys its observation memo by the digest of each program it runs.
+func programDigest(p *ir.Program) digest {
+	h := newHasher(programDigestTag)
+	h.program(p)
+	return h.sum()
+}
+
+// program encodes the globals and every function of p.
+func (h *hasher) program(p *ir.Program) {
 	h.int(len(p.Globals))
 	for _, g := range p.Globals {
 		h.str(g.Name)
@@ -161,13 +178,12 @@ func programKey(p *ir.Program, cfg Config) digest {
 	for _, f := range p.Funcs {
 		h.fn(f)
 	}
-	return h.sum()
 }
 
 // programSeed derives the differential oracle's argument-vector seed
-// from the programKey that addresses the program in the cache:
-// re-checking an identical (program, Config) pair replays identical
-// vectors, with no wall-clock randomness anywhere.
+// from the input's programDigest: every compile of one input, under any
+// Config, replays identical vectors, with no wall-clock randomness
+// anywhere.
 func programSeed(k digest) uint64 {
 	return binary.LittleEndian.Uint64(k[:8])
 }
