@@ -279,9 +279,10 @@ func countCCMOps(f *ir.Func) int {
 // strategy at each CCM size. The whole run shares one driver, so the
 // compile cache carries artifacts across variants: front artifacts (the
 // front stage is identical for the baseline and both post-pass
-// strategies) and whole programs. Under Config.DiffCheck, which ccmbench
-// and perfbench always set, per-function caching is off and only
-// whole-program artifacts are shared.
+// strategies), back artifacts and whole programs. Config.DiffCheck,
+// which ccmbench and perfbench always set, keeps all three tiers on, and
+// the driver's oracle memo simulates each input's runs once across its
+// variants.
 func RunSuite(cfg Config) (*SuiteResults, error) {
 	if cfg.Driver == nil {
 		cfg.Driver = cfg.driver()

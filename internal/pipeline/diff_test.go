@@ -207,6 +207,75 @@ func TestBarrierMiscompileQuarantined(t *testing.T) {
 	}
 }
 
+// TestDivergenceBehindWarmCache: a divergence found in an attempt served
+// by warm front and back artifacts is reproduced uncached and attributed
+// exactly as on a driver with no cache. A DiffFinal compile warms the
+// per-function tiers; a DiffPerStage compile of the same input, whose
+// program key differs but whose front keys do not, then has the barrier
+// duplicate main's emit.
+func TestDivergenceBehindWarmCache(t *testing.T) {
+	compile := func(d *Driver, strict bool) (*ir.Program, *Report, error) {
+		p := diffProgram(t)
+		cfg := detConfig(PostPassInterproc)
+		cfg.DiffCheck = DiffPerStage
+		cfg.Strict = strict
+		cfg.passHook = func(pass, name string) {
+			if pass == PassPostPass && name == "main" {
+				dupFirstEmit(p.Func("main"))
+			}
+		}
+		rep, err := d.Compile(p, cfg)
+		return p, rep, err
+	}
+	warm := func() *Driver {
+		d := New(Options{})
+		warmCfg := detConfig(PostPassInterproc)
+		warmCfg.DiffCheck = DiffFinal
+		mustCompile(t, d, diffProgram(t), warmCfg)
+		return d
+	}
+
+	d := warm()
+	got, rep, err := compile(d, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantRep, err := compile(New(Options{DisableCache: true}), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Divergences != 1 || !reflect.DeepEqual(rep.DivergentPasses, map[string]int64{PassPostPass: 1}) {
+		t.Errorf("divergences = %d %v, want 1 at postpass", rep.Divergences, rep.DivergentPasses)
+	}
+	if got.String() != want.String() {
+		t.Errorf("shipped ILOC differs from the uncached driver's:\n%s\nvs\n%s", got, want)
+	}
+	if !rep.PerFunc["helper"].FrontCacheHit {
+		t.Error("helper missed the warm front tier; the test exercises nothing")
+	}
+	for name, fr := range rep.PerFunc {
+		fr.FrontCacheHit, fr.BackCacheHit = false, false
+		if wfr := wantRep.PerFunc[name]; fr != wfr {
+			t.Errorf("%s: report %+v, want %+v", name, fr, wfr)
+		}
+	}
+	if fr := rep.PerFunc["main"]; fr.Degraded != "no-ccm" || fr.FailedPass != PassPostPass {
+		t.Errorf("main: degraded %q after %q, want no-ccm after postpass", fr.Degraded, fr.FailedPass)
+	}
+	if _, again, err := compile(d, false); err != nil || again.ProgramCacheHit {
+		t.Errorf("repeat compile: program hit %v, err %v; a diverging compile must store no program artifact", again != nil && again.ProgramCacheHit, err)
+	}
+
+	_, _, err = compile(warm(), true)
+	var me *MiscompileError
+	if !errors.As(err, &me) {
+		t.Fatalf("strict compile returned %v, want *MiscompileError", err)
+	}
+	if me.Stage != diffStagePostPass || me.Pass != PassPostPass || me.Func != "main" {
+		t.Errorf("strict attribution: stage %q, pass %q, func %q; want postpass/postpass/main", me.Stage, me.Pass, me.Func)
+	}
+}
+
 // TestDiffCheckCleanSuite is the false-positive guard: across every
 // strategy and the random-program suite, an honest compile produces zero
 // divergences and ships byte-identical code to an unchecked compile.
