@@ -255,23 +255,32 @@ func (a *analysis) colorIntoCCM(slots int, base []int, eligible []bool) map[int]
 	// Select: pop in reverse, take the first free slot at or above the
 	// web's beginning (paper: "starts at the beginning of the CCM and
 	// tries successive locations until it finds one that will work").
+	// A web's neighbours block at most len(adj) slots, so its first free
+	// one lies at most that far above its base: the flags need not span
+	// the whole CCM.
+	span := 0
+	for _, v := range stack {
+		span = max(span, base[v]+len(a.adj[v])+1)
+	}
 	slotOf := make(map[int]int, len(stack))
-	used := make([]bool, slots)
+	used := make([]bool, min(span, slots))
 	for i := len(stack) - 1; i >= 0; i-- {
 		v := stack[i]
-		for s := range used {
-			used[s] = false
-		}
 		for _, n := range a.adj[v] {
 			if s, ok := slotOf[int(n)]; ok {
 				used[s] = true
 			}
 		}
 		chosen := -1
-		for s := base[v]; s < slots; s++ {
+		for s := base[v]; s < len(used); s++ {
 			if !used[s] {
 				chosen = s
 				break
+			}
+		}
+		for _, n := range a.adj[v] {
+			if s, ok := slotOf[int(n)]; ok {
+				used[s] = false
 			}
 		}
 		if chosen < 0 {
