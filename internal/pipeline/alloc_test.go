@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"testing"
 
 	"ccmem/internal/ir"
@@ -49,4 +50,75 @@ func TestAllocGuardProgramHit(t *testing.T) {
 	if hitCost > ceiling {
 		t.Errorf("program hit allocates %.0f/op, over the %d ceiling", hitCost, ceiling)
 	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestAllocGuardKeys pins the staged hasher: digesting a program and
+// computing its program, front and back keys allocates a constant per
+// function, however many instructions and strings the functions hold.
+// Two programs with the same functions, one 64 times the size of the
+// other in blocks, instructions and names, must cost the same. A hasher
+// that converts each string to a []byte, or allocates a hash per key,
+// grows with the content and trips the guard.
+func TestAllocGuardKeys(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled hashers at random; verify.sh runs this guard without it")
+	}
+	cfg := detConfig(PostPassInterproc).withDefaults()
+	keys := func(p *ir.Program) float64 {
+		return testing.AllocsPerRun(10, func() {
+			fds := make([]digest, len(p.Funcs))
+			pd := programDigest(p, fds)
+			programKey(pd, cfg)
+			for i, f := range p.Funcs {
+				frontKey(fds[i], cfg)
+				backKey(f, cfg)
+			}
+		})
+	}
+	small, large := keyProgram(), scaledKeyProgram(64)
+	if len(small.Funcs) != len(large.Funcs) {
+		t.Fatal("the two programs must have the same functions")
+	}
+	smallCost, largeCost := keys(small), keys(large)
+	t.Logf("keys: %.0f allocs/op small, %.0f allocs/op at 64x the content", smallCost, largeCost)
+	if largeCost > smallCost {
+		t.Errorf("key work allocates %.0f/op at 64x the content, %.0f/op at 1x: it grows with the content", largeCost, smallCost)
+	}
+	if perFunc := largeCost / float64(len(large.Funcs)); perFunc > 1 {
+		t.Errorf("key work allocates %.1f/op per function, over the ceiling of 1", perFunc)
+	}
+}
+
+// scaledKeyProgram is keyProgram with every function's blocks repeated n
+// times, each copy under its own longer name, and n times the registers.
+func scaledKeyProgram(n int) *ir.Program {
+	p := keyProgram()
+	for _, f := range p.Funcs {
+		regs, blocks := f.Regs, f.Blocks
+		f.Regs, f.Blocks = nil, nil
+		for k := 0; k < n; k++ {
+			suffix := fmt.Sprintf("_copy_%d", k)
+			for _, r := range regs {
+				f.Regs = append(f.Regs, ir.RegInfo{Class: r.Class, Name: r.Name + suffix})
+			}
+			for _, b := range blocks {
+				nb := &ir.Block{Name: b.Name + suffix, Instrs: append([]ir.Instr(nil), b.Instrs...)}
+				for i := range nb.Instrs {
+					in := &nb.Instrs[i]
+					in.Sym += suffix
+					if in.Then != "" {
+						in.Then += suffix
+					}
+					if in.Else != "" {
+						in.Else += suffix
+					}
+				}
+				f.Blocks = append(f.Blocks, nb)
+			}
+		}
+	}
+	return p
 }

@@ -103,3 +103,41 @@ func BenchmarkPipelineObsOn(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkKeys measures the key work of one checked compile of every
+// suite input (64 routines and 11 programs): the input's function and
+// program digests, the program key, every front and back key, and the
+// post-program digest the oracle keys its memo by. The keys stand on the
+// input bodies; the compiled bodies have the same shape.
+func BenchmarkKeys(b *testing.B) {
+	var progs []*ir.Program
+	for _, r := range workload.All() {
+		p, err := r.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	for _, bp := range workload.Programs() {
+		p, err := bp.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	cfg := Config{Strategy: PostPassInterproc, CCMBytes: 512, DiffCheck: DiffFinal}.withDefaults()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			fds := make([]digest, len(p.Funcs))
+			pd := programDigest(p, fds)
+			programKey(pd, cfg)
+			for j, f := range p.Funcs {
+				frontKey(fds[j], cfg)
+				backKey(f, cfg)
+			}
+			programDigest(p, nil)
+		}
+	}
+}

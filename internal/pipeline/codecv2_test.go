@@ -143,7 +143,7 @@ func TestStaleKindEntryIsSelfHealingMiss(t *testing.T) {
 	const staleKind = 3 // the retired JSON program kind
 	cfg := detConfig(Integrated)
 	want := coldILOC(t, seed, cfg)
-	key := diskcache.Key(programKey(workload.RandomProgram(seed), cfg.withDefaults()))
+	key := diskcache.Key(programKey(programDigest(workload.RandomProgram(seed), nil), cfg.withDefaults()))
 	stale := []byte(`{"funcs":[],"per_func":{}}`)
 
 	// run compiles over the stale entry, then restarts on the same store;

@@ -308,12 +308,12 @@ type diffOracle struct {
 	divergentPasses map[string]int64
 }
 
-// newDiffOracle captures p before any pass runs. The seed comes from p's
-// content alone, so every Config compiling p checks it on the same
-// vectors and the memo serves the input's runs across them.
-func newDiffOracle(p *ir.Program, cfg Config, reg *obs.Registry, memo *oracle.Memo) *diffOracle {
-	d := programDigest(p)
-	seed := programSeed(d)
+// newDiffOracle captures p, whose programDigest is pd, before any pass
+// runs. The seed comes from p's content alone, so every Config compiling
+// p checks it on the same vectors and the memo serves the input's runs
+// across them.
+func newDiffOracle(p *ir.Program, pd digest, cfg Config, reg *obs.Registry, memo *oracle.Memo) *diffOracle {
+	seed := programSeed(pd)
 	return &diffOracle{
 		pre:  p.Clone(),
 		seed: seed,
@@ -323,7 +323,7 @@ func newDiffOracle(p *ir.Program, cfg Config, reg *obs.Registry, memo *oracle.Me
 			CCMBytes:  cfg.CCMBytes,
 			Obs:       reg,
 			Memo:      memo,
-			PreDigest: d,
+			PreDigest: pd,
 		},
 		divergentPasses: map[string]int64{},
 	}
@@ -361,7 +361,7 @@ func (do *diffOracle) check(ctx context.Context, post *ir.Program, stage string,
 // run checks post against the input and adds the check to the counters.
 func (do *diffOracle) run(ctx context.Context, post *ir.Program) (*oracle.Result, error) {
 	opts := do.opts
-	opts.PostDigest = programDigest(post)
+	opts.PostDigest = programDigest(post, nil)
 	res, err := oracle.Check(ctx, do.pre, post, opts)
 	if err != nil {
 		return nil, err

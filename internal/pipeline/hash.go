@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash"
 	"math"
+	"sync"
 
 	"ccmem/internal/ir"
 )
@@ -13,30 +14,48 @@ import (
 // of a stage change, so stale artifacts from an older scheme can never be
 // returned (relevant only to long-lived shared caches).
 const (
-	frontKeyTag   = "ccm-pipeline-front-v2"
-	backKeyTag    = "ccm-pipeline-back-v3" // v3: the cleanup flag left the key
-	programKeyTag = "ccm-pipeline-prog-v4" // v4: the cleanup flag left the key
+	frontKeyTag   = "ccm-pipeline-front-v3" // v3: over the function digest
+	backKeyTag    = "ccm-pipeline-back-v4"  // v4: over the function digest
+	programKeyTag = "ccm-pipeline-prog-v5"  // v5: over the program digest
 
-	programDigestTag = "ccm-pipeline-digest-v1"
+	funcDigestTag    = "ccm-pipeline-func-v1"
+	programDigestTag = "ccm-pipeline-digest-v2" // v2: over the function digests
 )
 
 // hasher streams a canonical binary encoding of IR and Config into
 // SHA-256. Every variable-length field is length-prefixed, so distinct
-// inputs cannot collide by concatenation.
+// inputs cannot collide by concatenation. The encoding is staged in buf
+// and written to SHA-256 a buffer at a time, so a field costs no Write
+// call and a string no allocation; SHA-256 does not see the chunking.
+// Hashers are pooled: newHasher takes one and sum returns it.
 type hasher struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int // bytes staged in buf
+	buf [1024]byte
+	out [sha256.Size]byte
 }
 
+var hashers = sync.Pool{New: func() any { return &hasher{h: sha256.New()} }}
+
 func newHasher(tag string) *hasher {
-	h := &hasher{h: sha256.New()}
+	h := hashers.Get().(*hasher)
+	h.h.Reset()
+	h.n = 0
 	h.str(tag)
 	return h
 }
 
+func (h *hasher) flush() {
+	h.h.Write(h.buf[:h.n])
+	h.n = 0
+}
+
 func (h *hasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(h.buf[:], v)
-	h.h.Write(h.buf[:])
+	if h.n+8 > len(h.buf) {
+		h.flush()
+	}
+	binary.LittleEndian.PutUint64(h.buf[h.n:], v)
+	h.n += 8
 }
 
 func (h *hasher) i64(v int64) { h.u64(uint64(v)) }
@@ -52,19 +71,40 @@ func (h *hasher) bool(b bool) {
 
 func (h *hasher) str(s string) {
 	h.int(len(s))
-	h.h.Write([]byte(s))
+	for {
+		c := copy(h.buf[h.n:], s)
+		h.n += c
+		if s = s[c:]; s == "" {
+			return
+		}
+		h.flush()
+	}
 }
 
+// sub encodes the content digest of a part, fixed-size and so unprefixed.
+func (h *hasher) sub(d digest) {
+	if h.n+len(d) > len(h.buf) {
+		h.flush()
+	}
+	h.n += copy(h.buf[h.n:], d[:])
+}
+
+// sum finishes the hash and returns h to the pool.
 func (h *hasher) sum() digest {
+	h.flush()
 	var d digest
-	copy(d[:], h.h.Sum(nil))
+	copy(d[:], h.h.Sum(h.out[:0]))
+	hashers.Put(h)
 	return d
 }
 
-// fn encodes every field of f that influences compilation or the printed
-// ILOC text — including diagnostic register names, which appear in the
-// output and must therefore distinguish artifacts.
-func (h *hasher) fn(f *ir.Func) {
+// funcDigest addresses a function's content alone. It encodes every field
+// of f that influences compilation or the printed ILOC text — including
+// diagnostic register names, which appear in the output and must
+// therefore distinguish artifacts. Every key of a per-function stage is
+// derived from the digest of the function that stage compiles.
+func funcDigest(f *ir.Func) digest {
+	h := newHasher(funcDigestTag)
 	h.str(f.Name)
 	h.int(len(f.Params))
 	for _, r := range f.Params {
@@ -100,13 +140,42 @@ func (h *hasher) fn(f *ir.Func) {
 			h.str(in.Else)
 		}
 	}
+	return h.sum()
 }
 
-// frontKey addresses a function's front-stage artifact. Strategy enters
-// only through the integrated CCM capacity: the baseline and both
-// post-pass strategies run an identical front stage, so their sweeps
-// share artifacts.
-func frontKey(f *ir.Func, cfg Config) digest {
+// programDigest addresses a program's content alone, with no Config: its
+// globals and the digests of its functions in order. When fds is non-nil
+// it receives the function digests (len(fds) == len(p.Funcs)), so one walk
+// of the input yields the program digest, and with it the program key and
+// the oracle's seed, and every front key. The oracle also keys its
+// observation memo by the digest of each program it runs.
+func programDigest(p *ir.Program, fds []digest) digest {
+	h := newHasher(programDigestTag)
+	h.int(len(p.Globals))
+	for _, g := range p.Globals {
+		h.str(g.Name)
+		h.int(g.Words)
+		h.int(len(g.Init))
+		for _, w := range g.Init {
+			h.u64(w)
+		}
+	}
+	h.int(len(p.Funcs))
+	for i, f := range p.Funcs {
+		fd := funcDigest(f)
+		if fds != nil {
+			fds[i] = fd
+		}
+		h.sub(fd)
+	}
+	return h.sum()
+}
+
+// frontKey addresses a function's front-stage artifact by the digest of
+// the input function. Strategy enters only through the integrated CCM
+// capacity: the baseline and both post-pass strategies run an identical
+// front stage, so their sweeps share artifacts.
+func frontKey(fd digest, cfg Config) digest {
 	h := newHasher(frontKeyTag)
 	h.bool(cfg.DisableOptimizer)
 	h.int(cfg.IntRegs)
@@ -120,7 +189,7 @@ func frontKey(f *ir.Func, cfg Config) digest {
 	// compile must never be satisfied by an artifact that skipped its
 	// checkpoints.
 	h.bool(cfg.VerifyPasses)
-	h.fn(f)
+	h.sub(fd)
 	return h.sum()
 }
 
@@ -128,15 +197,17 @@ func frontKey(f *ir.Func, cfg Config) digest {
 // post-barrier function content so promotion changes invalidate exactly
 // the functions they rewrote.
 func backKey(f *ir.Func, cfg Config) digest {
+	fd := funcDigest(f)
 	h := newHasher(backKeyTag)
 	h.bool(cfg.DisableCompaction)
 	h.bool(cfg.VerifyPasses)
-	h.fn(f)
+	h.sub(fd)
 	return h.sum()
 }
 
-// programKey addresses a whole compiled program under the full Config.
-func programKey(p *ir.Program, cfg Config) digest {
+// programKey addresses a whole compiled program, by its programDigest pd,
+// under the full Config.
+func programKey(pd digest, cfg Config) digest {
 	h := newHasher(programKeyTag)
 	h.int(int(cfg.Strategy))
 	h.i64(cfg.CCMBytes)
@@ -150,34 +221,8 @@ func programKey(p *ir.Program, cfg Config) digest {
 	// must not share artifacts.
 	h.int(int(cfg.DiffCheck))
 	h.int(cfg.DiffVectors)
-	h.program(p)
+	h.sub(pd)
 	return h.sum()
-}
-
-// programDigest addresses a program's content alone, with no Config: the
-// differential oracle seeds its argument vectors from the input's digest
-// and keys its observation memo by the digest of each program it runs.
-func programDigest(p *ir.Program) digest {
-	h := newHasher(programDigestTag)
-	h.program(p)
-	return h.sum()
-}
-
-// program encodes the globals and every function of p.
-func (h *hasher) program(p *ir.Program) {
-	h.int(len(p.Globals))
-	for _, g := range p.Globals {
-		h.str(g.Name)
-		h.int(g.Words)
-		h.int(len(g.Init))
-		for _, w := range g.Init {
-			h.u64(w)
-		}
-	}
-	h.int(len(p.Funcs))
-	for _, f := range p.Funcs {
-		h.fn(f)
-	}
 }
 
 // programSeed derives the differential oracle's argument-vector seed

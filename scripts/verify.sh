@@ -90,7 +90,9 @@ echo '== e2e: go test -race -run TestCacheDaemonSmoke ./cmd/ccmcached/'
 go test -race -run TestCacheDaemonSmoke ./cmd/ccmcached/
 
 # Allocation guards: the program-tier cache hit must stay clone-free
-# (handing out frozen artifacts by reference), the liveness solver
+# (handing out frozen artifacts by reference), digesting a program and
+# computing its cache keys must allocate a constant per function however
+# large the functions are (TestAllocGuardKeys), the liveness solver
 # must keep its reset-not-realloc arena discipline, a simulator run
 # must allocate the memory it touches rather than the whole stack, the
 # register allocator must carve each round's interference rows from
@@ -103,9 +105,11 @@ echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline
 go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/
 
 # The root package holds one benchmark per paper table and figure plus
-# the fpppp, simulator and parser micro-benchmarks. go vet compiles them
-# but nothing else runs them, so run each once to catch a b.Fatal path.
-echo "== bench: go test -run '^\$' -bench . -benchtime 1x ."
-go test -run '^$' -bench . -benchtime 1x .
+# the fpppp, simulator and parser micro-benchmarks; internal/pipeline
+# holds the driver's cold, cached, observability and key benchmarks, and
+# internal/obs the span and metric ones. go vet compiles them but nothing
+# else runs them, so run each once to catch a b.Fatal path.
+echo "== bench: go test -run '^\$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/"
+go test -run '^$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/
 
 echo '== verify.sh: all green'
