@@ -122,8 +122,13 @@ type Func struct {
 }
 
 // Freeze marks f immutable. There is no Unfreeze: the only way back to a
-// mutable function is Clone.
-func (f *Func) Freeze() { f.frozen = true }
+// mutable function is Clone. Freezing a frozen function writes nothing,
+// so every holder of a shared frozen function may freeze it again.
+func (f *Func) Freeze() {
+	if !f.frozen {
+		f.frozen = true
+	}
+}
 
 // Frozen reports whether f is shared immutable state that must be cloned
 // before mutation.

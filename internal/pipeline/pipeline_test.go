@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ccmem/internal/ir"
@@ -230,6 +231,76 @@ func TestFrontArtifactSharedAcrossStrategies(t *testing.T) {
 			t.Errorf("func %s missed the front cache across a strategy change", name)
 		}
 	}
+}
+
+// TestProgramArtifactSharesFrozenFuncs: a program artifact holds the
+// frozen front and back artifacts its compile ended with by reference,
+// and clones only the compile's own mutable bodies. A DiffCheck change
+// misses the program tier, but every front and back key hits, so the
+// second program artifact must hold the back artifacts' pointers.
+func TestProgramArtifactSharesFrozenFuncs(t *testing.T) {
+	const seed = 23
+	d := New(Options{})
+	cfg := detConfig(PostPassInterproc).withDefaults()
+	mustCompile(t, d, workload.RandomProgram(seed), cfg)
+
+	cfg.DiffCheck = DiffFinal
+	p := workload.RandomProgram(seed)
+	key := programKey(programDigest(p, nil), cfg)
+	rep := mustCompile(t, d, p, cfg)
+	if rep.ProgramCacheHit {
+		t.Fatal("a DiffCheck change hit the program tier")
+	}
+	v, ok := d.Cache().get(key, diskKindProgramV2, nil)
+	if !ok {
+		t.Fatal("the checked compile stored no program artifact")
+	}
+	art := v.(*programArtifact)
+	for i, f := range p.Funcs {
+		if !rep.PerFunc[f.Name].BackCacheHit {
+			t.Errorf("%s missed the back tier", f.Name)
+		}
+		if art.funcs[i] != f {
+			t.Errorf("program artifact holds a copy of %s's back artifact, not the artifact", f.Name)
+		}
+	}
+}
+
+// TestConcurrentCompilesShareArtifacts: compiles racing on one cached
+// driver share frozen front, back and program artifacts by reference,
+// and each stores a program artifact that holds the ones it was served.
+// Every output is byte-identical to a solo uncached compile. Under -race
+// this is the pipeline's own race workload for shared artifacts.
+func TestConcurrentCompilesShareArtifacts(t *testing.T) {
+	const seed = 29
+	base := detConfig(PostPassInterproc)
+	var cfgs []Config
+	for _, dc := range []DiffCheck{DiffOff, DiffFinal, DiffPerStage} {
+		cfgs = append(cfgs, with(base, func(c *Config) { c.DiffCheck = dc }))
+	}
+	want := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		p := workload.RandomProgram(seed)
+		mustCompile(t, New(Options{DisableCache: true}), p, cfg)
+		want[i] = p.String()
+	}
+	d := New(Options{Workers: 2})
+	var wg sync.WaitGroup
+	for round := 0; round < 3; round++ {
+		for i, cfg := range cfgs {
+			wg.Add(1)
+			go func(i int, cfg Config) {
+				defer wg.Done()
+				p := workload.RandomProgram(seed)
+				if _, err := d.Compile(p, cfg); err != nil {
+					t.Errorf("%v: %v", cfg.DiffCheck, err)
+				} else if p.String() != want[i] {
+					t.Errorf("%v: concurrent compile differs from a solo one", cfg.DiffCheck)
+				}
+			}(i, cfg)
+		}
+	}
+	wg.Wait()
 }
 
 // TestReportShape: pass stats are present, ordered, and measure real
