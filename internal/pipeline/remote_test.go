@@ -333,6 +333,12 @@ func TestRemoteBreakerRecoversAcrossCompiles(t *testing.T) {
 	if st := d.Cache().Remote().State(); st != remotecache.StateOpen {
 		t.Fatalf("breaker state after faulted compile = %v, want open", st)
 	}
+	// Drain the faulted compile's write-behind puts while the circuit is
+	// open: one still queued after the cooldown would take the half-open
+	// probe and could still be in flight when the state is read below.
+	if err := d.Cache().Remote().Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	// Network heals, cooldown passes; a *different* program forces fresh
 	// lookups (the first one is now memory-cached), and the probe closes
