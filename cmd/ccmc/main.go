@@ -8,7 +8,7 @@
 //	ccmc [-strategy none|postpass|postpass-ipa|integrated] [-ccm BYTES]
 //	     [-regs N] [-no-opt] [-no-compact] [-workers N]
 //	     [-verify-passes] [-timeout D] [-strict] [-repro-dir DIR]
-//	     [-diff-check off|final|per-stage] [-diff-vectors N]
+//	     [-diff-check off|final] [-diff-vectors N]
 //	     [-cache-dir DIR] [-cache-bytes N]
 //	     [-trace out.json] [-metrics]
 //	     [-stats] [-json] [-o out.iloc] [-version] in.iloc
@@ -34,9 +34,8 @@
 // code, not just crashed code — is bisected to the first
 // semantically-divergent pass, quarantined via the degradation ladder
 // (or fatal under -strict), and written to -repro-dir as a replayable
-// miscompile bundle. "final" checks the finished program once;
-// "per-stage" also checks at each stage boundary. -diff-vectors sets
-// the argument vectors tried per entry function.
+// miscompile bundle. "final" checks the finished program once.
+// -diff-vectors sets the argument vectors tried per entry function.
 //
 // -cache-dir enables the crash-safe persistent artifact cache: compiled
 // artifacts are written atomically with SHA-256 integrity trailers and
@@ -96,7 +95,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-function compile attempt timeout (0 = none)")
 	strict := flag.Bool("strict", false, "fail on the first pass fault instead of degrading")
 	reproDir := flag.String("repro-dir", "", "write crash repro bundles for pass faults to this directory")
-	diffCheck := flag.String("diff-check", "off", "differential miscompile oracle: off, final, per-stage")
+	diffCheck := flag.String("diff-check", "off", "differential miscompile oracle: off or final")
 	diffVectors := flag.Int("diff-vectors", 0, "argument vectors per entry function for -diff-check (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (empty = memory-only)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "persistent cache byte budget (0 = default)")

@@ -75,7 +75,7 @@ type RequestConfig struct {
 	VerifyPasses bool   `json:"verify_passes,omitempty"`
 	TimeoutMS    int64  `json:"timeout_ms,omitempty"` // per-function attempt timeout, clamped to the service max
 	Strict       bool   `json:"strict,omitempty"`
-	DiffCheck    string `json:"diff_check,omitempty"` // off | final | per-stage
+	DiffCheck    string `json:"diff_check,omitempty"` // off | final
 	DiffVectors  int    `json:"diff_vectors,omitempty"`
 
 	Workers int `json:"workers,omitempty"` // hint: 0 = the shared driver's pool

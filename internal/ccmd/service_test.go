@@ -96,6 +96,8 @@ func TestCompileValidation(t *testing.T) {
 			Config: RequestConfig{Strategy: "turbo"}}, 400, CodeBadRequest, "config.strategy"},
 		{"bad diff", CompileRequest{Program: testProgram(t, 2),
 			Config: RequestConfig{DiffCheck: "sometimes"}}, 400, CodeBadRequest, "config.diff_check"},
+		{"removed per-stage diff", CompileRequest{Program: testProgram(t, 2),
+			Config: RequestConfig{DiffCheck: "per-stage"}}, 400, CodeBadRequest, "config.diff_check"},
 		{"ccm without bytes", CompileRequest{Program: testProgram(t, 2),
 			Config: RequestConfig{Strategy: "postpass"}}, 400, CodeBadRequest, "config.ccm_bytes"},
 		{"negative workers", CompileRequest{Program: testProgram(t, 2),

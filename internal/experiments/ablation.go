@@ -56,16 +56,17 @@ func Ablation43(cfg Config, names []string) ([]AblationRow, error) {
 		if !ok {
 			return nil, fmt.Errorf("ablation: unknown routine %q", name)
 		}
+		in, err := r.Build()
+		if err != nil {
+			return nil, err
+		}
 
 		runWith := func(strat Strategy, ccmBytes int64, model memsys.Model) (*sim.Stats, error) {
-			p, err := r.Build()
-			if err != nil {
-				return nil, err
-			}
 			// Compaction stays off: it renumbers spill addresses, and the
 			// ablation's cache models must observe the same address stream
 			// the harness has always measured.
-			if _, err := compileWith(drv, p, strat, ccmBytes, cfg, false); err != nil {
+			p, _, err := compileWith(drv, in, strat, ccmBytes, cfg, false)
+			if err != nil {
 				return nil, err
 			}
 			return sim.Run(p, "main", sim.Config{

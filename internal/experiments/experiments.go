@@ -206,13 +206,17 @@ type SuiteResults struct {
 	Programs []*ProgramResult
 }
 
-// compileWith drives one compilation through drv. compact controls the
-// back stage: the table and figure measurements pack residual
-// heavyweight spills (paper footnote 3), while the ablation and
-// multi-process studies skip compaction so the spill address streams
-// their cache models observe match the paper-faithful harness.
-func compileWith(drv *pipeline.Driver, p *ir.Program, strat Strategy, ccmBytes int64, cfg Config, compact bool) (*pipeline.Report, error) {
-	return drv.CompileContext(cfg.ctx(), p, pipeline.Config{
+// compileWith compiles a shallow copy of in, one built input, through drv
+// and returns the compiled program. The driver never writes the functions
+// it is given, so each input is built once and compiled under every
+// variant. compact controls the back stage: the table and figure
+// measurements pack residual heavyweight spills (paper footnote 3), while
+// the ablation and multi-process studies skip compaction so the spill
+// address streams their cache models observe match the paper-faithful
+// harness.
+func compileWith(drv *pipeline.Driver, in *ir.Program, strat Strategy, ccmBytes int64, cfg Config, compact bool) (*ir.Program, *pipeline.Report, error) {
+	p := &ir.Program{Globals: in.Globals, Funcs: append([]*ir.Func(nil), in.Funcs...)}
+	rep, err := drv.CompileContext(cfg.ctx(), p, pipeline.Config{
 		Strategy:          strat.pipelineStrategy(),
 		CCMBytes:          ccmBytes,
 		IntRegs:           cfg.IntRegs,
@@ -224,6 +228,7 @@ func compileWith(drv *pipeline.Driver, p *ir.Program, strat Strategy, ccmBytes i
 		ReproDir:          cfg.ReproDir,
 		DiffCheck:         cfg.DiffCheck,
 	})
+	return p, rep, err
 }
 
 // runProgram executes a compiled program and returns whole-program and
@@ -232,29 +237,26 @@ func runProgram(p *ir.Program, ccmBytes int64, cfg Config) (*sim.Stats, error) {
 	return sim.Run(p, "main", sim.Config{MemCost: cfg.MemCost, CCMBytes: ccmBytes})
 }
 
-// measureRoutine compiles and runs one routine under one variant,
-// returning the measured function's exclusive costs and promotion count.
-// Residual heavyweight spills are packed (paper footnote 3); this is
-// cycle-neutral but keeps frame sizes honest.
-func measureRoutine(drv *pipeline.Driver, r workload.Routine, strat Strategy, ccmBytes int64, cfg Config) (CycPair, int, error) {
-	p, err := r.Build()
+// measureRoutine compiles and runs the named routine, built as in, under
+// one variant, returning the measured function's exclusive costs and
+// promotion count. Residual heavyweight spills are packed (paper
+// footnote 3); this is cycle-neutral but keeps frame sizes honest.
+func measureRoutine(drv *pipeline.Driver, name string, in *ir.Program, strat Strategy, ccmBytes int64, cfg Config) (CycPair, int, error) {
+	p, _, err := compileWith(drv, in, strat, ccmBytes, cfg, true)
 	if err != nil {
-		return CycPair{}, 0, err
-	}
-	if _, err := compileWith(drv, p, strat, ccmBytes, cfg, true); err != nil {
 		return CycPair{}, 0, err
 	}
 	promoted := 0
 	if strat == StrategyPostPass || strat == StrategyPostPassIPA {
-		promoted = countCCMOps(p.Func(r.Name))
+		promoted = countCCMOps(p.Func(name))
 	}
 	st, err := runProgram(p, ccmBytes, cfg)
 	if err != nil {
 		return CycPair{}, 0, err
 	}
-	fs := st.PerFunc[r.Name]
+	fs := st.PerFunc[name]
 	if fs == nil {
-		return CycPair{}, 0, fmt.Errorf("routine %s not executed", r.Name)
+		return CycPair{}, 0, fmt.Errorf("routine %s not executed", name)
 	}
 	return CycPair{Cycles: fs.Cycles, Mem: fs.MemOpCycles}, promoted, nil
 }
@@ -276,13 +278,13 @@ func countCCMOps(f *ir.Func) int {
 
 // RunSuite performs every compile+run combination needed by the tables
 // and figures: per routine and per program, the baseline plus each
-// strategy at each CCM size. The whole run shares one driver, so the
-// compile cache carries artifacts across variants: front artifacts (the
-// front stage is identical for the baseline and both post-pass
-// strategies), back artifacts and whole programs. Config.DiffCheck,
-// which ccmbench and perfbench always set, keeps all three tiers on, and
-// the driver's oracle memo simulates each input's runs once across its
-// variants.
+// strategy at each CCM size, all compiled from one build of the input.
+// The whole run shares one driver, so the compile cache carries artifacts
+// across variants: front artifacts (the front stage is identical for the
+// baseline and both post-pass strategies), back artifacts and whole
+// programs. Config.DiffCheck, which ccmbench and perfbench always set,
+// keeps all three tiers on, and the driver's oracle memo simulates each
+// input's runs once across its variants.
 func RunSuite(cfg Config) (*SuiteResults, error) {
 	if cfg.Driver == nil {
 		cfg.Driver = cfg.driver()
@@ -312,12 +314,12 @@ func RunRoutineSuite(cfg Config) (*SuiteResults, error) {
 			Promo:  map[Key]int{},
 		}
 
-		// Baseline (and Table 1 compaction measurements).
-		p, err := r.Build()
+		in, err := r.Build()
 		if err != nil {
 			return nil, err
 		}
-		rep, err := compileWith(drv, p, StrategyNone, 0, cfg, true)
+		// Baseline (and Table 1 compaction measurements).
+		p, rep, err := compileWith(drv, in, StrategyNone, 0, cfg, true)
 		if err != nil {
 			return nil, fmt.Errorf("routine %s: %w", r.Name, err)
 		}
@@ -334,7 +336,7 @@ func RunRoutineSuite(cfg Config) (*SuiteResults, error) {
 
 		for _, size := range cfg.CCMSizes {
 			for _, strat := range Strategies {
-				pair, promo, err := measureRoutine(drv, r, strat, size, cfg)
+				pair, promo, err := measureRoutine(drv, r.Name, in, strat, size, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("routine %s %v/%d: %w", r.Name, strat, size, err)
 				}
@@ -354,11 +356,12 @@ func RunProgramSuite(cfg Config) (*SuiteResults, error) {
 	drv := cfg.driver()
 	for _, bp := range workload.Programs() {
 		pr := &ProgramResult{Name: bp.Name, Strat: map[Key]CycPair{}}
-		p, err := bp.Build()
+		in, err := bp.Build()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := compileWith(drv, p, StrategyNone, 0, cfg, true); err != nil {
+		p, _, err := compileWith(drv, in, StrategyNone, 0, cfg, true)
+		if err != nil {
 			return nil, fmt.Errorf("program %s: %w", bp.Name, err)
 		}
 		st, err := runProgram(p, 0, cfg)
@@ -369,11 +372,8 @@ func RunProgramSuite(cfg Config) (*SuiteResults, error) {
 
 		for _, size := range cfg.CCMSizes {
 			for _, strat := range Strategies {
-				q, err := bp.Build()
+				q, _, err := compileWith(drv, in, strat, size, cfg, true)
 				if err != nil {
-					return nil, err
-				}
-				if _, err := compileWith(drv, q, strat, size, cfg, true); err != nil {
 					return nil, fmt.Errorf("program %s %v/%d: %w", bp.Name, strat, size, err)
 				}
 				st, err := runProgram(q, size, cfg)

@@ -63,12 +63,14 @@ func MultiProcess(cfg Config, names []string, ccmBytes int64) (*MultiProcResult,
 			return nil, fmt.Errorf("experiments: unknown routine %q", name)
 		}
 
-		// Copy policy: the process sees the whole CCM.
-		p, err := r.Build()
+		in, err := r.Build()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := compileWith(drv, p, StrategyPostPassIPA, ccmBytes, cfg, false); err != nil {
+
+		// Copy policy: the process sees the whole CCM.
+		p, _, err := compileWith(drv, in, StrategyPostPassIPA, ccmBytes, cfg, false)
+		if err != nil {
 			return nil, err
 		}
 		maxUsed := int64(0)
@@ -88,11 +90,8 @@ func MultiProcess(cfg Config, names []string, ccmBytes int64) (*MultiProcResult,
 		// Partition policy: compiled against the smaller region, executed
 		// at this process's base register — the simulator enforces that no
 		// access escapes the partition.
-		q, err := r.Build()
+		q, _, err := compileWith(drv, in, StrategyPostPassIPA, partition, cfg, false)
 		if err != nil {
-			return nil, err
-		}
-		if _, err := compileWith(drv, q, StrategyPostPassIPA, partition, cfg, false); err != nil {
 			return nil, err
 		}
 		st2, err := sim.Run(q, "main", sim.Config{

@@ -52,6 +52,64 @@ func TestAllocGuardProgramHit(t *testing.T) {
 	}
 }
 
+// TestAllocGuardWarmFuncTiers pins the copy-on-write rule: a compile
+// that misses the program key but hits every front and back key copies
+// nothing of its input. An integrated compile has no barrier, so every
+// function is served and none is rewritten; each run varies DiffVectors,
+// which only the program key reads. Unchecked, such a compile must
+// allocate less than one deep clone of its input. A checked one, whose
+// oracle runs a memo primed at 20 vectors serves, stays under a fixed
+// ceiling; a compile that clones its input for the oracle trips it.
+func TestAllocGuardWarmFuncTiers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled hashers at random; verify.sh runs this guard without it")
+	}
+	p0 := workload.RandomProgram(31)
+	cloneCost := testing.AllocsPerRun(5, func() { _ = p0.Clone() })
+	cfg := detConfig(Integrated)
+	// warm compiles a deep copy of the input under cfg at 20 vectors,
+	// storing every front and back artifact (and, for a checked cfg,
+	// priming the oracle memo), then measures compiles of one build at
+	// DiffVectors 1, 2, ...
+	warm := func(cfg Config) float64 {
+		d := New(Options{})
+		mustCompile(t, d, p0.Clone(), with(cfg, func(c *Config) { c.DiffVectors = 20 }))
+		const runs = 10
+		inputs := make([]*ir.Program, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range inputs {
+			inputs[i] = &ir.Program{Globals: p0.Globals, Funcs: append([]*ir.Func(nil), p0.Funcs...)}
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			c := cfg
+			c.DiffVectors = next + 1
+			rep, err := d.Compile(inputs[next], c)
+			next++
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ProgramCacheHit {
+				t.Fatal("a DiffVectors change hit the program tier")
+			}
+			for name, fr := range rep.PerFunc {
+				if !fr.FrontCacheHit || !fr.BackCacheHit {
+					t.Fatalf("%s missed the front or back tier", name)
+				}
+			}
+		})
+	}
+	unchecked := warm(cfg)
+	checked := warm(with(cfg, func(c *Config) { c.DiffCheck = DiffFinal }))
+	t.Logf("warm function tiers: %.0f allocs/op unchecked, %.0f checked (one deep clone alone: %.0f)", unchecked, checked, cloneCost)
+	if unchecked >= cloneCost {
+		t.Errorf("unchecked compile allocates %.0f/op, at least one deep clone's worth (%.0f): it copies its input", unchecked, cloneCost)
+	}
+	const ceiling = 220
+	if checked > ceiling {
+		t.Errorf("checked compile allocates %.0f/op, over the %d ceiling", checked, ceiling)
+	}
+}
+
 // raceEnabled is set under the race detector (race_test.go).
 var raceEnabled bool
 

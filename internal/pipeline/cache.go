@@ -34,11 +34,12 @@ type digest [32]byte
 // this cache to exactly its upper-tier behavior.
 //
 // Artifacts are immutable shared state: put freezes every ir.Func in the
-// stored artifact (ir.Func.Freeze), and get hands artifacts out by
-// reference — no defensive deep copy on the hit path. A consumer that
-// wants to mutate a cached function must take ir.Func.Clone first; the
-// pipeline does so lazily, at the first pass that actually rewrites the
-// function, so a program-tier hit performs zero deep clones.
+// stored artifact (ir.Func.Freeze), which the pipeline's stages store
+// without copying, and get hands artifacts out by reference — no
+// defensive deep copy on the hit path. A consumer that wants to mutate a
+// cached function must take ir.Func.Clone first; the pipeline does so
+// lazily, at the first pass that actually rewrites the function, so a
+// program-tier hit performs zero deep clones.
 type Cache struct {
 	mu      sync.Mutex
 	max     int

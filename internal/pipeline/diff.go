@@ -27,10 +27,6 @@ const (
 	// after the final verify. Divergences are attributed to the first
 	// semantically-divergent pass by bisecting per-pass snapshots.
 	DiffFinal
-	// DiffPerStage additionally checks at each stage boundary (after the
-	// parallel front stage and after the interprocedural barrier), so a
-	// miscompile surfaces at the earliest boundary that exposes it.
-	DiffPerStage
 )
 
 func (d DiffCheck) String() string {
@@ -39,8 +35,6 @@ func (d DiffCheck) String() string {
 		return "off"
 	case DiffFinal:
 		return "final"
-	case DiffPerStage:
-		return "per-stage"
 	}
 	return fmt.Sprintf("DiffCheck(%d)", int(d))
 }
@@ -52,10 +46,8 @@ func ParseDiffCheck(s string) (DiffCheck, error) {
 		return DiffOff, nil
 	case "final":
 		return DiffFinal, nil
-	case "per-stage", "perstage":
-		return DiffPerStage, nil
 	}
-	return DiffOff, fmt.Errorf("unknown diff-check mode %q (want off, final, per-stage)", s)
+	return DiffOff, fmt.Errorf("unknown diff-check mode %q (want off, final)", s)
 }
 
 // MiscompileError reports that the compiled program computes something
@@ -66,7 +58,6 @@ func ParseDiffCheck(s string) (DiffCheck, error) {
 // cannot quarantine the culprit; otherwise it is recorded and the
 // compile retries with the culprit forced down the degradation ladder.
 type MiscompileError struct {
-	Stage      string             // boundary that detected it: "front", "postpass", or "final"
 	Pass       string             // first semantically-divergent pass ("" when bisection had no snapshots)
 	Func       string             // function that pass was compiling ("" for whole-program passes)
 	Divergence *oracle.Divergence // the witness
@@ -82,8 +73,8 @@ func (e *MiscompileError) Error() string {
 	if where == "" {
 		where = "<program>"
 	}
-	return fmt.Sprintf("pipeline: miscompile detected at %s stage, first divergent pass %s on %s: %v",
-		e.Stage, pass, where, e.Divergence)
+	return fmt.Sprintf("pipeline: miscompile detected, first divergent pass %s on %s: %v",
+		pass, where, e.Divergence)
 }
 
 // passSnap is the body of one function as one pass left it. Snapshots
@@ -127,39 +118,26 @@ func (r *snapRecorder) add(back bool, s passSnap) {
 	}
 }
 
-// upTo returns the deterministic global snapshot order for everything
-// recorded through the given stage: front snapshots in (function, pass)
-// order, then barrier, then back. The order is the bisection axis, so it
-// must not depend on worker scheduling.
-func (r *snapRecorder) upTo(stage string) []passSnap {
+// ordered returns the deterministic global snapshot order: front
+// snapshots in (function, pass) order, then barrier, then back. The order
+// is the bisection axis, so it must not depend on worker scheduling.
+func (r *snapRecorder) ordered() []passSnap {
 	var out []passSnap
 	for _, snaps := range r.front {
 		out = append(out, snaps...)
 	}
-	if stage == diffStageFront {
-		return out
-	}
 	out = append(out, r.barrier...)
-	if stage == diffStagePostPass {
-		return out
-	}
 	for _, snaps := range r.back {
 		out = append(out, snaps...)
 	}
 	return out
 }
 
-const (
-	diffStageFront    = "front"
-	diffStagePostPass = "postpass"
-	diffStageFinal    = "final"
-)
-
 // forcedDegrade is the quarantine the attempt loop accumulates: every
 // recoverable fault and every bisected divergence strips the machinery
 // its pass belongs to from its function, and the driver recompiles the
-// frozen input under it. Each escalation strictly raises a finite
-// per-function lattice, so the loop terminates.
+// input under it. Each escalation strictly raises a finite per-function
+// lattice, so the loop terminates.
 type forcedDegrade struct {
 	funcs  map[string]quarantine
 	noWalk bool // skip the barrier: a fault in it named no new culprit
@@ -292,12 +270,12 @@ func (q quarantine) degraded() string {
 	return strings.Join(rungs, "+")
 }
 
-// diffOracle drives the oracle for one compile: it owns the pristine
-// input clone, the derived seed, and the diff counters. Everything here
-// runs sequentially on the goroutine that called Compile — never inside
-// the worker pool — so its results are identical for any worker count.
+// diffOracle drives the oracle for one compile: it holds the input, the
+// derived seed, and the diff counters. Everything here runs sequentially
+// on the goroutine that called Compile — never inside the worker pool —
+// so its results are identical for any worker count.
 type diffOracle struct {
-	pre  *ir.Program // input captured before any pass ran
+	pre  *ir.Program // the compile's input, which no pass writes
 	seed uint64
 	opts oracle.Options
 
@@ -308,14 +286,14 @@ type diffOracle struct {
 	divergentPasses map[string]int64
 }
 
-// newDiffOracle captures p, whose programDigest is pd, before any pass
-// runs. The seed comes from p's content alone, so every Config compiling
-// p checks it on the same vectors and the memo serves the input's runs
-// across them.
-func newDiffOracle(p *ir.Program, pd digest, cfg Config, reg *obs.Registry, memo *oracle.Memo) *diffOracle {
+// newDiffOracle checks against in, the compile's input, whose
+// programDigest is pd. The seed comes from in's content alone, so every
+// Config compiling in checks it on the same vectors and the memo serves
+// the input's runs across them.
+func newDiffOracle(in *ir.Program, pd digest, cfg Config, reg *obs.Registry, memo *oracle.Memo) *diffOracle {
 	seed := programSeed(pd)
 	return &diffOracle{
-		pre:  p.Clone(),
+		pre:  in,
 		seed: seed,
 		opts: oracle.Options{
 			Seed:      seed,
@@ -335,12 +313,11 @@ func newDiffOracle(p *ir.Program, pd digest, cfg Config, reg *obs.Registry, memo
 // bisects it.
 var errBisect = errors.New("pipeline: recompile to bisect a divergence")
 
-// check compares the input against the current compilation state at one
-// stage boundary; nil means this boundary is clean. On divergence it
-// returns errBisect when snaps is nil, and otherwise bisects the
-// snapshots to the first semantically-divergent pass and returns the
-// attributed MiscompileError.
-func (do *diffOracle) check(ctx context.Context, post *ir.Program, stage string, snaps *snapRecorder) (*MiscompileError, error) {
+// check compares the input against the compiled program; nil means the
+// two agree. On divergence it returns errBisect when snaps is nil, and
+// otherwise bisects the snapshots to the first semantically-divergent
+// pass and returns the attributed MiscompileError.
+func (do *diffOracle) check(ctx context.Context, post *ir.Program, snaps *snapRecorder) (*MiscompileError, error) {
 	res, err := do.run(ctx, post)
 	if err != nil || res.Equivalent() {
 		return nil, err
@@ -349,8 +326,8 @@ func (do *diffOracle) check(ctx context.Context, post *ir.Program, stage string,
 		return nil, errBisect
 	}
 	do.divergences++
-	me := &MiscompileError{Stage: stage, Divergence: res.Divergence}
-	me.Pass, me.Func, err = do.bisect(ctx, snaps.upTo(stage))
+	me := &MiscompileError{Divergence: res.Divergence}
+	me.Pass, me.Func, err = do.bisect(ctx, snaps.ordered())
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +409,7 @@ func (cs *compileState) recordMiscompile(me *MiscompileError, post *ir.Program, 
 		Kind:    repro.KindMiscompile,
 		Func:    me.Func,
 		Pass:    me.Pass,
-		Program: cs.inputText,
+		Program: cs.in.String(),
 		Post:    post.String(),
 		Seed:    do.seed,
 		Entry:   me.Divergence.Entry,

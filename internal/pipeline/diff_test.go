@@ -69,65 +69,63 @@ entry:
 // the differential oracle, (b) attributed to itself by snapshot
 // bisection, (c) quarantined by forcing its function down the
 // degradation ladder so the shipped program matches the input, and
-// (d) captured as a replayable miscompile bundle — identically for both
-// diff-check modes and for every strategy.
+// (d) captured as a replayable miscompile bundle — identically for every
+// strategy.
 func TestMiscompileDetectedAndQuarantined(t *testing.T) {
-	for _, mode := range []DiffCheck{DiffFinal, DiffPerStage} {
-		for _, strat := range allStrategies {
-			cfg := detConfig(strat)
-			cfg.DiffCheck = mode
-			cfg.InjectFront = []InjectedPass{miscompileOn("main", "exp-dup")}
-			cfg.ReproDir = t.TempDir()
+	for _, strat := range allStrategies {
+		cfg := detConfig(strat)
+		cfg.DiffCheck = DiffFinal
+		cfg.InjectFront = []InjectedPass{miscompileOn("main", "exp-dup")}
+		cfg.ReproDir = t.TempDir()
 
-			p := diffProgram(t)
-			want := runEmit(t, p.Clone(), 0) // input semantics: the oracle ground truth
+		p := diffProgram(t)
+		want := runEmit(t, p.Clone(), 0) // input semantics: the oracle ground truth
 
-			d := New(Options{DisableCache: true})
-			rep, err := d.Compile(p, cfg)
+		d := New(Options{DisableCache: true})
+		rep, err := d.Compile(p, cfg)
+		if err != nil {
+			t.Fatalf("%v: compile failed despite quarantine: %v", strat, err)
+		}
+		if rep.Divergences == 0 {
+			t.Fatalf("%v: silent miscompile not detected", strat)
+		}
+		if rep.DivergentPasses["exp-dup"] == 0 {
+			t.Errorf("%v: bisection attributed to %v, want exp-dup", strat, rep.DivergentPasses)
+		}
+		fr := rep.PerFunc["main"]
+		if fr.Degraded != "no-opt" {
+			t.Errorf("%v: main degraded to %q, want no-opt", strat, fr.Degraded)
+		}
+		if fr.FailedPass != "exp-dup" || !strings.Contains(fr.Error, "miscompile") {
+			t.Errorf("%v: per-func attribution = %q/%q", strat, fr.FailedPass, fr.Error)
+		}
+		if rep.DiffFuncsChecked == 0 || rep.DiffRuns == 0 {
+			t.Errorf("%v: oracle counters empty: %+v", strat, rep)
+		}
+		// The quarantined program must compute exactly the input's trace.
+		got := runEmit(t, p, cfg.CCMBytes)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: shipped program still diverges: %v vs %v", strat, got, want)
+		}
+		// The divergence is on disk as a replayable miscompile bundle.
+		var mb *repro.Bundle
+		for _, path := range rep.Repros {
+			b, err := repro.Load(path)
 			if err != nil {
-				t.Fatalf("%v/%v: compile failed despite quarantine: %v", mode, strat, err)
+				t.Fatalf("%v: loading bundle: %v", strat, err)
 			}
-			if rep.Divergences == 0 {
-				t.Fatalf("%v/%v: silent miscompile not detected", mode, strat)
+			if b.Kind == repro.KindMiscompile {
+				mb = b
 			}
-			if rep.DivergentPasses["exp-dup"] == 0 {
-				t.Errorf("%v/%v: bisection attributed to %v, want exp-dup", mode, strat, rep.DivergentPasses)
-			}
-			fr := rep.PerFunc["main"]
-			if fr.Degraded != "no-opt" {
-				t.Errorf("%v/%v: main degraded to %q, want no-opt", mode, strat, fr.Degraded)
-			}
-			if fr.FailedPass != "exp-dup" || !strings.Contains(fr.Error, "miscompile") {
-				t.Errorf("%v/%v: per-func attribution = %q/%q", mode, strat, fr.FailedPass, fr.Error)
-			}
-			if rep.DiffFuncsChecked == 0 || rep.DiffRuns == 0 {
-				t.Errorf("%v/%v: oracle counters empty: %+v", mode, strat, rep)
-			}
-			// The quarantined program must compute exactly the input's trace.
-			got := runEmit(t, p, cfg.CCMBytes)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v/%v: shipped program still diverges: %v vs %v", mode, strat, got, want)
-			}
-			// The divergence is on disk as a replayable miscompile bundle.
-			var mb *repro.Bundle
-			for _, path := range rep.Repros {
-				b, err := repro.Load(path)
-				if err != nil {
-					t.Fatalf("%v/%v: loading bundle: %v", mode, strat, err)
-				}
-				if b.Kind == repro.KindMiscompile {
-					mb = b
-				}
-			}
-			if mb == nil {
-				t.Fatalf("%v/%v: no miscompile bundle written (%v)", mode, strat, rep.Repros)
-			}
-			if mb.Func != "main" || mb.Pass != "exp-dup" || mb.Post == "" || mb.Entry == "" {
-				t.Errorf("%v/%v: bundle misattributed: func=%q pass=%q entry=%q", mode, strat, mb.Func, mb.Pass, mb.Entry)
-			}
-			if err := Replay(mb); err != nil {
-				t.Errorf("%v/%v: miscompile bundle does not re-confirm: %v", mode, strat, err)
-			}
+		}
+		if mb == nil {
+			t.Fatalf("%v: no miscompile bundle written (%v)", strat, rep.Repros)
+		}
+		if mb.Func != "main" || mb.Pass != "exp-dup" || mb.Post == "" || mb.Entry == "" {
+			t.Errorf("%v: bundle misattributed: func=%q pass=%q entry=%q", strat, mb.Func, mb.Pass, mb.Entry)
+		}
+		if err := Replay(mb); err != nil {
+			t.Errorf("%v: miscompile bundle does not re-confirm: %v", strat, err)
 		}
 	}
 }
@@ -148,9 +146,6 @@ func TestMiscompileStrict(t *testing.T) {
 	}
 	if me.Pass != "exp-dup" || me.Func != "main" || me.Divergence == nil {
 		t.Errorf("bad attribution: %+v", me)
-	}
-	if me.Stage != diffStageFinal {
-		t.Errorf("detected at stage %q, want %q", me.Stage, diffStageFinal)
 	}
 }
 
@@ -209,15 +204,15 @@ func TestBarrierMiscompileQuarantined(t *testing.T) {
 
 // TestDivergenceBehindWarmCache: a divergence found in an attempt served
 // by warm front and back artifacts is reproduced uncached and attributed
-// exactly as on a driver with no cache. A DiffFinal compile warms the
-// per-function tiers; a DiffPerStage compile of the same input, whose
+// exactly as on a driver with no cache. An unchecked compile warms the
+// per-function tiers; a DiffFinal compile of the same input, whose
 // program key differs but whose front keys do not, then has the barrier
 // duplicate main's emit.
 func TestDivergenceBehindWarmCache(t *testing.T) {
 	compile := func(d *Driver, strict bool) (*ir.Program, *Report, error) {
 		p := diffProgram(t)
 		cfg := detConfig(PostPassInterproc)
-		cfg.DiffCheck = DiffPerStage
+		cfg.DiffCheck = DiffFinal
 		cfg.Strict = strict
 		cfg.passHook = func(pass, name string) {
 			if pass == PassPostPass && name == "main" {
@@ -229,9 +224,7 @@ func TestDivergenceBehindWarmCache(t *testing.T) {
 	}
 	warm := func() *Driver {
 		d := New(Options{})
-		warmCfg := detConfig(PostPassInterproc)
-		warmCfg.DiffCheck = DiffFinal
-		mustCompile(t, d, diffProgram(t), warmCfg)
+		mustCompile(t, d, diffProgram(t), detConfig(PostPassInterproc))
 		return d
 	}
 
@@ -271,8 +264,8 @@ func TestDivergenceBehindWarmCache(t *testing.T) {
 	if !errors.As(err, &me) {
 		t.Fatalf("strict compile returned %v, want *MiscompileError", err)
 	}
-	if me.Stage != diffStagePostPass || me.Pass != PassPostPass || me.Func != "main" {
-		t.Errorf("strict attribution: stage %q, pass %q, func %q; want postpass/postpass/main", me.Stage, me.Pass, me.Func)
+	if me.Pass != PassPostPass || me.Func != "main" {
+		t.Errorf("strict attribution: pass %q, func %q; want postpass/main", me.Pass, me.Func)
 	}
 }
 
@@ -313,7 +306,7 @@ func TestDiffCheckCleanSuite(t *testing.T) {
 func TestDiffCheckDeterminism(t *testing.T) {
 	for _, strat := range allStrategies {
 		cfg := detConfig(strat)
-		cfg.DiffCheck = DiffPerStage
+		cfg.DiffCheck = DiffFinal
 		cfg.InjectFront = []InjectedPass{miscompileOn("main", "exp-dup")}
 
 		p1 := diffProgram(t)

@@ -34,6 +34,12 @@
 //     are captured as replayable crash repro bundles (Config.ReproDir,
 //     internal/repro).
 //
+// Compile never writes its input: the compiled functions replace p.Funcs
+// on success, and p is unchanged on error. A stage clones a function
+// before its first rewrite (the front stage on a cache miss, the barrier
+// and the back stage when the function is a frozen, shared artifact), so
+// a caller can compile one input under any number of configurations.
+//
 // Parallel compilation is deterministic: every pass mutates only its own
 // function, so workers=N produces bit-identical output to workers=1 (the
 // package test suite asserts this under the race detector, including for
@@ -163,14 +169,13 @@ type Config struct {
 
 	// DiffCheck runs the differential-execution miscompile oracle
 	// (internal/oracle) against the input program: DiffFinal once on the
-	// compiled output, DiffPerStage additionally at each stage boundary.
-	// A divergence is reproduced by one more attempt that runs every pass
-	// uncached and snapshots it, and bisected across those snapshots to
-	// the first semantically-divergent pass; in Strict mode it fails the
-	// compile with a *MiscompileError, otherwise the culprit function is
-	// forced down the degradation ladder and the compile retries. Front
-	// and back artifacts are served and stored as in an unchecked
-	// compile; whole-program artifacts are stored only for
+	// compiled output. A divergence is reproduced by one more attempt that
+	// runs every pass uncached and snapshots it, and bisected across those
+	// snapshots to the first semantically-divergent pass; in Strict mode it
+	// fails the compile with a *MiscompileError, otherwise the culprit
+	// function is forced down the degradation ladder and the compile
+	// retries. Front and back artifacts are served and stored as in an
+	// unchecked compile; whole-program artifacts are stored only for
 	// divergence-free compiles.
 	DiffCheck DiffCheck
 	// DiffVectors is the number of argument vectors per checked entry
@@ -217,7 +222,7 @@ func (c Config) validate() error {
 			return fmt.Errorf("pipeline: injected pass must have a name and a body")
 		}
 	}
-	if c.DiffCheck < DiffOff || c.DiffCheck > DiffPerStage {
+	if c.DiffCheck < DiffOff || c.DiffCheck > DiffFinal {
 		return fmt.Errorf("pipeline: unknown DiffCheck mode %d", int(c.DiffCheck))
 	}
 	if c.DiffVectors < 0 {
@@ -460,15 +465,16 @@ type funcState struct {
 	fault    *CompileError // recoverable fault, escalated once the stage joins
 }
 
-// compileState is the shared state of one Compile: its per-function cache
-// tier, pass metrics, the quarantine the attempt loop accumulates, and
-// the failure counter and repro bundles, updated from worker goroutines.
+// compileState is the shared state of one Compile: its input, its
+// per-function cache tier, pass metrics, the quarantine the attempt loop
+// accumulates, and the failure counter and repro bundles, updated from
+// worker goroutines.
 type compileState struct {
-	cfg       Config
-	inputText string   // program text captured before any pass ran ("" when no ReproDir)
-	cache     *Cache   // per-function artifact tier (nil when off, and in a bisect attempt)
-	digests   []digest // the input functions' digests, for front keys (nil when caching is off)
-	m         *metrics // per-pass statistics
+	cfg     Config
+	in      *ir.Program // the input as given; no pass writes its functions
+	cache   *Cache      // per-function artifact tier (nil when off, and in a bisect attempt)
+	digests []digest    // the input functions' digests, for front keys (nil when caching is off)
+	m       *metrics    // per-pass statistics
 	// forced is written on the driver goroutine between stages only;
 	// workers read it.
 	forced *forcedDegrade
@@ -513,7 +519,7 @@ func (cs *compileState) recordFailure(cerr *CompileError, passes []string, sh *o
 		Pass:    cerr.Pass,
 		Level:   cerr.Level,
 		Passes:  passes,
-		Program: cs.inputText,
+		Program: cs.in.String(),
 		Config:  marshalConfig(cs.cfg),
 		Error:   cerr.Err.Error(),
 		Stack:   string(cerr.Stack),
@@ -546,8 +552,10 @@ func (cs *compileState) writeRepro(b *repro.Bundle, sh *obs.Shard) string {
 	return path
 }
 
-// Compile runs the full pass sequence on p in place and returns the
-// structured report. p must be verified input ILOC (unallocated).
+// Compile runs the full pass sequence on p and returns the structured
+// report. p must be verified input ILOC (unallocated). On success the
+// compiled functions replace p.Funcs; the input's functions are never
+// written, and on error p is unchanged.
 func (d *Driver) Compile(p *ir.Program, cfg Config) (*Report, error) {
 	return d.CompileContext(context.Background(), p, cfg)
 }
@@ -555,8 +563,9 @@ func (d *Driver) Compile(p *ir.Program, cfg Config) (*Report, error) {
 // CompileContext is Compile with cooperative cancellation: ctx is checked
 // between passes and between functions, and is the parent of every
 // per-function timeout. On cancellation the in-flight passes finish (or
-// fail their next boundary check) and the first context error is
-// returned; no goroutines outlive the call.
+// fail their next boundary check), the first context error is returned
+// and p is unchanged; no goroutines outlive the call. On success the
+// compiled functions replace p.Funcs, as in Compile.
 func (d *Driver) CompileContext(ctx context.Context, p *ir.Program, cfg Config) (*Report, error) {
 	return d.compile(ctx, p, cfg, d.tracer)
 }
@@ -568,7 +577,9 @@ func (d *Driver) CompileContext(ctx context.Context, p *ir.Program, cfg Config) 
 // a shared driver without either exporting every other request's spans
 // or racing a live tracer's shards at export time — the caller owns tr,
 // and once this call returns no shard of it is recording, so exporting
-// it is safe. A nil tr falls back to the driver's tracer.
+// it is safe. A nil tr falls back to the driver's tracer. As in Compile,
+// the compiled functions replace p.Funcs on success, and p is unchanged
+// on error.
 func (d *Driver) CompileTraced(ctx context.Context, p *ir.Program, cfg Config, tr *obs.Tracer) (*Report, error) {
 	if tr == nil {
 		tr = d.tracer
@@ -613,11 +624,6 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 		cache = nil
 	}
 	cs := &compileState{cfg: cfg, m: newMetrics(d.reg), forced: newForcedDegrade()}
-	if cfg.ReproDir != "" {
-		// Captured before any pass mutates the program: bundles must carry
-		// the original input, and p cannot be printed racily mid-stage.
-		cs.inputText = p.String()
-	}
 
 	// One walk of the input digests every function and the program; the
 	// program key, the oracle's seed and every front key derive from those
@@ -637,13 +643,9 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 		if v, ok := cache.get(progKey, diskKindProgramV2, mainSh); ok {
 			art := v.(*programArtifact)
 			// The cached functions are frozen: handing them out by
-			// reference is safe (anything that later wants to mutate one
-			// — including a re-compile of this very program object —
-			// clones at its own mutation point), and it makes the hit
-			// path free of deep copies.
-			for i := range p.Funcs {
-				p.Funcs[i] = art.funcs[i]
-			}
+			// reference is safe (anything that later rewrites one clones
+			// it first), and it makes the hit path free of deep copies.
+			copy(p.Funcs, art.funcs)
 			for name, fr := range art.perFunc {
 				fr.FrontCacheHit = true
 				fr.BackCacheHit = true
@@ -655,72 +657,31 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 		}
 	}
 
+	// in holds the caller's functions, which no pass writes: every
+	// attempt starts its front stage from them, each stage clones a
+	// function before its first rewrite, and an error puts them back in p.
+	in := &ir.Program{Globals: p.Globals, Funcs: append([]*ir.Func(nil), p.Funcs...)}
+	cs.in = in
 	var do *diffOracle
 	if cfg.DiffCheck != DiffOff {
-		do = newDiffOracle(p, pd, cfg, d.reg, d.memo)
-	}
-	// pre is the frozen input every recompile restarts from. A strict
-	// compile never recompiles, so without the oracle it keeps no copy.
-	var pre *ir.Program
-	if do != nil {
-		pre = do.pre
-	} else if !cfg.Strict {
-		pre = p.Clone()
+		do = newDiffOracle(in, pd, cfg, d.reg, d.memo)
 	}
 
 	var states []funcState
-	// bisectAt is the boundary whose check diverged in the last attempt,
-	// which recorded no snapshots; the next attempt reproduces it.
-	var bisectAt string
-	// attempt compiles p once under the quarantine in cs.forced. Every
-	// stage records the faults it recovers from; after the stage joins,
-	// they are escalated into cs.forced in function order, as is a
+	// attempt compiles the input once under the quarantine in cs.forced.
+	// Every stage records the faults it recovers from; after the stage
+	// joins, they are escalated into cs.forced in function order, as is a
 	// divergence the oracle bisects, and attempt returns errRecompile.
 	// retry is false when the compile may not recompile (Strict mode, or
 	// the attempt cap): the first fault or divergence is then returned.
 	// A divergence found with no snapshots to bisect returns errBisect
-	// instead: the next attempt repeats this one uncached, with snapshots.
-	attempt := func(retry bool) error {
+	// instead: the next attempt, with bisect set, repeats this one
+	// uncached and records them.
+	attempt := func(retry, bisect bool) error {
 		states = make([]funcState, len(p.Funcs))
-		reproduce := bisectAt
-		bisectAt = ""
 		cs.cache, cs.snaps = cache, nil
-		if reproduce != "" {
+		if bisect {
 			cs.cache, cs.snaps = nil, newSnapRecorder(len(p.Funcs))
-		}
-
-		// check runs the oracle at one boundary. All oracle work happens
-		// here, on the calling goroutine, after the parallel stages have
-		// joined — worker count cannot influence the verdict or the
-		// counters.
-		check := func(stage string) error {
-			if reproduce != "" {
-				// The attempt being reproduced passed every earlier
-				// boundary: the passes are deterministic.
-				if stage != reproduce {
-					return nil
-				}
-				reproduce = ""
-			}
-			var t0 time.Time
-			if mainSh != nil {
-				t0 = time.Now()
-			}
-			me, err := do.check(ctx, p, stage, cs.snaps)
-			if mainSh != nil {
-				mainSh.Record("oracle:"+stage, "oracle", t0, time.Since(t0))
-			}
-			if errors.Is(err, errBisect) {
-				bisectAt = stage
-			}
-			if err != nil || me == nil {
-				return err
-			}
-			cs.recordMiscompile(me, p, do, mainSh)
-			if !retry || !cs.forced.escalate(me, cfg) {
-				return me
-			}
-			return errRecompile
 		}
 
 		// Front stage (parallel): scalar optimization, injected
@@ -735,11 +696,6 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 		if err := settle(p, states, retry, cs.forced.dropRung); err != nil {
 			return err
 		}
-		if cfg.DiffCheck == DiffPerStage {
-			if err := check(diffStageFront); err != nil {
-				return err
-			}
-		}
 
 		// Interprocedural barrier (sequential): the post-pass CCM
 		// allocator walks the call graph bottom-up, so every function's
@@ -752,11 +708,6 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 				}
 				cs.forced.skipCCM(p, cerr)
 				return errRecompile
-			}
-			if cfg.DiffCheck == DiffPerStage {
-				if err := check(diffStagePostPass); err != nil {
-					return err
-				}
 			}
 		}
 
@@ -783,10 +734,29 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 		if mainSh != nil {
 			mainSh.Record("pass:"+PassVerify, "pass", t, dur)
 		}
-		if do != nil {
-			return check(diffStageFinal)
+		if do == nil {
+			return nil
 		}
-		return nil
+
+		// The oracle runs here, on the calling goroutine, after the
+		// parallel stages have joined: worker count cannot influence the
+		// verdict or the counters.
+		var t0 time.Time
+		if mainSh != nil {
+			t0 = time.Now()
+		}
+		me, err := do.check(ctx, p, cs.snaps)
+		if mainSh != nil {
+			mainSh.Record("oracle:final", "oracle", t0, time.Since(t0))
+		}
+		if err != nil || me == nil {
+			return err
+		}
+		cs.recordMiscompile(me, p, do, mainSh)
+		if !retry || !cs.forced.escalate(me, cfg) {
+			return me
+		}
+		return errRecompile
 	}
 
 	// The one recovery path: each recompile follows a strict escalation
@@ -796,18 +766,17 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	// does not count against the cap.
 	maxAttempts := 4*len(p.Funcs) + 4
 	var err error
-	for n := 1; ; {
-		err = attempt(!cfg.Strict && n < maxAttempts)
+	for n, bisect := 1, false; ; {
+		err = attempt(!cfg.Strict && n < maxAttempts, bisect)
+		bisect = errors.Is(err, errBisect)
 		if errors.Is(err, errRecompile) {
 			n++
-		} else if !errors.Is(err, errBisect) {
+		} else if !bisect {
 			break
-		}
-		for i := range p.Funcs {
-			p.Funcs[i] = pre.Funcs[i].Clone()
 		}
 	}
 	if err != nil {
+		copy(p.Funcs, in.Funcs)
 		d.abort(cs, do, cs.forced.count(p))
 		return nil, err
 	}
@@ -829,18 +798,11 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	// and must not be served to a later compile whose faults might have
 	// been fixed.
 	if cache != nil && cs.failures.Load() == 0 && (do == nil || do.divergences == 0) {
+		// The artifact shares the compiled functions with p; put freezes
+		// any the stages left mutable.
 		art := &programArtifact{
-			funcs:   make([]*ir.Func, len(p.Funcs)),
+			funcs:   append([]*ir.Func(nil), p.Funcs...),
 			perFunc: make(map[string]FuncReport, len(rep.PerFunc)),
-		}
-		for i, f := range p.Funcs {
-			// A frozen function (a front or back artifact) is immutable
-			// and shared by reference; only the mutable bodies, which the
-			// caller's program keeps, are cloned.
-			if !f.Frozen() {
-				f = f.Clone()
-			}
-			art.funcs[i] = f
 		}
 		for name, fr := range rep.PerFunc {
 			fr.FrontCacheHit = false
@@ -856,7 +818,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 
 // errRecompile is what a compile attempt returns once it has escalated
 // its faults or divergence into the quarantine: the driver recompiles
-// the frozen input.
+// the input.
 var errRecompile = errors.New("pipeline: recompile under quarantine")
 
 // settle escalates the faults a per-function stage recorded in states,
@@ -894,8 +856,8 @@ func (d *Driver) postPassBarrier(ctx context.Context, p *ir.Program, cs *compile
 			skip[f.Name] = true
 		} else if f.Frozen() {
 			// Copy-on-write point: the walk rewrites every function it does
-			// not skip, so frozen ones (front-stage cache hits shared by
-			// reference) are cloned now.
+			// not skip, so frozen ones (front artifacts, served or just
+			// stored) are cloned now.
 			p.Funcs[i] = f.Clone()
 		}
 	}
@@ -1078,11 +1040,11 @@ func (d *Driver) runPasses(ctx context.Context, cs *compileState, f *ir.Func, i 
 	return nil
 }
 
-// compileFront runs the front stage for p.Funcs[i] at the function's
-// quarantined rung. A fault is left in st for the driver to escalate;
-// only cancellation returns an error.
+// compileFront runs the front stage for the i-th input function at its
+// quarantined rung and leaves the result in p.Funcs[i]. A fault is left
+// in st for the driver to escalate; only cancellation returns an error.
 func (d *Driver) compileFront(ctx context.Context, p *ir.Program, i int, cs *compileState, st *funcState, sh *obs.Shard) error {
-	f := p.Funcs[i]
+	f := cs.in.Funcs[i]
 	if sh != nil {
 		fstart := time.Now()
 		defer func() {
@@ -1112,12 +1074,10 @@ func (d *Driver) compileFront(ctx context.Context, p *ir.Program, i int, cs *com
 		}
 	}
 
-	// Copy-on-write point: a frozen input (a cached artifact compiled
-	// again) must not be rewritten in place.
-	if f.Frozen() {
-		f = f.Clone()
-		p.Funcs[i] = f
-	}
+	// Copy-on-write point: the passes rewrite the function, and the input
+	// is never written.
+	f = f.Clone()
+	p.Funcs[i] = f
 	passes := d.frontPasses(cs.cfg, level, st)
 	var cerr *CompileError
 	if cs.cfg.VerifyPasses {
@@ -1132,12 +1092,12 @@ func (d *Driver) compileFront(ctx context.Context, p *ir.Program, i int, cs *com
 		return cs.fault(ctx, st, cerr, passNames(passes), sh)
 	}
 	if cache != nil {
-		// The clone isolates the artifact from the stages still to run on
-		// p.Funcs[i]; put freezes it before sharing. The report derives
-		// Attempts, so the artifact stores the 1 of a clean first try.
+		// put freezes f, so the stages still to run on p.Funcs[i] clone it
+		// before they rewrite it. The report derives Attempts, so the
+		// artifact stores the 1 of a clean first try.
 		fr := st.fr
 		fr.Attempts = 1
-		cache.put(key, diskKindFrontV2, &frontArtifact{fn: f.Clone(), fr: fr})
+		cache.put(key, diskKindFrontV2, &frontArtifact{fn: f, fr: fr})
 	}
 	return nil
 }
@@ -1174,7 +1134,7 @@ func (d *Driver) compileBack(ctx context.Context, p *ir.Program, i int, cs *comp
 	}
 
 	// Copy-on-write point: the compaction pass rewrites the function, so
-	// a frozen one (a front-stage cache hit that skipped the barrier) is
+	// a frozen one (a front artifact the barrier did not rewrite) is
 	// cloned here.
 	if f.Frozen() {
 		f = f.Clone()
@@ -1186,7 +1146,7 @@ func (d *Driver) compileBack(ctx context.Context, p *ir.Program, i int, cs *comp
 	}
 	if cs.cache != nil && q.degraded() == "" {
 		cs.cache.put(key, diskKindBackV2, &backArtifact{
-			fn:           f.Clone(),
+			fn:           f,
 			compactAfter: st.fr.SpillBytesCompacted,
 			webs:         st.fr.SpillWebs,
 		})

@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -234,8 +236,8 @@ func TestFrontArtifactSharedAcrossStrategies(t *testing.T) {
 }
 
 // TestProgramArtifactSharesFrozenFuncs: a program artifact holds the
-// frozen front and back artifacts its compile ended with by reference,
-// and clones only the compile's own mutable bodies. A DiffCheck change
+// functions its compile ended with by reference, the frozen front and
+// back artifacts it was served included. A DiffCheck change
 // misses the program tier, but every front and back key hits, so the
 // second program artifact must hold the back artifacts' pointers.
 func TestProgramArtifactSharesFrozenFuncs(t *testing.T) {
@@ -274,9 +276,10 @@ func TestProgramArtifactSharesFrozenFuncs(t *testing.T) {
 func TestConcurrentCompilesShareArtifacts(t *testing.T) {
 	const seed = 29
 	base := detConfig(PostPassInterproc)
-	var cfgs []Config
-	for _, dc := range []DiffCheck{DiffOff, DiffFinal, DiffPerStage} {
-		cfgs = append(cfgs, with(base, func(c *Config) { c.DiffCheck = dc }))
+	cfgs := []Config{
+		base,
+		with(base, func(c *Config) { c.DiffCheck = DiffFinal }),
+		with(base, func(c *Config) { c.DiffCheck, c.DiffVectors = DiffFinal, 5 }),
 	}
 	want := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
@@ -293,14 +296,101 @@ func TestConcurrentCompilesShareArtifacts(t *testing.T) {
 				defer wg.Done()
 				p := workload.RandomProgram(seed)
 				if _, err := d.Compile(p, cfg); err != nil {
-					t.Errorf("%v: %v", cfg.DiffCheck, err)
+					t.Errorf("%v/%d vectors: %v", cfg.DiffCheck, cfg.DiffVectors, err)
 				} else if p.String() != want[i] {
-					t.Errorf("%v: concurrent compile differs from a solo one", cfg.DiffCheck)
+					t.Errorf("%v/%d vectors: concurrent compile differs from a solo one", cfg.DiffCheck, cfg.DiffVectors)
 				}
 			}(i, cfg)
 		}
 	}
 	wg.Wait()
+}
+
+// TestCompileLeavesInputUntouched: a compile never writes the functions
+// it is given. Every input function prints as before the compile; on
+// success p.Funcs holds none of them, and on error p is exactly as
+// given. The rows cover every strategy, oracle mode and Strict setting,
+// uncached and on a cached driver compiling twice (a miss, then a program
+// hit), plus recompiles after a front fault and after a bisected
+// miscompile, and a strict fault that fails the compile.
+func TestCompileLeavesInputUntouched(t *testing.T) {
+	type row struct {
+		name    string
+		cfg     Config
+		cached  bool
+		wantErr bool
+	}
+	var rows []row
+	for _, strat := range allStrategies {
+		for _, dc := range []DiffCheck{DiffOff, DiffFinal} {
+			for _, strict := range []bool{false, true} {
+				for _, cached := range []bool{false, true} {
+					cfg := with(detConfig(strat), func(c *Config) { c.DiffCheck, c.Strict = dc, strict })
+					name := fmt.Sprintf("%v/%v/strict=%v/cached=%v", strat, dc, strict, cached)
+					rows = append(rows, row{name, cfg, cached, false})
+				}
+			}
+		}
+	}
+	fault := with(detConfig(PostPassInterproc), func(c *Config) {
+		c.InjectFront = []InjectedPass{panicOn("main", "exp-bad")}
+	})
+	miscompile := with(detConfig(PostPassInterproc), func(c *Config) {
+		c.DiffCheck = DiffFinal
+		c.InjectFront = []InjectedPass{miscompileOn("main", "exp-dup")}
+	})
+	rows = append(rows,
+		row{"recompile after a front fault", fault, false, false},
+		row{"recompile after a bisected miscompile", miscompile, false, false},
+		row{"strict front fault", with(fault, func(c *Config) { c.Strict = true }), false, true},
+	)
+
+	for _, r := range rows {
+		d := New(Options{DisableCache: !r.cached})
+		compiles := 1
+		if r.cached {
+			compiles = 2
+		}
+		for n := 1; n <= compiles; n++ {
+			p := workload.RandomProgram(13)
+			in := append([]*ir.Func(nil), p.Funcs...)
+			inputs := map[*ir.Func]bool{}
+			texts := make([]string, len(in))
+			for i, f := range in {
+				inputs[f] = true
+				texts[i] = f.String()
+			}
+			whole := p.String()
+
+			rep, err := d.Compile(p, r.cfg)
+			for i, f := range in {
+				if f.String() != texts[i] {
+					t.Errorf("%s, compile %d: input function %s was rewritten", r.name, n, f.Name)
+				}
+			}
+			if r.wantErr {
+				if err == nil {
+					t.Errorf("%s: compile succeeded, want an error", r.name)
+				}
+				if !slices.Equal(p.Funcs, in) || p.String() != whole {
+					t.Errorf("%s: the failed compile changed p", r.name)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s, compile %d: %v", r.name, n, err)
+				continue
+			}
+			if n == 2 && !rep.ProgramCacheHit {
+				t.Errorf("%s: the repeat compile missed the program tier", r.name)
+			}
+			for _, f := range p.Funcs {
+				if inputs[f] {
+					t.Errorf("%s, compile %d: p.Funcs still holds input function %s", r.name, n, f.Name)
+				}
+			}
+		}
+	}
 }
 
 // TestReportShape: pass stats are present, ordered, and measure real

@@ -90,7 +90,10 @@ echo '== e2e: go test -race -run TestCacheDaemonSmoke ./cmd/ccmcached/'
 go test -race -run TestCacheDaemonSmoke ./cmd/ccmcached/
 
 # Allocation guards: the program-tier cache hit must stay clone-free
-# (handing out frozen artifacts by reference), digesting a program and
+# (handing out frozen artifacts by reference), a compile that misses the
+# program key but hits every front and back key must copy nothing of its
+# input (TestAllocGuardWarmFuncTiers: less than one deep clone unchecked,
+# a fixed ceiling with the oracle on), digesting a program and
 # computing its cache keys must allocate a constant per function however
 # large the functions are (TestAllocGuardKeys), the liveness solver
 # must keep its reset-not-realloc arena discipline, a simulator run
