@@ -231,10 +231,13 @@ func compileWith(drv *pipeline.Driver, in *ir.Program, strat Strategy, ccmBytes 
 	return p, rep, err
 }
 
-// runProgram executes a compiled program and returns whole-program and
-// per-function measurements.
-func runProgram(p *ir.Program, ccmBytes int64, cfg Config) (*sim.Stats, error) {
-	return sim.Run(p, "main", sim.Config{MemCost: cfg.MemCost, CCMBytes: ccmBytes})
+// runProgram executes p, which drv compiled with report rep, and returns
+// whole-program and per-function measurements. The run goes through the
+// driver's memo: the oracle's final check of a DiffCheck compile, or an
+// earlier run of the same program, has usually made it already.
+func runProgram(drv *pipeline.Driver, p *ir.Program, rep *pipeline.Report, cfg Config, sc sim.Config) (*sim.Stats, error) {
+	sc.MemCost = cfg.MemCost
+	return drv.Run(cfg.ctx(), p, rep, sc, "main")
 }
 
 // measureRoutine compiles and runs the named routine, built as in, under
@@ -242,7 +245,7 @@ func runProgram(p *ir.Program, ccmBytes int64, cfg Config) (*sim.Stats, error) {
 // promotion count. Residual heavyweight spills are packed (paper
 // footnote 3); this is cycle-neutral but keeps frame sizes honest.
 func measureRoutine(drv *pipeline.Driver, name string, in *ir.Program, strat Strategy, ccmBytes int64, cfg Config) (CycPair, int, error) {
-	p, _, err := compileWith(drv, in, strat, ccmBytes, cfg, true)
+	p, rep, err := compileWith(drv, in, strat, ccmBytes, cfg, true)
 	if err != nil {
 		return CycPair{}, 0, err
 	}
@@ -250,7 +253,7 @@ func measureRoutine(drv *pipeline.Driver, name string, in *ir.Program, strat Str
 	if strat == StrategyPostPass || strat == StrategyPostPassIPA {
 		promoted = countCCMOps(p.Func(name))
 	}
-	st, err := runProgram(p, ccmBytes, cfg)
+	st, err := runProgram(drv, p, rep, cfg, sim.Config{CCMBytes: ccmBytes})
 	if err != nil {
 		return CycPair{}, 0, err
 	}
@@ -282,9 +285,11 @@ func countCCMOps(f *ir.Func) int {
 // The whole run shares one driver, so the compile cache carries artifacts
 // across variants: front artifacts (the front stage is identical for the
 // baseline and both post-pass strategies), back artifacts and whole
-// programs. Config.DiffCheck, which ccmbench and perfbench always set,
-// keeps all three tiers on, and the driver's oracle memo simulates each
-// input's runs once across its variants.
+// programs. Every run goes through the same driver's memo of simulator
+// runs. With Config.DiffCheck, which ccmbench and perfbench always set,
+// the oracle simulates each input's runs once across its variants, and
+// its final check has already run main of every compiled program, so the
+// memo serves the measured runs too.
 func RunSuite(cfg Config) (*SuiteResults, error) {
 	if cfg.Driver == nil {
 		cfg.Driver = cfg.driver()
@@ -327,7 +332,7 @@ func RunRoutineSuite(cfg Config) (*SuiteResults, error) {
 		rr.SpillBefore = fr.SpillBytesNaive
 		rr.SpillAfter = fr.SpillBytesCompacted
 		rr.Webs = fr.SpillWebs
-		st, err := runProgram(p, 0, cfg)
+		st, err := runProgram(drv, p, rep, cfg, sim.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("routine %s baseline: %w", r.Name, err)
 		}
@@ -360,11 +365,11 @@ func RunProgramSuite(cfg Config) (*SuiteResults, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, _, err := compileWith(drv, in, StrategyNone, 0, cfg, true)
+		p, rep, err := compileWith(drv, in, StrategyNone, 0, cfg, true)
 		if err != nil {
 			return nil, fmt.Errorf("program %s: %w", bp.Name, err)
 		}
-		st, err := runProgram(p, 0, cfg)
+		st, err := runProgram(drv, p, rep, cfg, sim.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("program %s baseline: %w", bp.Name, err)
 		}
@@ -372,11 +377,11 @@ func RunProgramSuite(cfg Config) (*SuiteResults, error) {
 
 		for _, size := range cfg.CCMSizes {
 			for _, strat := range Strategies {
-				q, _, err := compileWith(drv, in, strat, size, cfg, true)
+				q, rep, err := compileWith(drv, in, strat, size, cfg, true)
 				if err != nil {
 					return nil, fmt.Errorf("program %s %v/%d: %w", bp.Name, strat, size, err)
 				}
-				st, err := runProgram(q, size, cfg)
+				st, err := runProgram(drv, q, rep, cfg, sim.Config{CCMBytes: size})
 				if err != nil {
 					return nil, fmt.Errorf("program %s %v/%d: %w", bp.Name, strat, size, err)
 				}

@@ -1,9 +1,18 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"ccmem/internal/ir"
+	"ccmem/internal/obs"
+	"ccmem/internal/pipeline"
+	"ccmem/internal/sim"
+	"ccmem/internal/workload"
 )
 
 var (
@@ -392,5 +401,84 @@ func TestWriteReport(t *testing.T) {
 	}
 	if len(out) < 2000 {
 		t.Fatalf("report suspiciously short (%d bytes)", len(out))
+	}
+}
+
+// TestSuiteRunsServedByMemo: a DiffFinal RunSuite simulates only the
+// harness runs its driver's memo cannot serve. The oracle's final check
+// runs main of each compiled program at the CCM size the harness runs it
+// at, so a harness run misses only when that run hit the oracle's 2M-step
+// or depth-256 limit and no earlier harness run of the same program was
+// kept. A second walk of every variant, each compile now a program-tier
+// hit that skips the oracle, is served every run from the memo, and each
+// served Stats must equal a fresh sim.Run of the same program and config.
+func TestSuiteRunsServedByMemo(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := Default()
+	cfg.Strict = true
+	cfg.DiffCheck = pipeline.DiffFinal
+	cfg.Driver = pipeline.New(pipeline.Options{Metrics: reg})
+	res, err := RunSuite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := reg.Counter("sim.memo_hits").Value(), reg.Counter("sim.memo_misses").Value()
+	runs := int64(len(res.Routines)+len(res.Programs)) * int64(1+len(Strategies)*len(cfg.CCMSizes))
+	if hits+misses != runs {
+		t.Fatalf("%d memo hits and %d misses for %d harness runs", hits, misses, runs)
+	}
+
+	type variant struct {
+		strat Strategy
+		size  int64
+	}
+	variants := []variant{{StrategyNone, 0}}
+	for _, size := range cfg.CCMSizes {
+		for _, s := range Strategies {
+			variants = append(variants, variant{s, size})
+		}
+	}
+	var inputs []*ir.Program
+	for _, r := range workload.All() {
+		in, err := r.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, in)
+	}
+	for _, bp := range workload.Programs() {
+		in, err := bp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, in)
+	}
+	unservable := map[string]bool{} // runs past the oracle's limits, by program text and CCM size
+	for _, in := range inputs {
+		for _, v := range variants {
+			p, rep, err := compileWith(cfg.Driver, in, v.strat, v.size, cfg, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := sim.Config{MemCost: cfg.MemCost, CCMBytes: v.size}
+			want, werr := sim.Run(p, "main", sc)
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			if want.Instrs > 2_000_000 {
+				unservable[fmt.Sprint(p, v.size)] = true
+			}
+			before := reg.Counter("sim.memo_hits").Value()
+			got, err := cfg.Driver.Run(context.Background(), p, rep, sc, "main")
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s under %v/%d: the memo served %+v, %v; sim.Run gives %+v", p.Funcs[0].Name, v.strat, v.size, got, err, want)
+			}
+			if reg.Counter("sim.memo_hits").Value() != before+1 {
+				t.Errorf("%s under %v/%d: a repeated run was simulated again", p.Funcs[0].Name, v.strat, v.size)
+			}
+		}
+	}
+	if misses != int64(len(unservable)) {
+		t.Errorf("the suite simulated %d harness runs; %d ran past the oracle's limits", misses, len(unservable))
 	}
 }

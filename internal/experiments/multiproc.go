@@ -69,7 +69,7 @@ func MultiProcess(cfg Config, names []string, ccmBytes int64) (*MultiProcResult,
 		}
 
 		// Copy policy: the process sees the whole CCM.
-		p, _, err := compileWith(drv, in, StrategyPostPassIPA, ccmBytes, cfg, false)
+		p, rep, err := compileWith(drv, in, StrategyPostPassIPA, ccmBytes, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +79,7 @@ func MultiProcess(cfg Config, names []string, ccmBytes int64) (*MultiProcResult,
 				maxUsed = f.CCMBytes
 			}
 		}
-		st, err := sim.Run(p, "main", sim.Config{MemCost: cfg.MemCost, CCMBytes: ccmBytes})
+		st, err := runProgram(drv, p, rep, cfg, sim.Config{CCMBytes: ccmBytes})
 		if err != nil {
 			return nil, err
 		}
@@ -90,15 +90,11 @@ func MultiProcess(cfg Config, names []string, ccmBytes int64) (*MultiProcResult,
 		// Partition policy: compiled against the smaller region, executed
 		// at this process's base register — the simulator enforces that no
 		// access escapes the partition.
-		q, _, err := compileWith(drv, in, StrategyPostPassIPA, partition, cfg, false)
+		q, rep, err := compileWith(drv, in, StrategyPostPassIPA, partition, cfg, false)
 		if err != nil {
 			return nil, err
 		}
-		st2, err := sim.Run(q, "main", sim.Config{
-			MemCost:  cfg.MemCost,
-			CCMBytes: ccmBytes,
-			CCMBase:  int64(i) * partition,
-		})
+		st2, err := runProgram(drv, q, rep, cfg, sim.Config{CCMBytes: ccmBytes, CCMBase: int64(i) * partition})
 		if err != nil {
 			return nil, fmt.Errorf("partition isolation violated for %s: %w", name, err)
 		}

@@ -9,53 +9,71 @@ import (
 	"ccmem/internal/sim"
 )
 
-// Memo bounds. A cold evaluation of the paper's tables stores 2,551
-// observations holding 1,334 trace values; one run may emit up to
-// MaxSteps values, so the value budget also caps what a single
-// observation may retain.
+// Memo bounds. A cold evaluation of the paper's tables stores 2,551 runs
+// holding 56,677 values (1,334 trace values, the rest per-function
+// counters); one run may emit up to MaxSteps trace values, so the value
+// budget also caps what a single run may retain.
 const (
 	memoEntries = 1 << 13
 	memoValues  = 1 << 18
 )
 
-// Memo remembers observations across Checks, so each distinct run is
-// simulated once. It is safe for concurrent use; a driver shares one
-// across all the compiles it checks.
+// Memo remembers simulator runs across Checks and across the runs a
+// driver serves its callers, so each distinct run is simulated once. It
+// is safe for concurrent use; a driver shares one across everything it
+// checks and runs.
 //
 // A run is keyed by the digest of its program's content, the entry, the
-// argument bits and classes, MaxSteps, MaxDepth, and the smaller of the
-// configured CCM and the program's CCM footprint. The simulator reads
-// the CCM size only to allocate the CCM and to bounds-check an access,
-// and a verified program's every access lies below its footprint, so a
-// CCM covering the footprint behaves like any larger one.
+// argument bits and classes, the cost model (MemCost and CCMCost), and
+// the smaller of the configured CCM and the program's CCM footprint. The
+// simulator reads the CCM size only to allocate the CCM and to
+// bounds-check an access, and a verified program's every access lies
+// below its footprint, so a CCM covering the footprint behaves like any
+// larger one. The step and depth limits only end runs, so they stay out
+// of the key: a run that ended without a limit fault answers any request
+// whose MaxSteps and MaxDepth are at least the limits it ran under, and
+// a run a limit cut short answers only requests with its own limits.
 //
-// Cancelled runs are never stored. When full, the oldest entries are
-// evicted first; an observation holding more trace values than the whole
-// budget is not kept.
+// Runs with a memory model, a non-zero CCM base or a trace are never
+// kept: the model carries state across accesses, the base moves every
+// CCM access, and the trace is output the memo does not hold. Cancelled
+// runs are never stored. When full, the oldest entries are evicted
+// first; a run holding more values than the whole budget is not kept.
 type Memo struct {
 	maxEntries, maxValues int
 
 	mu      sync.Mutex
-	entries map[memoKey]*observation
+	entries map[memoKey]*run
 	order   []memoKey // insertion order, oldest first
-	values  int       // trace values retained across entries
+	values  int       // values retained across entries
 }
 
 // NewMemo returns an empty memo with the package's fixed bounds.
 func NewMemo() *Memo { return newMemo(memoEntries, memoValues) }
 
 func newMemo(maxEntries, maxValues int) *Memo {
-	return &Memo{maxEntries: maxEntries, maxValues: maxValues, entries: map[memoKey]*observation{}}
+	return &Memo{maxEntries: maxEntries, maxValues: maxValues, entries: map[memoKey]*run{}}
 }
 
-// memoKey identifies one run up to everything the simulator can observe.
+// memoKey identifies one run up to everything the simulator can observe
+// except its limits, which the run stored under the key carries.
 type memoKey struct {
-	prog     [32]byte
-	entry    string
-	args     string // class byte and bits of each argument
-	maxSteps int64
-	maxDepth int
-	ccmBytes int64 // min(CCMBytes, the program's CCM footprint)
+	prog             [32]byte
+	entry            string
+	args             string // class byte and bits of each argument
+	memCost, ccmCost int
+	ccmBytes         int64 // min(CCMBytes, the program's CCM footprint)
+}
+
+// newMemoKey is the key of runs of p, whose content digest is d, under
+// cfg with its defaults applied; the entry and arguments are left blank.
+func newMemoKey(d [32]byte, p *ir.Program, cfg sim.Config) memoKey {
+	return memoKey{
+		prog:     d,
+		memCost:  cfg.MemCost,
+		ccmCost:  cfg.CCMCost,
+		ccmBytes: min(cfg.CCMBytes, maxCCMFootprint(p)),
+	}
 }
 
 // argKey encodes an argument vector for memoKey.args.
@@ -71,71 +89,127 @@ func argKey(args []sim.Value) string {
 	return string(b)
 }
 
-// side is one program of a check: its resolved machine, and the memo
-// key of its runs with the entry and arguments still blank.
-type side struct {
-	m            *sim.Machine
-	memo         *Memo
-	key          memoKey
-	hits, misses int64
+// run is the outcome of one simulation, shared read-only by every hit.
+type run struct {
+	st       *sim.Stats
+	fault    *sim.Fault // nil on clean termination
+	maxSteps int64      // the limits it ran under
+	maxDepth int
 }
 
-// memoKey is the key of a run of p, whose content digest is d, under o.
-func (o Options) memoKey(d [32]byte, p *ir.Program) memoKey {
-	return memoKey{
-		prog:     d,
-		maxSteps: o.MaxSteps,
-		maxDepth: o.MaxDepth,
-		ccmBytes: min(o.CCMBytes, maxCCMFootprint(p)),
+// limited reports whether a resource limit cut the run short.
+func (r *run) limited() bool { return r.fault != nil && r.fault.Kind == sim.FaultLimit }
+
+// serves reports whether r is the run a request with these limits makes.
+func (r *run) serves(maxSteps int64, maxDepth int) bool {
+	if r.limited() {
+		return maxSteps == r.maxSteps && maxDepth == r.maxDepth
 	}
+	return maxSteps >= r.maxSteps && maxDepth >= r.maxDepth
 }
 
-// observe runs entry on args, or serves the run from the memo.
-func (s *side) observe(ctx context.Context, entry string, args []sim.Value) (*observation, error) {
-	if s.memo == nil {
-		return observe(ctx, s.m, entry, args)
+// size is what r counts against the value budget.
+func (r *run) size() int { return len(r.st.Output) + len(r.st.PerFunc) }
+
+// result returns r as sim.Run returns a run.
+func (r *run) result() (*sim.Stats, error) {
+	if r.fault != nil {
+		return r.st, r.fault
 	}
-	k := s.key
-	k.entry, k.args = entry, argKey(args)
-	if o, ok := s.memo.get(k); ok {
-		s.hits++
-		return o, nil
-	}
-	s.misses++
-	o, err := observe(ctx, s.m, entry, args)
+	return r.st, nil
+}
+
+// simulate runs entry on m, which was resolved under cfg with its
+// defaults applied. A cancelled or unrunnable run returns the
+// simulator's error and no run.
+func simulate(ctx context.Context, m *sim.Machine, cfg sim.Config, entry string, args []sim.Value) (*run, error) {
+	st, err := m.RunContext(ctx, entry, args...)
+	r := &run{st: st, maxSteps: cfg.MaxSteps, maxDepth: cfg.MaxDepth}
 	if err != nil {
-		return nil, err // cancelled or unrunnable: nothing to store
+		f, ok := err.(*sim.Fault)
+		if !ok || f.Kind == sim.FaultCancelled {
+			return nil, err
+		}
+		r.fault = f
 	}
-	s.memo.put(k, o)
-	return o, nil
+	return r, nil
 }
 
-func (m *Memo) get(k memoKey) (*observation, bool) {
+// Run executes entry(args...) of p, whose content digest is d, under cfg
+// and returns its statistics and fault as sim.Run does; a cancelled or
+// unrunnable run returns only its error. A run the memo holds is served
+// without resolving or simulating p, and hit reports it; the Stats are
+// then shared with every other hit and must not be written. Equal
+// digests must mean equal programs.
+func (m *Memo) Run(ctx context.Context, p *ir.Program, d [32]byte, cfg sim.Config, entry string, args ...sim.Value) (st *sim.Stats, hit bool, err error) {
+	if cfg.Memory != nil || cfg.CCMBase != 0 || cfg.Trace != nil {
+		mach, err := sim.New(p, cfg)
+		if err != nil {
+			return nil, false, err
+		}
+		st, err := mach.RunContext(ctx, entry, args...)
+		return st, false, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, false, err
+	}
+	cfg = cfg.WithDefaults()
+	k := newMemoKey(d, p, cfg)
+	k.entry, k.args = entry, argKey(args)
+	if r, ok := m.get(k, cfg.MaxSteps, cfg.MaxDepth); ok {
+		st, err := r.result()
+		return st, true, err
+	}
+	mach, err := sim.New(p, cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	r, err := simulate(ctx, mach, cfg, entry, args)
+	if err != nil {
+		return nil, false, err
+	}
+	m.put(k, r)
+	st, err = r.result()
+	return st, false, err
+}
+
+// get returns the run stored under k if it answers a request with these
+// limits.
+func (m *Memo) get(k memoKey, maxSteps int64, maxDepth int) (*run, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	o, ok := m.entries[k]
-	return o, ok
+	r, ok := m.entries[k]
+	if !ok || !r.serves(maxSteps, maxDepth) {
+		return nil, false
+	}
+	return r, true
 }
 
-// put stores o under k, evicting the oldest entries until both budgets
-// hold. The observation is shared read-only with every later hit.
-func (m *Memo) put(k memoKey, o *observation) {
-	n := len(o.out)
+// put stores r under k, evicting the oldest entries until both budgets
+// hold. A run already under k stays unless r completed and the stored run
+// would not answer r's request: a completed run answers every request
+// its limits cover, and a limited run answers only its own limits.
+func (m *Memo) put(k memoKey, r *run) {
+	n := r.size()
 	if n > m.maxValues {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.entries[k]; ok {
-		return // a concurrent check stored the same run
+	if old, ok := m.entries[k]; ok {
+		if r.limited() || old.serves(r.maxSteps, r.maxDepth) {
+			return // a concurrent request stored the run, or a more useful one
+		}
+		m.values -= old.size()
+	} else {
+		m.order = append(m.order, k)
 	}
-	for len(m.entries) >= m.maxEntries || m.values+n > m.maxValues {
+	m.entries[k] = r
+	m.values += n
+	for len(m.entries) > m.maxEntries || m.values > m.maxValues {
 		old := m.order[0]
 		m.order = m.order[1:]
-		m.values -= len(m.entries[old].out)
+		m.values -= m.entries[old].size()
 		delete(m.entries, old)
 	}
-	m.entries[k] = o
-	m.order = append(m.order, k)
-	m.values += n
 }

@@ -3,11 +3,14 @@ package oracle
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
+	"io"
 	"reflect"
 	"testing"
 
 	"ccmem/internal/core"
 	"ccmem/internal/ir"
+	"ccmem/internal/memsys"
 	"ccmem/internal/obs"
 	"ccmem/internal/regalloc"
 	"ccmem/internal/sim"
@@ -147,17 +150,17 @@ loop:
 }
 
 // TestMemoBounds: inserts past either budget evict the oldest entries
-// until both hold, and an observation larger than the value budget is
-// not kept.
+// until both hold, and a run holding more values than the value budget
+// is not kept.
 func TestMemoBounds(t *testing.T) {
 	const maxEntries, maxValues = 4, 10
 	m := newMemo(maxEntries, maxValues)
 	for i := 0; i < 40; i++ {
-		o := &observation{out: make([]sim.Value, i%7)}
-		m.put(memoKey{entry: "f", args: argKey([]sim.Value{sim.IntValue(int64(i))})}, o)
+		r := &run{st: &sim.Stats{Output: make([]sim.Value, i%7)}}
+		m.put(memoKey{entry: "f", args: argKey([]sim.Value{sim.IntValue(int64(i))})}, r)
 		values := 0
 		for _, e := range m.entries {
-			values += len(e.out)
+			values += e.size()
 		}
 		if len(m.entries) > maxEntries || values > maxValues || values != m.values || len(m.order) != len(m.entries) {
 			t.Fatalf("insert %d: %d entries, %d values (counted %d), %d in order; budgets %d and %d",
@@ -165,8 +168,186 @@ func TestMemoBounds(t *testing.T) {
 		}
 	}
 	big := memoKey{entry: "big"}
-	m.put(big, &observation{out: make([]sim.Value, maxValues+1)})
-	if _, ok := m.get(big); ok {
-		t.Error("an observation over the value budget was kept")
+	m.put(big, &run{st: &sim.Stats{Output: make([]sim.Value, maxValues+1)}})
+	if _, ok := m.get(big, 0, 0); ok {
+		t.Error("a run over the value budget was kept")
+	}
+}
+
+// loopProgram runs 50 iterations of a spilling loop: a few hundred steps,
+// at most one call deep, and a cycle count that depends on MemCost.
+const loopProgram = `func main() {
+entry:
+	r0 = loadi 0
+	r1 = loadi 50
+	r2 = loadi 1
+	jmp head
+head:
+	r3 = cmplt r0, r1
+	cbr r3, body, exit
+body:
+	r0 = add r0, r2
+	spill r0, 0
+	r0 = restore 0
+	jmp head
+exit:
+	emit r0
+	ret
+}
+`
+
+// memoRun runs main of p through m under cfg and checks the Stats
+// against a fresh sim.Run.
+func memoRun(t *testing.T, m *Memo, p *ir.Program, cfg sim.Config) (st *sim.Stats, hit bool) {
+	t.Helper()
+	st, hit, err := m.Run(context.Background(), p, digestOf(p), cfg, "main")
+	want, werr := sim.Run(p, "main", cfg)
+	if !reflect.DeepEqual(st, want) || !reflect.DeepEqual(err, werr) {
+		t.Fatalf("memo run (hit %v) under %+v: got %+v, %v; sim.Run: %+v, %v", hit, cfg, st, err, want, werr)
+	}
+	return st, hit
+}
+
+// TestMemoLimits: a run that completed under the oracle's 2M steps and
+// depth 256 serves a request under the simulator's defaults (500M and
+// 4096); a run that completed under the defaults does not serve the
+// oracle's smaller limits; a run a limit cut short serves only its own
+// limits.
+func TestMemoLimits(t *testing.T) {
+	p := mustParse(t, loopProgram)
+	memo := NewMemo()
+	reg := obs.NewRegistry()
+	mustCheck(t, p, p, withMemo(Options{Obs: reg}, memo, p, p))
+	if _, hit := memoRun(t, memo, p, sim.Config{}); !hit {
+		t.Error("a run completed at 2M/256 did not serve a 500M/4096 request")
+	}
+
+	memo = NewMemo()
+	if _, hit := memoRun(t, memo, p, sim.Config{}); hit {
+		t.Fatal("an empty memo served a run")
+	}
+	reg = obs.NewRegistry()
+	mustCheck(t, p, p, withMemo(Options{Obs: reg}, memo, p, p))
+	// The pre side misses; the post side is the same program and hits.
+	if misses := reg.Counter("oracle.memo_misses").Value(); misses != 1 {
+		t.Errorf("after a 500M run, a 2M check made %d memo misses, want 1", misses)
+	}
+	if _, hit := memoRun(t, memo, p, sim.Config{}); !hit {
+		t.Error("the 2M run the check stored does not serve a 500M request")
+	}
+
+	memo = NewMemo()
+	short := sim.Config{MaxSteps: 100}
+	if st, _ := memoRun(t, memo, p, short); st == nil {
+		t.Fatal("no Stats from a limited run")
+	}
+	if _, hit := memoRun(t, memo, p, short); !hit {
+		t.Error("a limited run does not serve its own limits")
+	}
+	for _, cfg := range []sim.Config{{MaxSteps: 101}, {MaxSteps: 100, MaxDepth: 8}, {}} {
+		if _, hit := memoRun(t, memo, p, cfg); hit {
+			t.Errorf("a run limited at 100 steps served %+v", cfg)
+		}
+	}
+	// The completed run replaced the limited one.
+	if _, hit := memoRun(t, memo, p, sim.Config{}); !hit {
+		t.Error("a completed run was not kept over a limited one")
+	}
+}
+
+// TestMemoKeyAndSkips: MemCost and CCMCost are part of the key; a memory
+// model, a non-zero CCM base and a trace skip the memo.
+func TestMemoKeyAndSkips(t *testing.T) {
+	p := mustParse(t, loopProgram)
+	memo := NewMemo()
+	two, _ := memoRun(t, memo, p, sim.Config{MemCost: 2})
+	if _, hit := memoRun(t, memo, p, sim.Config{}); !hit {
+		t.Error("MemCost 0 (the default, 2) missed a MemCost 2 run")
+	}
+	three, hit := memoRun(t, memo, p, sim.Config{MemCost: 3})
+	if hit || three.Cycles == two.Cycles {
+		t.Errorf("MemCost 3: hit %v, %d cycles against %d at MemCost 2", hit, three.Cycles, two.Cycles)
+	}
+	if _, hit := memoRun(t, memo, p, sim.Config{CCMCost: 5}); hit {
+		t.Error("a different CCMCost hit")
+	}
+	n := len(memo.entries)
+	cache, err := memsys.NewCache(memsys.CacheConfig{LineBytes: 32, Sets: 4, Ways: 1, HitCost: 1, MissCost: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []sim.Config{
+		{Memory: cache},
+		{CCMBytes: 64, CCMBase: 8},
+		{Trace: io.Discard},
+	} {
+		for i := 0; i < 2; i++ {
+			if _, hit := memoRun(t, memo, p, cfg); hit {
+				t.Errorf("%+v hit the memo", cfg)
+			}
+		}
+	}
+	if len(memo.entries) != n {
+		t.Errorf("runs that skip the memo stored %d entries", len(memo.entries)-n)
+	}
+}
+
+// unresolvable returns a copy of p that sim.New rejects but whose entries
+// and signatures match p: every jmp targets a missing label.
+func unresolvable(p *ir.Program) *ir.Program {
+	q := p.Clone()
+	for _, f := range q.Funcs {
+		f.ForEachInstr(func(_ *ir.Block, _ int, in *ir.Instr) {
+			if in.Op == ir.OpJmp {
+				in.Then = "nowhere"
+			}
+		})
+	}
+	return q
+}
+
+// TestMemoizedCheckResolvesNothing: a check whose every run hits the memo
+// resolves neither program. The programs handed to the warm check cannot
+// be resolved at all, so any resolution would fail it; under the same
+// digests it must return the cold check's Result. Without the memo, or
+// under a key the memo lacks, the same programs fail.
+func TestMemoizedCheckResolvesNothing(t *testing.T) {
+	pre := workload.RandomProgram(3)
+	post := pre.Clone()
+	for _, f := range post.Funcs {
+		if _, err := regalloc.Allocate(f, regalloc.Options{IntRegs: 6, FloatRegs: 6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	memo := NewMemo()
+	opts := withMemo(Options{Seed: 7}, memo, pre, post)
+	want := mustCheck(t, pre, post, opts)
+	badPre, badPost := unresolvable(pre), unresolvable(post)
+	got, err := Check(context.Background(), badPre, badPost, opts)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("warm check of unresolvable programs: %+v, %v; want %+v", got, err, want)
+	}
+	if _, err := Check(context.Background(), badPre, badPost, Options{Seed: 7}); err == nil {
+		t.Error("without a memo, the unresolvable programs passed")
+	}
+	opts.Seed = 8 // new vectors: runs the memo has not seen
+	if _, err := Check(context.Background(), badPre, badPost, opts); err == nil {
+		t.Error("a check the memo cannot serve passed without resolving")
+	}
+}
+
+// TestMemoRejectsBadConfigWhenWarm: a CCM above sim.MaxCCMBytes shares
+// its key with any CCM covering the footprint, so the memo holds every
+// run of the check; the configuration must still fail it.
+func TestMemoRejectsBadConfigWhenWarm(t *testing.T) {
+	p := mustParse(t, loopProgram)
+	memo := NewMemo()
+	mustCheck(t, p, p, withMemo(Options{CCMBytes: 64}, memo, p, p))
+	_, err := Check(context.Background(), p, p, withMemo(Options{CCMBytes: sim.MaxCCMBytes + 8}, memo, p, p))
+	if !errors.Is(err, sim.ErrAddressSpace) {
+		t.Errorf("check at %d B through a warm memo: %v, want the address-space error", int64(sim.MaxCCMBytes+8), err)
+	}
+	if _, _, err := memo.Run(context.Background(), p, digestOf(p), sim.Config{CCMBytes: sim.MaxCCMBytes + 8}, "main"); !errors.Is(err, sim.ErrAddressSpace) {
+		t.Errorf("run at %d B through a warm memo: %v, want the address-space error", int64(sim.MaxCCMBytes+8), err)
 	}
 }

@@ -71,10 +71,11 @@ type Options struct {
 	// depend on what earlier checks sharing the memo stored.
 	Obs *obs.Registry
 
-	// Memo, when non-nil, serves every run an earlier check already
-	// observed instead of simulating it again; a hit counts as the run it
-	// replaces. PreDigest and PostDigest identify the two programs'
-	// content for its key: equal digests must mean equal programs.
+	// Memo, when non-nil, serves every run an earlier check or Memo.Run
+	// already made instead of simulating it again; a hit counts as the
+	// run it replaces, and a program is resolved only at its first miss.
+	// PreDigest and PostDigest identify the two programs' content for its
+	// key: equal digests must mean equal programs.
 	Memo                  *Memo
 	PreDigest, PostDigest [32]byte
 }
@@ -131,21 +132,18 @@ func Check(ctx context.Context, pre, post *ir.Program, opts Options) (*Result, e
 		MaxSteps: opts.MaxSteps,
 		MaxDepth: opts.MaxDepth,
 	}
-	// Both programs are resolved even when every run will hit the memo, so
-	// a program the simulator rejects fails the check either way.
-	preM, err := sim.New(pre, cfg)
-	if err != nil {
+	// The configuration is checked on every call, and each program is
+	// resolved at its first memo miss: a program the simulator rejects has
+	// no run in the memo, so it fails the check either way.
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("oracle: resolving pre program: %w", err)
 	}
-	postM, err := sim.New(post, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: resolving post program: %w", err)
-	}
-	preS := side{m: preM, memo: opts.Memo}
-	postS := side{m: postM, memo: opts.Memo}
+	cfg = cfg.WithDefaults()
+	preS := side{name: "pre", p: pre, cfg: cfg, memo: opts.Memo}
+	postS := side{name: "post", p: post, cfg: cfg, memo: opts.Memo}
 	if opts.Memo != nil {
-		preS.key = opts.memoKey(opts.PreDigest, pre)
-		postS.key = opts.memoKey(opts.PostDigest, post)
+		preS.key = newMemoKey(opts.PreDigest, pre, cfg)
+		postS.key = newMemoKey(opts.PostDigest, post, cfg)
 	}
 
 	entries := opts.Entries
@@ -201,7 +199,7 @@ func Check(ctx context.Context, pre, post *ir.Program, opts Options) (*Result, e
 			if err != nil {
 				return nil, err
 			}
-			if preObs.limited || postObs.limited {
+			if preObs.limited() || postObs.limited() {
 				res.Inconclusive++
 				continue
 			}
@@ -229,44 +227,53 @@ func Check(ctx context.Context, pre, post *ir.Program, opts Options) (*Result, e
 	return res, nil
 }
 
-// observation is the observable outcome of one execution.
-type observation struct {
-	out     []sim.Value
-	ret     sim.Value
-	hasRet  bool
-	fault   *sim.Fault // semantic fault, nil on clean termination
-	limited bool       // hit a resource limit: inconclusive
+// side is one program of a check: its memo key with the entry and
+// arguments still blank, and its machine, resolved at the first run the
+// memo does not serve.
+type side struct {
+	name         string // "pre" or "post"
+	p            *ir.Program
+	cfg          sim.Config // with defaults applied
+	memo         *Memo
+	key          memoKey
+	m            *sim.Machine
+	hits, misses int64
 }
 
-// observe runs one (machine, entry, args) triple and classifies the
-// outcome. Resource-limit faults mark the observation inconclusive;
-// cancellation propagates as the context's error.
-func observe(ctx context.Context, m *sim.Machine, entry string, args []sim.Value) (*observation, error) {
-	st, err := m.RunContext(ctx, entry, args...)
-	o := &observation{}
-	if st != nil {
-		o.out = st.Output
-		o.ret, o.hasRet = st.Ret, st.HasRet
+// observe runs entry on args, or serves the run from the memo. A
+// cancelled or unrunnable run aborts the check with an error.
+func (s *side) observe(ctx context.Context, entry string, args []sim.Value) (*run, error) {
+	k := s.key
+	if s.memo != nil {
+		k.entry, k.args = entry, argKey(args)
+		if r, ok := s.memo.get(k, s.cfg.MaxSteps, s.cfg.MaxDepth); ok {
+			s.hits++
+			return r, nil
+		}
+		s.misses++
 	}
-	if err == nil {
-		return o, nil
+	if s.m == nil {
+		m, err := sim.New(s.p, s.cfg)
+		if err != nil {
+			return nil, fmt.Errorf("oracle: resolving %s program: %w", s.name, err)
+		}
+		s.m = m
 	}
-	f, ok := err.(*sim.Fault)
-	if !ok {
-		return nil, fmt.Errorf("oracle: executing %s: %w", entry, err)
-	}
-	switch f.Kind {
-	case sim.FaultCancelled:
+	r, err := simulate(ctx, s.m, s.cfg, entry, args)
+	if err != nil {
+		f, ok := err.(*sim.Fault)
+		if !ok {
+			return nil, fmt.Errorf("oracle: executing %s: %w", entry, err)
+		}
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("oracle: %w", cerr)
 		}
 		return nil, fmt.Errorf("oracle: %w", f)
-	case sim.FaultLimit:
-		o.limited = true
-	default:
-		o.fault = f
 	}
-	return o, nil
+	if s.memo != nil {
+		s.memo.put(k, r)
+	}
+	return r, nil
 }
 
 // compare returns "" when the two observations are behaviorally equal, or
@@ -275,29 +282,30 @@ func observe(ctx context.Context, m *sim.Machine, entry string, args []sim.Value
 // legitimately differ, since the transformed code faults from rewritten
 // instructions. Output emitted before a shared fault is still observable
 // and must match.
-func compare(pre, post *observation) string {
+func compare(pre, post *run) string {
 	if (pre.fault != nil) != (post.fault != nil) {
 		if pre.fault != nil {
 			return fmt.Sprintf("fault only in pre (%v); post terminated cleanly", pre.fault)
 		}
 		return fmt.Sprintf("fault only in post (%v); pre terminated cleanly", post.fault)
 	}
-	if len(pre.out) != len(post.out) {
-		return fmt.Sprintf("trace length %d vs %d", len(pre.out), len(post.out))
+	a, b := pre.st, post.st
+	if len(a.Output) != len(b.Output) {
+		return fmt.Sprintf("trace length %d vs %d", len(a.Output), len(b.Output))
 	}
-	for i := range pre.out {
-		if pre.out[i] != post.out[i] {
-			return fmt.Sprintf("trace[%d] = %s vs %s", i, pre.out[i], post.out[i])
+	for i := range a.Output {
+		if a.Output[i] != b.Output[i] {
+			return fmt.Sprintf("trace[%d] = %s vs %s", i, a.Output[i], b.Output[i])
 		}
 	}
 	if pre.fault != nil {
 		return "" // both faulted with identical partial traces
 	}
-	if pre.hasRet != post.hasRet {
-		return fmt.Sprintf("ret present=%v vs %v", pre.hasRet, post.hasRet)
+	if a.HasRet != b.HasRet {
+		return fmt.Sprintf("ret present=%v vs %v", a.HasRet, b.HasRet)
 	}
-	if pre.hasRet && pre.ret != post.ret {
-		return fmt.Sprintf("ret %s vs %s", pre.ret, post.ret)
+	if a.HasRet && a.Ret != b.Ret {
+		return fmt.Sprintf("ret %s vs %s", a.Ret, b.Ret)
 	}
 	return ""
 }

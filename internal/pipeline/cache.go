@@ -390,16 +390,25 @@ type frontArtifact struct {
 	fr FuncReport // naive spill bytes, spilled ranges, integrated CCM use
 }
 
-// backArtifact is a function after the back stage (compaction).
+// backArtifact is a function after the back stage (compaction), with
+// its digest: the back stage is the last rewrite, so a compiled
+// program's digest is built from the digests its back artifacts carry.
+// An artifact decoded from a lower tier carries none (a zero digest):
+// hashing on decode would charge every warm hit, and a digest read back
+// would key the memo of simulator runs on trust.
 type backArtifact struct {
 	fn           *ir.Func
+	digest       digest // funcDigest(fn), or zero
 	compactAfter int64
 	webs         int
 }
 
 // programArtifact is a fully compiled program: final function bodies in
-// input order plus the complete per-function report.
+// input order, its programDigest (zero when decoded, as for a back
+// artifact), and the complete per-function report. The program key
+// fixes the input's globals, so the digest holds for every hit.
 type programArtifact struct {
 	funcs   []*ir.Func
+	digest  digest
 	perFunc map[string]FuncReport
 }

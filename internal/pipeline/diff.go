@@ -313,12 +313,13 @@ func newDiffOracle(in *ir.Program, pd digest, cfg Config, reg *obs.Registry, mem
 // bisects it.
 var errBisect = errors.New("pipeline: recompile to bisect a divergence")
 
-// check compares the input against the compiled program; nil means the
-// two agree. On divergence it returns errBisect when snaps is nil, and
-// otherwise bisects the snapshots to the first semantically-divergent
-// pass and returns the attributed MiscompileError.
-func (do *diffOracle) check(ctx context.Context, post *ir.Program, snaps *snapRecorder) (*MiscompileError, error) {
-	res, err := do.run(ctx, post)
+// check compares the input against the compiled program, whose
+// programDigest is pd; nil means the two agree. On divergence it returns
+// errBisect when snaps is nil, and otherwise bisects the snapshots to the
+// first semantically-divergent pass and returns the attributed
+// MiscompileError.
+func (do *diffOracle) check(ctx context.Context, post *ir.Program, pd digest, snaps *snapRecorder) (*MiscompileError, error) {
+	res, err := do.run(ctx, post, pd)
 	if err != nil || res.Equivalent() {
 		return nil, err
 	}
@@ -335,10 +336,11 @@ func (do *diffOracle) check(ctx context.Context, post *ir.Program, snaps *snapRe
 	return me, nil
 }
 
-// run checks post against the input and adds the check to the counters.
-func (do *diffOracle) run(ctx context.Context, post *ir.Program) (*oracle.Result, error) {
+// run checks post, whose programDigest is pd, against the input and adds
+// the check to the counters.
+func (do *diffOracle) run(ctx context.Context, post *ir.Program, pd digest) (*oracle.Result, error) {
 	opts := do.opts
-	opts.PostDigest = programDigest(post, nil)
+	opts.PostDigest = pd
 	res, err := oracle.Check(ctx, do.pre, post, opts)
 	if err != nil {
 		return nil, err
@@ -362,7 +364,8 @@ func (do *diffOracle) bisect(ctx context.Context, snaps []passSnap) (pass, fn st
 	lo, hi := 0, len(snaps)-1
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		res, err := do.run(ctx, do.candidate(snaps, mid))
+		cand := do.candidate(snaps, mid)
+		res, err := do.run(ctx, cand, programDigest(cand, nil))
 		if err != nil {
 			return "", "", err
 		}

@@ -145,10 +145,13 @@ func funcDigest(f *ir.Func) digest {
 
 // programDigest addresses a program's content alone, with no Config: its
 // globals and the digests of its functions in order. When fds is non-nil
-// it receives the function digests (len(fds) == len(p.Funcs)), so one walk
-// of the input yields the program digest, and with it the program key and
-// the oracle's seed, and every front key. The oracle also keys its
-// observation memo by the digest of each program it runs.
+// (len(fds) == len(p.Funcs)) it carries the function digests: a non-zero
+// fds[i] is taken as p.Funcs[i]'s digest, and a zero one is computed and
+// written back. So one walk of the input yields the program digest, and
+// with it the program key and the oracle's seed, and every front key; and
+// a compiled program is digested from the digests its back artifacts
+// carry, re-encoding only functions that arrived without one. The memo of
+// simulator runs keys every run by the digest of the program it runs.
 func programDigest(p *ir.Program, fds []digest) digest {
 	h := newHasher(programDigestTag)
 	h.int(len(p.Globals))
@@ -162,9 +165,15 @@ func programDigest(p *ir.Program, fds []digest) digest {
 	}
 	h.int(len(p.Funcs))
 	for i, f := range p.Funcs {
-		fd := funcDigest(f)
+		var fd digest
 		if fds != nil {
-			fds[i] = fd
+			fd = fds[i]
+		}
+		if fd == (digest{}) {
+			fd = funcDigest(f)
+			if fds != nil {
+				fds[i] = fd
+			}
 		}
 		h.sub(fd)
 	}

@@ -436,6 +436,31 @@ func (d *Driver) CloseRemote(ctx context.Context) error {
 	return err
 }
 
+// Run executes entry(args...) of p, a program that a Compile on this
+// driver returned rep for, under cfg, as oracle.Memo.Run does.
+// The run goes through the driver's memo of simulator runs, keyed by the
+// program digest rep carries: a run the oracle or an earlier Run already
+// made is served without resolving or simulating p, and its Stats are
+// then shared and must not be written. With metrics on, sim.memo_hits
+// counts the runs served and sim.memo_misses the runs simulated,
+// including those the memo never keeps (a memory model, a CCM base or a
+// trace).
+func (d *Driver) Run(ctx context.Context, p *ir.Program, rep *Report, cfg sim.Config, entry string, args ...sim.Value) (*sim.Stats, error) {
+	pd := rep.digest
+	if pd == (digest{}) {
+		pd = programDigest(p, nil)
+	}
+	st, hit, err := d.memo.Run(ctx, p, pd, cfg, entry, args...)
+	if d.reg != nil {
+		if hit {
+			d.reg.Counter("sim.memo_hits").Inc()
+		} else {
+			d.reg.Counter("sim.memo_misses").Inc()
+		}
+	}
+	return st, err
+}
+
 // Tracer returns the span tracer this driver records into (nil when
 // tracing is off).
 func (d *Driver) Tracer() *obs.Tracer { return d.tracer }
@@ -462,6 +487,7 @@ type funcState struct {
 	fr       FuncReport
 	frontHit bool
 	backHit  bool
+	digest   digest        // the shipped function's digest, when a back artifact carries it
 	fault    *CompileError // recoverable fault, escalated once the stage joins
 }
 
@@ -646,6 +672,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 			// reference is safe (anything that later rewrites one clones
 			// it first), and it makes the hit path free of deep copies.
 			copy(p.Funcs, art.funcs)
+			rep.digest = art.digest
 			for name, fr := range art.perFunc {
 				fr.FrontCacheHit = true
 				fr.BackCacheHit = true
@@ -668,6 +695,15 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	}
 
 	var states []funcState
+	// outDigest digests the compiled program from the function digests
+	// the back stage carried, hashing only the functions without one.
+	outDigest := func() digest {
+		fds := make([]digest, len(states))
+		for i := range states {
+			fds[i] = states[i].digest
+		}
+		return programDigest(p, fds)
+	}
 	// attempt compiles the input once under the quarantine in cs.forced.
 	// Every stage records the faults it recovers from; after the stage
 	// joins, they are escalated into cs.forced in function order, as is a
@@ -745,7 +781,8 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 		if mainSh != nil {
 			t0 = time.Now()
 		}
-		me, err := do.check(ctx, p, cs.snaps)
+		rep.digest = outDigest()
+		me, err := do.check(ctx, p, rep.digest, cs.snaps)
 		if mainSh != nil {
 			mainSh.Record("oracle:final", "oracle", t0, time.Since(t0))
 		}
@@ -798,10 +835,14 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	// and must not be served to a later compile whose faults might have
 	// been fixed.
 	if cache != nil && cs.failures.Load() == 0 && (do == nil || do.divergences == 0) {
+		if do == nil {
+			rep.digest = outDigest()
+		}
 		// The artifact shares the compiled functions with p; put freezes
 		// any the stages left mutable.
 		art := &programArtifact{
 			funcs:   append([]*ir.Func(nil), p.Funcs...),
+			digest:  rep.digest,
 			perFunc: make(map[string]FuncReport, len(rep.PerFunc)),
 		}
 		for name, fr := range rep.PerFunc {
@@ -1126,6 +1167,7 @@ func (d *Driver) compileBack(ctx context.Context, p *ir.Program, i int, cs *comp
 			// program artifact shares it too.
 			art := v.(*backArtifact)
 			p.Funcs[i] = art.fn
+			st.digest = art.digest
 			st.fr.SpillBytesCompacted = art.compactAfter
 			st.fr.SpillWebs = art.webs
 			st.backHit = true
@@ -1145,8 +1187,10 @@ func (d *Driver) compileBack(ctx context.Context, p *ir.Program, i int, cs *comp
 		return cs.fault(ctx, st, cerr, passNames(passes), sh)
 	}
 	if cs.cache != nil && q.degraded() == "" {
+		st.digest = funcDigest(f)
 		cs.cache.put(key, diskKindBackV2, &backArtifact{
 			fn:           f,
+			digest:       st.digest,
 			compactAfter: st.fr.SpillBytesCompacted,
 			webs:         st.fr.SpillWebs,
 		})

@@ -176,6 +176,12 @@ type Report struct {
 	// corresponding option is off.
 	Spans   int64         `json:"spans,omitempty"`
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
+
+	// digest is the compiled program's programDigest, which Driver.Run
+	// keys the program's runs by; zero when the compile did not compute
+	// it (no cache and no oracle) or served a program decoded from a
+	// lower tier.
+	digest digest
 }
 
 // metrics accumulates per-pass statistics; safe for concurrent workers.

@@ -218,6 +218,7 @@ func (ex *execState) run(f0 frame) error {
 				regs[in.dst] = ex.load(addr)
 				cost, isMem = ex.memCost(addr, false), true
 				st.OrdinaryLoads++
+				st.MainMemOps++
 			case ir.OpLoadAI, ir.OpFLoadAI:
 				addr := int64(regs[in.a0]) + in.imm
 				if err := ex.checkAddr(fr, addr); err != nil {
@@ -226,6 +227,7 @@ func (ex *execState) run(f0 frame) error {
 				regs[in.dst] = ex.load(addr)
 				cost, isMem = ex.memCost(addr, false), true
 				st.OrdinaryLoads++
+				st.MainMemOps++
 			case ir.OpStore, ir.OpFStore:
 				addr := int64(regs[in.a1])
 				if err := ex.checkAddr(fr, addr); err != nil {
@@ -234,6 +236,7 @@ func (ex *execState) run(f0 frame) error {
 				ex.store(addr, regs[in.a0])
 				cost, isMem = ex.memCost(addr, true), true
 				st.OrdinaryStores++
+				st.MainMemOps++
 			case ir.OpStoreAI, ir.OpFStoreAI:
 				addr := int64(regs[in.a1]) + in.imm
 				if err := ex.checkAddr(fr, addr); err != nil {
@@ -242,6 +245,7 @@ func (ex *execState) run(f0 frame) error {
 				ex.store(addr, regs[in.a0])
 				cost, isMem = ex.memCost(addr, true), true
 				st.OrdinaryStores++
+				st.MainMemOps++
 
 			case ir.OpSpill, ir.OpFSpill:
 				addr := fr.base + in.imm
@@ -251,6 +255,7 @@ func (ex *execState) run(f0 frame) error {
 				ex.store(addr, regs[in.a0])
 				cost, isMem = ex.memCost(addr, true), true
 				st.SpillStores++
+				st.MainMemOps++
 			case ir.OpRestore, ir.OpFRestore:
 				addr := fr.base + in.imm
 				if err := ex.checkAddr(fr, addr); err != nil {
@@ -259,6 +264,7 @@ func (ex *execState) run(f0 frame) error {
 				regs[in.dst] = ex.load(addr)
 				cost, isMem = ex.memCost(addr, false), true
 				st.SpillLoads++
+				st.MainMemOps++
 
 			case ir.OpCCMSpill, ir.OpCCMFSpill:
 				slot, err := ex.ccmSlot(fr, in.imm)
@@ -369,9 +375,6 @@ func (ex *execState) run(f0 frame) error {
 			if isMem {
 				st.MemOpCycles += int64(cost)
 				fstats.MemOpCycles += int64(cost)
-				if !in.op.IsCCMOp() {
-					st.MainMemOps++
-				}
 			}
 			fr.pc++
 		}

@@ -103,7 +103,9 @@ type Config struct {
 	Err error
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field that has a default set to
+// it, as New applies them.
+func (c Config) WithDefaults() Config {
 	if c.MemCost == 0 {
 		c.MemCost = 2
 	}
@@ -232,19 +234,27 @@ type Machine struct {
 	memWords   int64 // addressable words: trap word, globals and stack
 }
 
+// Validate reports the error New returns for cfg whatever the program.
+func (c Config) Validate() error {
+	if c.Err != nil {
+		return fmt.Errorf("sim: %w", c.Err)
+	}
+	if c.CCMBytes%ir.WordBytes != 0 || c.CCMBytes < 0 {
+		return fmt.Errorf("sim: CCMBytes %d must be a non-negative multiple of %d", c.CCMBytes, ir.WordBytes)
+	}
+	if c.CCMBytes > MaxCCMBytes {
+		return fmt.Errorf("sim: CCMBytes %d %w (%d bytes)", c.CCMBytes, ErrAddressSpace, MaxCCMBytes)
+	}
+	return nil
+}
+
 // New resolves a program against a configuration. The program must be
 // phi-free and structurally valid (run ir.VerifyProgram first).
 func New(p *ir.Program, cfg Config) (*Machine, error) {
-	if cfg.Err != nil {
-		return nil, fmt.Errorf("sim: %w", cfg.Err)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	if cfg.CCMBytes%ir.WordBytes != 0 || cfg.CCMBytes < 0 {
-		return nil, fmt.Errorf("sim: CCMBytes %d must be a non-negative multiple of %d", cfg.CCMBytes, ir.WordBytes)
-	}
-	if cfg.CCMBytes > MaxCCMBytes {
-		return nil, fmt.Errorf("sim: CCMBytes %d %w (%d bytes)", cfg.CCMBytes, ErrAddressSpace, MaxCCMBytes)
-	}
+	cfg = cfg.WithDefaults()
 	m := &Machine{cfg: cfg, prog: p, funcs: map[string]*rfunc{}, globalBase: map[string]int64{}}
 
 	// Lay out globals from byte 8 upward (0 is the trap page). Sizes are
@@ -282,6 +292,7 @@ func (m *Machine) resolveFunc(rf *rfunc) error {
 	}
 	rf.code = make([]rinstr, 0, n)
 	rf.blockOf = make([]string, 0, n)
+	rf.src = make([]*ir.Instr, 0, n)
 	maxSpill := int64(0)
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {

@@ -316,6 +316,46 @@ entry:
 	if st2.Cycles != 6+10+10 {
 		t.Fatalf("cycles at MemCost=10: %d", st2.Cycles)
 	}
+
+	// One row per main-memory opcode: each executes exactly one, which
+	// must count once in MainMemOps and its own class counter, at
+	// MemCost.
+	type counter func(*Stats) int64
+	ordLoads := func(s *Stats) int64 { return s.OrdinaryLoads }
+	ordStores := func(s *Stats) int64 { return s.OrdinaryStores }
+	spillStores := func(s *Stats) int64 { return s.SpillStores }
+	spillLoads := func(s *Stats) int64 { return s.SpillLoads }
+	for _, row := range []struct {
+		op, code string
+		count    counter
+	}{
+		{"load", "r1 = load r0", ordLoads},
+		{"loadai", "r1 = loadai r0, 8", ordLoads},
+		{"fload", "f1 = fload r0", ordLoads},
+		{"floadai", "f1 = floadai r0, 8", ordLoads},
+		{"store", "r1 = loadi 5\n\tstore r1, r0", ordStores},
+		{"storeai", "r1 = loadi 5\n\tstoreai r1, r0, 8", ordStores},
+		{"fstore", "f1 = loadf 1.5\n\tfstore f1, r0", ordStores},
+		{"fstoreai", "f1 = loadf 1.5\n\tfstoreai f1, r0, 8", ordStores},
+		{"spill", "r1 = loadi 5\n\tspill r1, 0", spillStores},
+		{"fspill", "f1 = loadf 1.5\n\tfspill f1, 0", spillStores},
+		{"restore", "r1 = restore 0", spillLoads},
+		{"frestore", "f1 = frestore 0", spillLoads},
+	} {
+		p, err := ir.Parse("global A 2\nfunc main() {\nentry:\n\tr0 = addr A, 0\n\t" + row.code + "\n\tret\n}\n")
+		if err != nil {
+			t.Fatalf("%s: %v", row.op, err)
+		}
+		st, err := Run(p, "main", Config{MemCost: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", row.op, err)
+		}
+		total := st.OrdinaryLoads + st.OrdinaryStores + st.SpillStores + st.SpillLoads
+		if st.MainMemOps != 1 || row.count(st) != 1 || total != 1 || st.MemOpCycles != 7 || st.CCMOps != 0 {
+			t.Errorf("%s: MainMemOps %d, own counter %d, all class counters %d, memory cycles %d, CCM ops %d; want 1, 1, 1, 7, 0",
+				row.op, st.MainMemOps, row.count(st), total, st.MemOpCycles, st.CCMOps)
+		}
+	}
 }
 
 func TestSpillOpsUseFrame(t *testing.T) {

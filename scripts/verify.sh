@@ -100,12 +100,15 @@ go test -race -run TestCacheDaemonSmoke ./cmd/ccmcached/
 # must allocate the memory it touches rather than the whole stack, the
 # register allocator must carve each round's interference rows from
 # its pooled scratch, post-pass CCM colouring must size its flags by the
-# webs rather than the CCM, and disabled metrics and tracing must
-# allocate nothing. Run with -count=1 so a cached 'ok' can never mask an
-# allocation regression, and without -race (the race runtime inflates
-# allocation counts).
-echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/"
-go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/
+# webs rather than the CCM, disabled metrics and tracing must
+# allocate nothing, and an oracle check whose every run the memo holds
+# must resolve neither program (TestAllocGuardMemoizedCheck: the same
+# allocation count and bytes at 8 and 4,096 blocks per function). Run
+# with -count=1 so a cached 'ok' can never mask an allocation
+# regression, and without -race (the race runtime inflates allocation
+# counts).
+echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/ ./internal/oracle/"
+go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/ ./internal/oracle/
 
 # The root package holds one benchmark per paper table and figure plus
 # the fpppp, simulator and parser micro-benchmarks; internal/pipeline
