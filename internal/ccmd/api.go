@@ -59,10 +59,8 @@ func errBadProgram(err error) *APIError {
 
 // RequestConfig is the per-request slice of pipeline.Config a client
 // may set. It deliberately excludes the driver-level knobs (cache
-// location, worker-pool ceiling): those belong to the operator, not the
-// request. Workers is a hint, clamped to the shared driver's pool size;
-// compilation is deterministic across worker counts, so the hint can
-// change latency but never bytes.
+// location, worker pool): those belong to the operator, not the request,
+// and every request compiles on the one shared driver.
 type RequestConfig struct {
 	Strategy  string `json:"strategy,omitempty"` // none | postpass | postpass-ipa | integrated
 	CCMBytes  int64  `json:"ccm_bytes,omitempty"`
@@ -77,8 +75,6 @@ type RequestConfig struct {
 	Strict       bool   `json:"strict,omitempty"`
 	DiffCheck    string `json:"diff_check,omitempty"` // off | final
 	DiffVectors  int    `json:"diff_vectors,omitempty"`
-
-	Workers int `json:"workers,omitempty"` // hint: 0 = the shared driver's pool
 }
 
 // RequestOptions are per-request service options, outside the compile

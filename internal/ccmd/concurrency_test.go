@@ -15,9 +15,9 @@ import (
 // N concurrent clients with mixed configurations against ONE shared
 // driver (memory + disk cache tiers both live) each get output
 // byte-identical to a solo ccmc compile of their (program, config) —
-// concurrency, cache sharing, worker hints, and repeat requests change
-// latency, never bytes. Run under -race it doubles as the service's
-// race-detector workload.
+// concurrency, cache sharing, and repeat requests change latency, never
+// bytes. Run under -race it doubles as the service's race-detector
+// workload.
 func TestConcurrentClientsByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-client compile matrix")
@@ -36,8 +36,8 @@ func TestConcurrentClientsByteIdentity(t *testing.T) {
 	}
 
 	// Mixed client population: different programs x strategies x CCM
-	// sizes x worker hints, plus deliberate duplicates so some clients
-	// race for the same cache key.
+	// sizes, plus deliberate duplicates so some clients race for the
+	// same cache key.
 	type client struct {
 		name string
 		text string
@@ -53,7 +53,7 @@ func TestConcurrentClientsByteIdentity(t *testing.T) {
 		{"postpass", 512},
 		{"integrated", 256},
 	}
-	for i, rname := range routines {
+	for _, rname := range routines {
 		r, ok := workload.Lookup(rname)
 		if !ok {
 			t.Fatalf("no workload routine %q", rname)
@@ -63,8 +63,8 @@ func TestConcurrentClientsByteIdentity(t *testing.T) {
 			t.Fatalf("build %s: %v", rname, err)
 		}
 		text := p.String()
-		for j, s := range strategies {
-			cfg := RequestConfig{Strategy: s.strat, CCMBytes: s.ccm, Workers: (i + j) % 3}
+		for _, s := range strategies {
+			cfg := RequestConfig{Strategy: s.strat, CCMBytes: s.ccm}
 			clients = append(clients,
 				client{fmt.Sprintf("%s/%s", rname, s.strat), text, cfg},
 				// The duplicate: same key, racing for the same cache slot.

@@ -17,8 +17,7 @@
 //
 //   - Determinism: the artifact a request gets is byte-identical to a
 //     solo ccmc compile of the same (program, config) at any
-//     concurrency and any worker hint. Saturation may cost latency,
-//     never bytes.
+//     concurrency. Saturation may cost latency, never bytes.
 //   - Bounded everything: at most MaxInflight compiles run, at most
 //     MaxQueue wait, trace retention is capped, programs over the size
 //     limit are rejected before parsing.
@@ -347,9 +346,6 @@ func (s *Service) pipelineConfig(req *CompileRequest) (pipeline.Config, *APIErro
 	if req.Config.DiffVectors < 0 {
 		return zero, errBadRequest("config.diff_vectors", "must be >= 0, got %d", req.Config.DiffVectors)
 	}
-	if req.Config.Workers < 0 {
-		return zero, errBadRequest("config.workers", "must be >= 0, got %d", req.Config.Workers)
-	}
 	if req.Config.TimeoutMS < 0 {
 		return zero, errBadRequest("config.timeout_ms", "must be >= 0, got %d", req.Config.TimeoutMS)
 	}
@@ -414,26 +410,6 @@ func tenantOrDefault(t string) string {
 	return t
 }
 
-// driverFor returns the driver a request compiles on: the shared driver
-// unless the request hints a smaller worker pool, in which case a
-// private driver sharing the same cache and registry is built (compile
-// output is deterministic across worker counts, so the hint trades
-// latency, never bytes). Hints above the shared pool are clamped — a
-// request cannot grab more parallelism than the operator provisioned.
-func (s *Service) driverFor(workers int) *pipeline.Driver {
-	if workers <= 0 || workers == s.drv.Workers() {
-		return s.drv
-	}
-	if workers > s.drv.Workers() {
-		return s.drv
-	}
-	return pipeline.New(pipeline.Options{
-		Workers: workers,
-		Cache:   s.drv.Cache(),
-		Metrics: s.reg,
-	})
-}
-
 // Compile serves one compile request end to end: validate, admit
 // (bounded queue), compile on the shared driver, and package
 // the artifact with its report (and trace, when requested).
@@ -468,8 +444,7 @@ func (s *Service) Compile(ctx context.Context, req *CompileRequest) (*CompileRes
 		s.traceRequests.Add(1)
 		s.reg.Counter("ccmd.trace_requests").Inc()
 	}
-	drv := s.driverFor(req.Config.Workers)
-	rep, err := drv.CompileTraced(ctx, p, cfg, tracer)
+	rep, err := s.drv.CompileTraced(ctx, p, cfg, tracer)
 	if err != nil {
 		return nil, compileAPIError(err)
 	}

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,7 +87,7 @@ func TestCompileValidation(t *testing.T) {
 	svc := newTestService(t, nil)
 	cases := []struct {
 		name   string
-		req    CompileRequest
+		req    any // a CompileRequest, or a raw body POSTed to /compile
 		status int
 		code   string
 		field  string
@@ -100,8 +102,6 @@ func TestCompileValidation(t *testing.T) {
 			Config: RequestConfig{DiffCheck: "per-stage"}}, 400, CodeBadRequest, "config.diff_check"},
 		{"ccm without bytes", CompileRequest{Program: testProgram(t, 2),
 			Config: RequestConfig{Strategy: "postpass"}}, 400, CodeBadRequest, "config.ccm_bytes"},
-		{"negative workers", CompileRequest{Program: testProgram(t, 2),
-			Config: RequestConfig{Workers: -1}}, 400, CodeBadRequest, "config.workers"},
 		{"negative timeout", CompileRequest{Program: testProgram(t, 2),
 			Config: RequestConfig{TimeoutMS: -5}}, 400, CodeBadRequest, "config.timeout_ms"},
 		{"negative int regs", CompileRequest{Program: testProgram(t, 2),
@@ -118,10 +118,29 @@ func TestCompileValidation(t *testing.T) {
 			Tenant: "../escape"}, 400, CodeBadRequest, "tenant"},
 		{"tenant with slash", CompileRequest{Program: testProgram(t, 2),
 			Tenant: "a/b"}, 400, CodeBadRequest, "tenant"},
+		// Every request compiles on the shared driver's pool, so a body
+		// naming a worker count is an unknown field.
+		{"removed workers hint", `{"program": "func main() {\nentry:\n\tret\n}\n", "config": {"workers": 2}}`,
+			400, CodeBadRequest, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, apiErr := svc.Compile(context.Background(), &tc.req)
+			var apiErr *APIError
+			switch req := tc.req.(type) {
+			case CompileRequest:
+				_, apiErr = svc.Compile(context.Background(), &req)
+			case string:
+				rec := httptest.NewRecorder()
+				Handler(svc, "test", "").ServeHTTP(rec,
+					httptest.NewRequest(http.MethodPost, "/compile", strings.NewReader(req)))
+				var env errEnvelope
+				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+					t.Fatalf("status %d, undecodable body %q: %v", rec.Code, rec.Body, err)
+				}
+				if apiErr = env.Error; apiErr != nil {
+					apiErr.Status = rec.Code
+				}
+			}
 			if apiErr == nil {
 				t.Fatalf("want error, got success")
 			}
@@ -492,36 +511,6 @@ func TestTraceRingBound(t *testing.T) {
 	}
 	if spans[0].PID != 2 {
 		t.Fatalf("oldest batch not evicted: PID %d survives", spans[0].PID)
-	}
-}
-
-// TestWorkersHintByteIdentity: a request-level workers hint may change
-// scheduling, never bytes, and clamps to the shared pool's size.
-func TestWorkersHintByteIdentity(t *testing.T) {
-	svc := newTestService(t, nil)
-	text := testProgram(t, 7)
-	var outs []string
-	for _, w := range []int{0, 1, 2, 64} {
-		resp, apiErr := svc.Compile(context.Background(), &CompileRequest{
-			Program: text,
-			Config:  RequestConfig{Strategy: "integrated", CCMBytes: 512, Workers: w},
-		})
-		if apiErr != nil {
-			t.Fatalf("workers=%d: %v", w, apiErr)
-		}
-		outs = append(outs, resp.Output)
-	}
-	for i := 1; i < len(outs); i++ {
-		if outs[i] != outs[0] {
-			t.Fatalf("workers hint changed output bytes")
-		}
-	}
-	// The over-ask never built a bigger pool.
-	if d := svc.driverFor(64); d != svc.Driver() {
-		t.Fatalf("workers hint above the pool was not clamped to the shared driver")
-	}
-	if d := svc.driverFor(1); d == svc.Driver() {
-		t.Fatalf("workers=1 hint did not build a private driver")
 	}
 }
 

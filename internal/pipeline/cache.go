@@ -25,21 +25,33 @@ type digest [32]byte
 // Cache is a bounded, thread-safe, content-addressed artifact store with
 // LRU eviction, optionally backed by a persistent disk tier
 // (internal/diskcache) and a remote HTTP tier (internal/remotecache).
-// The read path is memory → disk → remote → miss: a lower-tier hit is
-// decoded, verified, and promoted into every tier above it; a decode
-// failure withdraws the entry (disk quarantine / remote reclassify) and
-// reads as a miss. The write path is write-through to memory and disk and
-// write-behind to the remote tier (asynchronous, bounded, never blocking
-// a compile). A failing disk or a sick remote tier therefore degrades
-// this cache to exactly its upper-tier behavior.
 //
-// Artifacts are immutable shared state: put freezes every ir.Func in the
-// stored artifact (ir.Func.Freeze), which the pipeline's stages store
-// without copying, and get hands artifacts out by reference — no
-// defensive deep copy on the hit path. A consumer that wants to mutate a
-// cached function must take ir.Func.Clone first; the pipeline does so
-// lazily, at the first pass that actually rewrites the function, so a
-// program-tier hit performs zero deep clones.
+// The memory tier holds every artifact: front and back artifacts (one
+// function after a stage) and whole programs. The persistent tiers hold
+// whole programs only, so a compile calls them at most twice, for its
+// program key and on its own goroutine. A program lookup reads memory →
+// disk → remote → miss: a lower-tier hit is decoded, verified, and
+// promoted into every tier above it; a decode failure withdraws the entry
+// (disk quarantine / remote reclassify) and reads as a miss. A program
+// store writes through to memory and disk and behind to the remote tier
+// (asynchronous, bounded, never blocking a compile). A failing disk or a
+// sick remote tier therefore degrades this cache to exactly its
+// upper-tier behavior.
+//
+// The per-function stages never change the memory tier from their
+// workers: lookup reads without reordering, and each function records
+// its hit or its new artifact for commit, which applies them in function
+// order once the stage joins. Which artifacts the LRU keeps, and with
+// them every later compile's hit flags, is then independent of
+// scheduling.
+//
+// Artifacts are immutable shared state: every ir.Func in a stored
+// artifact is frozen (ir.Func.Freeze) — the stages freeze the function
+// they record, putProgram a program's — and lookups hand artifacts out by
+// reference, with no defensive deep copy on the hit path. A consumer that
+// wants to mutate a cached function must take ir.Func.Clone first; the
+// pipeline does so lazily, at the first pass that actually rewrites the
+// function, so a program-tier hit performs zero deep clones.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
@@ -53,16 +65,19 @@ type Cache struct {
 	evictions int64
 
 	// Whole-cache outcome counters, recorded at lookup resolution: a
-	// lookup served from either tier is one wholeHit, a lookup that fell
-	// through both tiers (or whose disk payload failed to decode) is one
-	// wholeMiss. Kept separately from the per-tier counters because no
-	// combination of tier counters reconstructs them: the disk tier can
-	// attach late, detach, or degrade to memory-only mid-run, and its
-	// counters then stop describing this cache's lookups.
+	// lookup served from any tier is one wholeHit, a lookup that fell
+	// through every tier it may consult (or whose payload failed to
+	// decode) is one wholeMiss. Kept separately from the per-tier counters
+	// because no combination of tier counters reconstructs them: the disk
+	// tier can attach late, detach, or degrade to memory-only mid-run, and
+	// its counters then stop describing this cache's lookups.
 	wholeHits   atomic.Int64
 	wholeMisses atomic.Int64
 }
 
+// cacheItem is one memory-tier entry. A stage records one per function
+// for commit: the key of a hit to touch (val nil) or a new artifact to
+// store; a zero key records nothing.
 type cacheItem struct {
 	key digest
 	val any
@@ -96,8 +111,9 @@ func (c *Cache) Disk() *diskcache.Cache {
 	return c.disk
 }
 
-// AttachRemote backs the cache with a remote HTTP tier, consulted after
-// a disk miss. Safe to call on a cache already in use; nil detaches.
+// AttachRemote backs the cache with a remote HTTP tier, consulted for a
+// program key after a disk miss. Safe to call on a cache already in use;
+// nil detaches.
 func (c *Cache) AttachRemote(r *remotecache.Client) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -111,170 +127,183 @@ func (c *Cache) Remote() *remotecache.Client {
 	return c.remote
 }
 
-// kindName labels an artifact kind in spans.
-func kindName(kind uint32) string {
-	switch kind {
-	case diskKindFrontV2:
-		return "front"
-	case diskKindBackV2:
-		return "back"
-	case diskKindProgramV2:
-		return "program"
+// spanStart reads the clock for a cache span only when sh records.
+func spanStart(sh *obs.Shard) time.Time {
+	if sh == nil {
+		return time.Time{}
 	}
-	return "unknown"
+	return time.Now()
 }
 
-// freezeArtifact marks every function in a cached artifact immutable;
-// from then on the artifact may be shared by reference across compiles
-// and workers (see the Cache doc comment).
-func freezeArtifact(v any) {
-	switch a := v.(type) {
-	case *frontArtifact:
-		if a.fn != nil {
-			a.fn.Freeze()
-		}
-	case *backArtifact:
-		if a.fn != nil {
-			a.fn.Freeze()
-		}
-	case *programArtifact:
-		for _, f := range a.funcs {
-			if f != nil {
-				f.Freeze()
-			}
-		}
+// cacheSpan records one tier's lookup ("cache:mem", "cache:disk" or
+// "cache:remote") with its artifact kind and result.
+func cacheSpan(sh *obs.Shard, tier, kind string, t0 time.Time, hit bool) {
+	if sh == nil {
+		return
 	}
+	result := "miss"
+	if hit {
+		result = "hit"
+	}
+	sh.Record(tier, "cache", t0, time.Since(t0),
+		obs.Attr{Key: "kind", Value: kind}, obs.Attr{Key: "result", Value: result})
 }
 
-// get looks k up memory-first, then disk, then remote. sh, when
-// non-nil, receives one span per tier consulted ("cache:mem",
-// "cache:disk", "cache:remote") with kind and result attributes.
-func (c *Cache) get(k digest, kind uint32, sh *obs.Shard) (any, bool) {
-	var t0 time.Time
-	if sh != nil {
-		t0 = time.Now()
-	}
+// memGet reads k from the memory tier and counts the lookup there; touch
+// moves a hit to the front of the LRU.
+func (c *Cache) memGet(k digest, touch bool) (any, bool) {
 	c.mu.Lock()
-	if e, ok := c.entries[k]; ok {
-		c.hits++
-		c.wholeHits.Add(1)
-		c.lru.MoveToFront(e)
-		v := e.Value.(*cacheItem).val
-		c.mu.Unlock()
-		if sh != nil {
-			sh.Record("cache:mem", "cache", t0, time.Since(t0),
-				obs.Attr{Key: "kind", Value: kindName(kind)}, obs.Attr{Key: "result", Value: "hit"})
-		}
-		return v, true
-	}
-	c.misses++
-	disk := c.disk
-	remote := c.remote
-	c.mu.Unlock()
-	if sh != nil {
-		sh.Record("cache:mem", "cache", t0, time.Since(t0),
-			obs.Attr{Key: "kind", Value: kindName(kind)}, obs.Attr{Key: "result", Value: "miss"})
-	}
-	if disk != nil {
-		var t1 time.Time
-		if sh != nil {
-			t1 = time.Now()
-		}
-		diskSpan := func(result string) {
-			if sh != nil {
-				sh.Record("cache:disk", "cache", t1, time.Since(t1),
-					obs.Attr{Key: "kind", Value: kindName(kind)}, obs.Attr{Key: "result", Value: result})
-			}
-		}
-		// Get quarantines a verified entry of another kind (one written
-		// by an earlier release's JSON codec): Put is a no-op on an
-		// indexed key, so leaving it would block its v2 replacement.
-		payload, ok := disk.Get(diskcache.Key(k), kind)
-		if ok {
-			v, err := decodeArtifact(kind, payload)
-			if err != nil {
-				// The entry's bytes verified but its payload is garbage: a
-				// foreign or buggy writer. Withdraw it and read as a miss
-				// (the remote tier may still have a good copy below).
-				disk.ReportDecodeFailure(diskcache.Key(k))
-				diskSpan("miss")
-			} else {
-				freezeArtifact(v)
-				c.wholeHits.Add(1)
-				diskSpan("hit")
-				// Promote into memory so repeat lookups skip the disk; no
-				// counters — the disk tier already recorded the hit.
-				c.mu.Lock()
-				c.insertLocked(k, v)
-				c.mu.Unlock()
-				return v, true
-			}
-		} else {
-			diskSpan("miss")
-		}
-	}
-	if remote == nil {
-		c.wholeMisses.Add(1)
+	defer c.mu.Unlock()
+	e, ok := c.entries[k]
+	if !ok {
+		c.misses++
 		return nil, false
 	}
-	var t2 time.Time
-	if sh != nil {
-		t2 = time.Now()
+	c.hits++
+	c.wholeHits.Add(1)
+	if touch {
+		c.lru.MoveToFront(e)
 	}
-	remoteSpan := func(result string) {
-		if sh != nil {
-			sh.Record("cache:remote", "cache", t2, time.Since(t2),
-				obs.Attr{Key: "kind", Value: kindName(kind)}, obs.Attr{Key: "result", Value: result})
-		}
-	}
-	payload, ok := remote.Get(diskcache.Key(k), kind)
+	return e.Value.(*cacheItem).val, true
+}
+
+// lookup reads a front or back artifact from the memory tier alone and
+// leaves the LRU order as it is; the stage records a hit for commit.
+// kind labels the "cache:mem" span sh receives.
+func (c *Cache) lookup(k digest, kind string, sh *obs.Shard) (any, bool) {
+	t0 := spanStart(sh)
+	v, ok := c.memGet(k, false)
 	if !ok {
 		c.wholeMisses.Add(1)
-		remoteSpan("miss")
-		return nil, false
 	}
-	v, err := decodeArtifact(kind, payload)
-	if err != nil {
-		// Checksum-consistent bytes from a buggy writer: reclassify the
-		// remote hit as a miss and fall through to a real compile.
-		remote.ReportDecodeFailure()
-		c.wholeMisses.Add(1)
-		remoteSpan("miss")
-		return nil, false
-	}
-	freezeArtifact(v)
-	c.wholeHits.Add(1)
-	remoteSpan("hit")
-	// Promote into memory and disk so repeat lookups — and future
-	// process restarts — stop paying for the network.
-	c.mu.Lock()
-	c.insertLocked(k, v)
-	c.mu.Unlock()
-	if disk != nil {
-		disk.Put(diskcache.Key(k), kind, payload)
-	}
-	return v, true
+	cacheSpan(sh, "cache:mem", kind, t0, ok)
+	return v, ok
 }
 
-func (c *Cache) put(k digest, kind uint32, v any) {
-	// Frozen before it is shared: from the moment the artifact enters the
-	// memory tier, concurrent compiles may hold references to it.
-	freezeArtifact(v)
+// commit applies the memory-tier effects a per-function stage recorded
+// in states, in function order: a hit moves to the front, a new artifact
+// is inserted, evicting over the bound. No two functions of one compile
+// share a key (a function's name is part of its digest), so deferring a
+// store to the join changes no hit inside the stage. A nil cache (caching
+// off, or a bisect attempt) has nothing to commit.
+func (c *Cache) commit(states []funcState) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
-	c.insertLocked(k, v)
-	disk := c.disk
-	remote := c.remote
+	defer c.mu.Unlock()
+	for i := range states {
+		m := states[i].mem
+		states[i].mem = cacheItem{}
+		if m.val != nil {
+			c.insertLocked(m.key, m.val)
+		} else if e, ok := c.entries[m.key]; ok {
+			c.lru.MoveToFront(e)
+		}
+	}
+}
+
+// getProgram looks a program key up memory-first, then disk, then
+// remote. sh, when non-nil, receives one span per tier consulted.
+func (c *Cache) getProgram(k digest, sh *obs.Shard) (*programArtifact, bool) {
+	t0 := spanStart(sh)
+	v, ok := c.memGet(k, true)
+	cacheSpan(sh, "cache:mem", "program", t0, ok)
+	if ok {
+		return v.(*programArtifact), true
+	}
+	c.mu.Lock()
+	disk, remote := c.disk, c.remote
+	c.mu.Unlock()
+	key := diskcache.Key(k)
+	if disk != nil {
+		t1 := spanStart(sh)
+		// Get quarantines a verified entry of another kind (one an earlier
+		// release wrote): Put is a no-op on an indexed key, so leaving it
+		// would block its replacement. A verified payload that does not
+		// decode came from a foreign or buggy writer and is withdrawn the
+		// same way; the remote tier may still have a good copy.
+		payload, ok := disk.Get(key, diskKindProgramV2)
+		a, ok := decodeHit(payload, ok, func() { disk.ReportDecodeFailure(key) })
+		cacheSpan(sh, "cache:disk", "program", t1, ok)
+		if ok {
+			// Promote into memory so repeat lookups skip the disk; no
+			// counters — the disk tier already recorded the hit.
+			c.promote(k, a)
+			return a, true
+		}
+	}
+	if remote != nil {
+		t2 := spanStart(sh)
+		// Checksum-consistent bytes from a buggy writer: the hit is
+		// reclassified as a miss and the program compiles.
+		payload, ok := remote.Get(key, diskKindProgramV2)
+		a, ok := decodeHit(payload, ok, remote.ReportDecodeFailure)
+		cacheSpan(sh, "cache:remote", "program", t2, ok)
+		if ok {
+			// Promote into memory and disk so repeat lookups — and future
+			// process restarts — stop paying for the network.
+			c.promote(k, a)
+			if disk != nil {
+				disk.Put(key, diskKindProgramV2, payload)
+			}
+			return a, true
+		}
+	}
+	c.wholeMisses.Add(1)
+	return nil, false
+}
+
+// decodeHit decodes the payload of a persistent tier's hit; a payload
+// that does not decode is withdrawn from its tier and reads as a miss.
+func decodeHit(payload []byte, hit bool, withdraw func()) (*programArtifact, bool) {
+	if !hit {
+		return nil, false
+	}
+	a, err := decodeProgramV2(payload)
+	if err != nil {
+		withdraw()
+		return nil, false
+	}
+	return a, true
+}
+
+// promote freezes a program decoded from a lower tier and inserts it
+// into the memory tier as a whole-cache hit.
+func (c *Cache) promote(k digest, a *programArtifact) {
+	freezeFuncs(a.funcs)
+	c.wholeHits.Add(1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.insertLocked(k, a)
+}
+
+// putProgram stores a program artifact in memory, writes it through to
+// the disk tier and behind to the remote tier. It freezes the program's
+// functions first: from the moment the artifact enters the memory tier,
+// concurrent compiles may hold references to it.
+func (c *Cache) putProgram(k digest, a *programArtifact) {
+	freezeFuncs(a.funcs)
+	c.mu.Lock()
+	c.insertLocked(k, a)
+	disk, remote := c.disk, c.remote
 	c.mu.Unlock()
 	if disk == nil && remote == nil {
 		return
 	}
-	payload := encodeArtifact(kind, v)
+	payload := encodeProgramV2(a)
 	if disk != nil {
-		disk.Put(diskcache.Key(k), kind, payload)
+		disk.Put(diskcache.Key(k), diskKindProgramV2, payload)
 	}
 	if remote != nil {
 		// Write-behind: queued, never blocking the compile.
-		remote.Put(diskcache.Key(k), kind, payload)
+		remote.Put(diskcache.Key(k), diskKindProgramV2, payload)
+	}
+}
+
+func freezeFuncs(funcs []*ir.Func) {
+	for _, f := range funcs {
+		f.Freeze()
 	}
 }
 
@@ -393,20 +422,21 @@ type frontArtifact struct {
 // backArtifact is a function after the back stage (compaction), with
 // its digest: the back stage is the last rewrite, so a compiled
 // program's digest is built from the digests its back artifacts carry.
-// An artifact decoded from a lower tier carries none (a zero digest):
-// hashing on decode would charge every warm hit, and a digest read back
-// would key the memo of simulator runs on trust.
+// Back artifacts live in the memory tier alone, so every one carries its
+// digest.
 type backArtifact struct {
 	fn           *ir.Func
-	digest       digest // funcDigest(fn), or zero
+	digest       digest // funcDigest(fn)
 	compactAfter int64
 	webs         int
 }
 
 // programArtifact is a fully compiled program: final function bodies in
-// input order, its programDigest (zero when decoded, as for a back
-// artifact), and the complete per-function report. The program key
-// fixes the input's globals, so the digest holds for every hit.
+// input order, its programDigest, and the complete per-function report.
+// The program key fixes the input's globals, so the digest holds for
+// every hit. A program decoded from a lower tier carries no digest (a
+// zero one): hashing on decode would charge every warm hit, and a digest
+// read back would key the memo of simulator runs on trust.
 type programArtifact struct {
 	funcs   []*ir.Func
 	digest  digest

@@ -9,8 +9,21 @@ import (
 	"ccmem/internal/ir"
 )
 
-// Codec v2: the binary artifact payload format behind diskKindFrontV2,
-// diskKindBackV2, and diskKindProgramV2.
+// Artifact kinds namespace the persistent tiers: an entry of one kind can
+// never be decoded as another, even if a key collision were engineered,
+// because the kind is stored in the verified entry header and checked on
+// read. The values are part of the on-disk format — append, never
+// renumber.
+//
+// Only whole programs persist, as kind 6. Kinds 1-3 were the JSON
+// payloads of earlier releases, and kinds 4 and 5 the codec v2 front and
+// back artifacts, which now live in the memory tier alone; all five are
+// reserved and never reused. An entry of a reserved kind under a key this
+// release looks up reads as a miss and is quarantined, so the recompile
+// can store its replacement under the same key.
+const diskKindProgramV2 uint32 = 6
+
+// Codec v2: the binary payload format of diskKindProgramV2.
 //
 // Design rules:
 //
@@ -128,23 +141,9 @@ func (w *bw) report(fr *FuncReport) {
 	w.str(fr.Error)
 }
 
-func encodeFrontV2(a *frontArtifact) []byte {
-	w := &bw{}
-	w.u8(codecV2Version)
-	w.fn(a.fn)
-	w.report(&a.fr)
-	return w.b
-}
-
-func encodeBackV2(a *backArtifact) []byte {
-	w := &bw{}
-	w.u8(codecV2Version)
-	w.fn(a.fn)
-	w.i64(a.compactAfter)
-	w.i64(int64(a.webs))
-	return w.b
-}
-
+// encodeProgramV2 renders a program artifact for the persistent tiers.
+// Encoding is total: every value the pipeline produces is representable,
+// NaN float immediates included.
 func encodeProgramV2(a *programArtifact) []byte {
 	w := &bw{}
 	w.u8(codecV2Version)
@@ -458,56 +457,14 @@ func (r *br) done() error {
 	return nil
 }
 
-func decodeFrontV2(payload []byte) (*frontArtifact, error) {
-	r := &br{b: payload}
-	if err := r.version(); err != nil {
-		return nil, err
-	}
-	f, err := r.fn()
-	if err != nil {
-		return nil, err
-	}
-	fr, err := r.report()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	if err := validateFunc(f); err != nil {
-		return nil, err
-	}
-	f.Renumber()
-	return &frontArtifact{fn: f, fr: fr}, nil
-}
-
-func decodeBackV2(payload []byte) (*backArtifact, error) {
-	r := &br{b: payload}
-	if err := r.version(); err != nil {
-		return nil, err
-	}
-	f, err := r.fn()
-	if err != nil {
-		return nil, err
-	}
-	compactAfter, err := r.i64()
-	if err != nil {
-		return nil, err
-	}
-	webs, err := r.i64()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	if err := validateFunc(f); err != nil {
-		return nil, err
-	}
-	f.Renumber()
-	return &backArtifact{fn: f, compactAfter: compactAfter, webs: int(webs)}, nil
-}
-
+// decodeProgramV2 parses a checksum-verified payload back into a program
+// artifact. The checksum guarantees the bytes are what a writer produced,
+// not that the writer was sane, so the decoded shape is still validated:
+// a malformed payload is an error, which the caller turns into (miss,
+// quarantine) — never a wrong artifact. Validation is all-or-nothing:
+// nothing in the decoded value is mutated (block renumbering) until every
+// function and cross-field invariant has been checked, so an error never
+// leaves a half-canonicalized artifact behind.
 func decodeProgramV2(payload []byte) (*programArtifact, error) {
 	r := &br{b: payload}
 	if err := r.version(); err != nil {
@@ -570,4 +527,41 @@ func decodeProgramV2(payload []byte) (*programArtifact, error) {
 		f.Renumber()
 	}
 	return &programArtifact{funcs: funcs, perFunc: perFunc}, nil
+}
+
+// validateFunc rejects structurally hollow decoded functions. It never
+// mutates f: callers renumber blocks (the one piece of derived state in
+// the IR) only after every sibling of the artifact has validated.
+func validateFunc(f *ir.Func) error {
+	if f == nil {
+		return fmt.Errorf("pipeline: disk artifact has a nil function")
+	}
+	if f.Name == "" || len(f.Blocks) == 0 {
+		return fmt.Errorf("pipeline: disk artifact function %q is hollow", f.Name)
+	}
+	for _, b := range f.Blocks {
+		if b == nil {
+			return fmt.Errorf("pipeline: disk artifact function %q has a nil block", f.Name)
+		}
+	}
+	return nil
+}
+
+// checkPerFunc rejects a program artifact whose report map disagrees with
+// its function list. The writer records exactly one report per function,
+// so any divergence — a missing report, or a report for a function that
+// is not in the artifact — means the payload did not come from a sane
+// writer and must be quarantined like any other malformed entry rather
+// than served with silently wrong per-function accounting.
+func checkPerFunc(funcs []*ir.Func, perFunc map[string]FuncReport) error {
+	if len(perFunc) != len(funcs) {
+		return fmt.Errorf("pipeline: disk program artifact has %d reports for %d functions",
+			len(perFunc), len(funcs))
+	}
+	for _, f := range funcs {
+		if _, ok := perFunc[f.Name]; !ok {
+			return fmt.Errorf("pipeline: disk program artifact is missing the report for %q", f.Name)
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -11,10 +12,10 @@ import (
 	"ccmem/internal/workload"
 )
 
-// codecArtifacts compiles a real workload program cold and shapes the
-// results into one artifact of each kind, so codec tests exercise the
-// exact structures the pipeline persists.
-func codecArtifacts(tb testing.TB) (*frontArtifact, *backArtifact, *programArtifact) {
+// codecArtifact compiles a real workload program cold and shapes the
+// result into a program artifact, so codec tests exercise the exact
+// structure the pipeline persists.
+func codecArtifact(tb testing.TB) *programArtifact {
 	tb.Helper()
 	p := workload.RandomProgram(7)
 	d := New(Options{DisableCache: true})
@@ -22,65 +23,44 @@ func codecArtifacts(tb testing.TB) (*frontArtifact, *backArtifact, *programArtif
 	if err != nil {
 		tb.Fatal(err)
 	}
-	front := &frontArtifact{fn: p.Funcs[0], fr: rep.PerFunc[p.Funcs[0].Name]}
-	back := &backArtifact{fn: p.Funcs[len(p.Funcs)-1], compactAfter: 17, webs: 3}
-	prog := &programArtifact{funcs: p.Funcs, perFunc: rep.PerFunc}
-	return front, back, prog
+	return &programArtifact{funcs: p.Funcs, perFunc: rep.PerFunc}
 }
 
-// TestCodecV2RoundTrip: decode∘encode is the identity on real artifacts,
-// observed through re-encoding (byte equality is stronger than any
-// field-by-field comparison, since the encoding is canonical).
+// TestCodecV2RoundTrip: decode∘encode is the identity on a real program
+// artifact, observed through re-encoding (byte equality is stronger than
+// any field-by-field comparison, since the encoding is canonical).
 func TestCodecV2RoundTrip(t *testing.T) {
-	front, back, prog := codecArtifacts(t)
-	for _, tc := range []struct {
-		kind uint32
-		v    any
-	}{
-		{diskKindFrontV2, front},
-		{diskKindBackV2, back},
-		{diskKindProgramV2, prog},
-	} {
-		payload := encodeArtifact(tc.kind, tc.v)
-		got, err := decodeArtifact(tc.kind, payload)
-		if err != nil {
-			t.Fatalf("kind %d: decode: %v", tc.kind, err)
-		}
-		if re := encodeArtifact(tc.kind, got); !bytes.Equal(re, payload) {
-			t.Errorf("kind %d: decode∘encode is not the identity (%d vs %d bytes)", tc.kind, len(re), len(payload))
-		}
+	payload := encodeProgramV2(codecArtifact(t))
+	got, err := decodeProgramV2(payload)
+	if err != nil {
+		t.Fatalf("kind %d: decode: %v", diskKindProgramV2, err)
+	}
+	if re := encodeProgramV2(got); !bytes.Equal(re, payload) {
+		t.Errorf("kind %d: decode∘encode is not the identity (%d vs %d bytes)", diskKindProgramV2, len(re), len(payload))
 	}
 }
 
 // FuzzBinaryArtifactDecode is the hostile-input oracle for codec v2: over
-// arbitrary bytes, every decoder must either reject or produce an
+// arbitrary bytes, the program decoder must either reject or produce an
 // artifact whose canonical re-encoding reproduces the input exactly.
 // Decoding must never panic and never accept two encodings of one value.
 func FuzzBinaryArtifactDecode(f *testing.F) {
-	front, back, prog := codecArtifacts(f)
-	fe, be, pe := encodeFrontV2(front), encodeBackV2(back), encodeProgramV2(prog)
-	f.Add(fe)
-	f.Add(be)
+	prog := codecArtifact(f)
+	pe := encodeProgramV2(prog)
+	one := encodeProgramV2(&programArtifact{funcs: prog.funcs[:1],
+		perFunc: map[string]FuncReport{prog.funcs[0].Name: prog.perFunc[prog.funcs[0].Name]}})
 	f.Add(pe)
+	f.Add(one)
+	f.Add(append(bytes.Clone(one), 0))
 	f.Add([]byte{})
 	f.Add([]byte{codecV2Version})
-	f.Add(fe[:len(fe)/2])
+	f.Add(pe[:len(pe)/2])
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	flipped := bytes.Clone(pe)
 	flipped[len(flipped)/3] ^= 0x20
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if a, err := decodeFrontV2(data); err == nil {
-			if !bytes.Equal(encodeFrontV2(a), data) {
-				t.Fatalf("front decode accepted a non-canonical encoding (%d bytes)", len(data))
-			}
-		}
-		if a, err := decodeBackV2(data); err == nil {
-			if !bytes.Equal(encodeBackV2(a), data) {
-				t.Fatalf("back decode accepted a non-canonical encoding (%d bytes)", len(data))
-			}
-		}
 		if a, err := decodeProgramV2(data); err == nil {
 			if !bytes.Equal(encodeProgramV2(a), data) {
 				t.Fatalf("program decode accepted a non-canonical encoding (%d bytes)", len(data))
@@ -93,7 +73,7 @@ func FuzzBinaryArtifactDecode(f *testing.F) {
 // report map disagrees with its function list is malformed — served
 // per-function accounting must never be silently wrong.
 func TestProgramDecodeRejectsPerFuncMismatch(t *testing.T) {
-	_, _, prog := codecArtifacts(t)
+	prog := codecArtifact(t)
 
 	// v2: drop one report, then point one at a function that isn't there.
 	missing := &programArtifact{funcs: prog.funcs, perFunc: map[string]FuncReport{}}
@@ -114,7 +94,7 @@ func TestProgramDecodeRejectsPerFuncMismatch(t *testing.T) {
 // hollow must be rejected outright, not partially served or partially
 // canonicalized.
 func TestProgramDecodeAllOrNothing(t *testing.T) {
-	_, _, prog := codecArtifacts(t)
+	prog := codecArtifact(t)
 	bad := append(append([]*ir.Func{}, prog.funcs...), &ir.Func{Name: "hollow"})
 	perFunc := map[string]FuncReport{"hollow": {}}
 	for name, fr := range prog.perFunc {
@@ -132,15 +112,15 @@ func TestProgramDecodeAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestStaleKindEntryIsSelfHealingMiss: an entry of a retired kind (the
-// JSON kinds 1-3 of earlier releases) stored under the exact key a
-// compile looks up is one clean miss, on a cache directory and on a
-// cache server alike. The compile is byte-identical to a cold one, the
-// stale entry is quarantined exactly once, and its v2 replacement serves
-// the next process a program-tier hit.
+// TestStaleKindEntryIsSelfHealingMiss: an entry of a reserved kind
+// stored under the exact key a compile looks up is one clean miss, on a
+// cache directory and on a cache server alike. The rows are the retired
+// JSON program kind 3 and the codec v2 front and back kinds 4 and 5,
+// which are no longer persisted. The compile is byte-identical to a cold
+// one, the stale entry is quarantined exactly once, and its kind-6
+// replacement serves the next process a program-tier hit.
 func TestStaleKindEntryIsSelfHealingMiss(t *testing.T) {
 	const seed = 21
-	const staleKind = 3 // the retired JSON program kind
 	cfg := detConfig(Integrated)
 	want := coldILOC(t, seed, cfg)
 	key := diskcache.Key(programKey(programDigest(workload.RandomProgram(seed), nil), cfg.withDefaults()))
@@ -164,7 +144,7 @@ func TestStaleKindEntryIsSelfHealingMiss(t *testing.T) {
 		defer closeRemote(t, fresh)
 		pf := workload.RandomProgram(seed)
 		if rep := mustCompile(t, fresh, pf, cfg); !rep.ProgramCacheHit {
-			t.Error("v2 replacement did not serve the restarted driver a program hit")
+			t.Error("kind-6 replacement did not serve the restarted driver a program hit")
 		}
 		if pf.String() != want {
 			t.Error("restarted compile differs from cold compile")
@@ -178,19 +158,28 @@ func TestStaleKindEntryIsSelfHealingMiss(t *testing.T) {
 		}
 	}
 
+	staleKinds := []uint32{3, 4, 5}
 	t.Run("disk", func(t *testing.T) {
-		dir := t.TempDir()
-		dc, err := diskcache.Open(dir, diskcache.Options{})
-		if err != nil {
-			t.Fatal(err)
+		for _, kind := range staleKinds {
+			t.Run(fmt.Sprintf("kind-%d", kind), func(t *testing.T) {
+				dir := t.TempDir()
+				dc, err := diskcache.Open(dir, diskcache.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				dc.Put(key, kind, stale)
+				run(t, Options{CacheDir: dir}, dir)
+			})
 		}
-		dc.Put(key, staleKind, stale)
-		run(t, Options{CacheDir: dir}, dir)
 	})
 	t.Run("remote", func(t *testing.T) {
-		srv, hs := remoteServer(t)
-		srv.Store().Put(key, staleKind, stale)
-		run(t, Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()}, srv.Store().Dir())
+		for _, kind := range staleKinds {
+			t.Run(fmt.Sprintf("kind-%d", kind), func(t *testing.T) {
+				srv, hs := remoteServer(t)
+				srv.Store().Put(key, kind, stale)
+				run(t, Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()}, srv.Store().Dir())
+			})
+		}
 	})
 }
 

@@ -73,9 +73,9 @@ func checkCarriedDigests(t *testing.T, what string, drv *Driver, inputs []*ir.Pr
 // suite is compiled under every strategy with compaction on and off,
 // cold and then from the program tier, and every report and back
 // artifact must carry a digest. A sample is then read back from disk:
-// decoded artifacts carry none, and a compile that misses the program
-// tier but is served its back artifacts from disk digests what it was
-// served.
+// decoded program artifacts carry none, and a checked compile on the
+// filled directory, which misses the program tier, finds no function
+// artifact there (those live in memory alone) and carries every digest.
 func TestCarriedDigests(t *testing.T) {
 	inputs := suiteInputs(t)
 	var cfgs []Config
@@ -108,7 +108,7 @@ func TestCarriedDigests(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i].DiffCheck = DiffFinal
 	}
-	if reps, _ := checkCarriedDigests(t, "disk back hits", New(Options{CacheDir: dir}), sample, cfgs); reps != len(sample)*len(cfgs) {
-		t.Errorf("back hits decoded from disk: %d of %d reports carried a digest", reps, len(sample)*len(cfgs))
+	if reps, _ := checkCarriedDigests(t, "disk program misses", New(Options{CacheDir: dir}), sample, cfgs); reps != len(sample)*len(cfgs) {
+		t.Errorf("program misses on a filled disk: %d of %d reports carried a digest", reps, len(sample)*len(cfgs))
 	}
 }

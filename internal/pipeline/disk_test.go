@@ -24,36 +24,60 @@ func coldILOC(t *testing.T, seed int64, cfg Config) string {
 // TestDiskRestartProgramHit is the tentpole's happy path: a second
 // driver — a "restarted process" sharing only the cache directory —
 // answers an identical compile from the persistent tier, byte-identical
-// to the first, with the hit visible in the report.
+// to the first, with the hit visible in the report. At workers 1 and 8,
+// each compile makes exactly one persistent lookup, for its program key,
+// and the first writes exactly one entry, of kind 6: the persistent
+// tiers hold whole programs only.
 func TestDiskRestartProgramHit(t *testing.T) {
-	dir := t.TempDir()
 	cfg := detConfig(Integrated)
 	want := coldILOC(t, 11, cfg)
+	for _, workers := range []int{1, 8} {
+		dir := t.TempDir()
+		a := New(Options{Workers: workers, CacheDir: dir})
+		if err := a.DiskCacheErr(); err != nil {
+			t.Fatalf("disk tier failed to open: %v", err)
+		}
+		pa := workload.RandomProgram(11)
+		repA := mustCompile(t, a, pa, cfg)
+		if pa.String() != want {
+			t.Fatalf("workers=%d: disk-backed compile differs from cold compile", workers)
+		}
+		if ds := repA.Cache.Disk; ds.Hits+ds.Misses != 1 || ds.Writes != 1 {
+			t.Errorf("workers=%d: the filling compile made %d disk lookups and %d writes, want 1 and 1", workers, ds.Hits+ds.Misses, ds.Writes)
+		}
+		arts, err := filepath.Glob(filepath.Join(dir, "*.art"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range arts {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind, _, _, err := diskcache.DecodeEntry(data); err != nil || kind != diskKindProgramV2 {
+				t.Errorf("workers=%d: %s holds kind %d (%v), want %d", workers, filepath.Base(name), kind, err, diskKindProgramV2)
+			}
+		}
+		if len(arts) != 1 {
+			t.Errorf("workers=%d: %d entries on disk, want the program's alone", workers, len(arts))
+		}
 
-	a := New(Options{CacheDir: dir})
-	if err := a.DiskCacheErr(); err != nil {
-		t.Fatalf("disk tier failed to open: %v", err)
-	}
-	pa := workload.RandomProgram(11)
-	mustCompile(t, a, pa, cfg)
-	if pa.String() != want {
-		t.Fatal("disk-backed compile differs from cold compile")
-	}
-
-	b := New(Options{CacheDir: dir})
-	pb := workload.RandomProgram(11)
-	rep := mustCompile(t, b, pb, cfg)
-	if pb.String() != want {
-		t.Fatal("restarted driver produced different ILOC")
-	}
-	if !rep.ProgramCacheHit {
-		t.Error("restarted driver did not hit the persistent program artifact")
-	}
-	if rep.Cache.Disk.Hits < 1 {
-		t.Errorf("disk hits = %d, want >= 1: %+v", rep.Cache.Disk.Hits, rep.Cache)
-	}
-	if rep.Cache.HitRate <= 0 {
-		t.Errorf("hit rate = %v, want > 0", rep.Cache.HitRate)
+		b := New(Options{Workers: workers, CacheDir: dir})
+		pb := workload.RandomProgram(11)
+		rep := mustCompile(t, b, pb, cfg)
+		if pb.String() != want {
+			t.Fatalf("workers=%d: restarted driver produced different ILOC", workers)
+		}
+		if !rep.ProgramCacheHit {
+			t.Errorf("workers=%d: restarted driver did not hit the persistent program artifact", workers)
+		}
+		if ds := rep.Cache.Disk; ds.Hits != 1 || ds.Misses != 0 || ds.Writes != 0 {
+			t.Errorf("workers=%d: the restarted compile made %d disk hits, %d misses and %d writes, want 1, 0 and 0: %+v",
+				workers, ds.Hits, ds.Misses, ds.Writes, rep.Cache)
+		}
+		if rep.Cache.HitRate <= 0 {
+			t.Errorf("workers=%d: hit rate = %v, want > 0", workers, rep.Cache.HitRate)
+		}
 	}
 }
 

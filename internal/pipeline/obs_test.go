@@ -283,17 +283,18 @@ func TestReportObsJSONShape(t *testing.T) {
 // TestCacheLateAttachKeepsMisses is the regression test for the
 // whole-cache accounting bug: Stats used to overwrite Misses with the
 // disk tier's counter, so attaching a disk tier late erased every miss
-// the memory tier had already taken and reported a perfect HitRate.
+// the memory tier had already taken and reported a perfect HitRate. The
+// lookups are of program keys, the only ones that reach the disk tier.
 func TestCacheLateAttachKeepsMisses(t *testing.T) {
 	c := NewCache(0)
 	var k1, k2 digest
 	k1[0], k2[0] = 1, 2
 
-	if _, ok := c.get(k1, diskKindFrontV2, nil); ok {
+	if _, ok := c.getProgram(k1, nil); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.put(k1, diskKindFrontV2, &frontArtifact{})
-	if _, ok := c.get(k1, diskKindFrontV2, nil); !ok {
+	c.putProgram(k1, &programArtifact{})
+	if _, ok := c.getProgram(k1, nil); !ok {
 		t.Fatal("stored artifact missed")
 	}
 
@@ -302,7 +303,7 @@ func TestCacheLateAttachKeepsMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AttachDisk(disk)
-	if _, ok := c.get(k2, diskKindFrontV2, nil); ok {
+	if _, ok := c.getProgram(k2, nil); ok {
 		t.Fatal("unknown key hit")
 	}
 

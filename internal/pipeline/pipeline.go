@@ -14,7 +14,7 @@
 //     entries layered on top, so repeated compiles — the dominant cost in
 //     experiment sweeps — are near-free; Options.CacheDir adds a
 //     crash-safe persistent disk tier (internal/diskcache) behind the
-//     memory LRU, so artifacts also survive process restarts, with
+//     memory LRU, so whole programs also survive process restarts, with
 //     integrity verified on every read and corruption degrading to a
 //     recompile, never to wrong output;
 //   - observability: per-pass wall time, instruction deltas, per-function
@@ -245,9 +245,10 @@ type Options struct {
 	DisableCache bool
 
 	// CacheDir enables the persistent disk tier (internal/diskcache)
-	// under the given directory: artifacts survive process restarts, and
-	// a second driver opened on the same directory serves them without
-	// recompiling. Opening the tier can fail (unwritable path, sick
+	// under the given directory: whole-program artifacts survive process
+	// restarts, and a second driver opened on the same directory serves
+	// an identical compile without recompiling. Front and back artifacts
+	// stay in memory. Opening the tier can fail (unwritable path, sick
 	// disk); the driver then runs memory-only and reports the cause via
 	// DiskCacheErr — a broken disk tier never fails compilation.
 	CacheDir string
@@ -259,11 +260,12 @@ type Options struct {
 	DiskFS diskcache.FS
 
 	// RemoteURLs enables the remote HTTP tier (internal/remotecache):
-	// one ccmcached base URL consulted after a disk miss, behind a
-	// circuit breaker, with hits promoted into the upper tiers and
-	// stores written behind asynchronously. Like the disk tier it is an
-	// accelerator, not a dependency: a sick or absent server costs
-	// time, never bytes, and never fails a compile. Empty disables the
+	// one ccmcached base URL consulted for a program key after a disk
+	// miss, behind a circuit breaker, with hits promoted into the upper
+	// tiers and program artifacts written behind asynchronously. Like the
+	// disk tier it holds whole programs only and is an accelerator, not a
+	// dependency: a sick or absent server costs time, never bytes, and
+	// never fails a compile. Empty disables the
 	// tier; a malformed URL or more than one URL is reported via
 	// RemoteCacheErr and the driver runs without the tier.
 	RemoteURLs []string
@@ -489,6 +491,7 @@ type funcState struct {
 	backHit  bool
 	digest   digest        // the shipped function's digest, when a back artifact carries it
 	fault    *CompileError // recoverable fault, escalated once the stage joins
+	mem      cacheItem     // the stage's memory-tier effect, for Cache.commit
 }
 
 // compileState is the shared state of one Compile: its input, its
@@ -498,7 +501,7 @@ type funcState struct {
 type compileState struct {
 	cfg     Config
 	in      *ir.Program // the input as given; no pass writes its functions
-	cache   *Cache      // per-function artifact tier (nil when off, and in a bisect attempt)
+	cache   *Cache      // the front and back artifacts' memory tier (nil when off, and in a bisect attempt)
 	digests []digest    // the input functions' digests, for front keys (nil when caching is off)
 	m       *metrics    // per-pass statistics
 	// forced is written on the driver goroutine between stages only;
@@ -666,8 +669,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	// Config) pair skips every pass, including verification.
 	if cache != nil {
 		progKey = programKey(pd, cfg)
-		if v, ok := cache.get(progKey, diskKindProgramV2, mainSh); ok {
-			art := v.(*programArtifact)
+		if art, ok := cache.getProgram(progKey, mainSh); ok {
 			// The cached functions are frozen: handing them out by
 			// reference is safe (anything that later rewrites one clones
 			// it first), and it makes the hit path free of deep copies.
@@ -722,13 +724,16 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 
 		// Front stage (parallel): scalar optimization, injected
 		// experimental passes, and register allocation, each function at
-		// its quarantined rung. Each worker touches only p.Funcs[i], so
-		// scheduling cannot change the output.
+		// its quarantined rung. Each worker touches only p.Funcs[i] and
+		// states[i], and only reads the memory tier; its hits and new
+		// artifacts are committed in function order once the stage joins,
+		// so scheduling can change neither the output nor the tier.
 		if err := d.forEach(ctx, len(p.Funcs), func(w, i int) error {
 			return d.compileFront(ctx, p, i, cs, &states[i], shardFor(w))
 		}); err != nil {
 			return err
 		}
+		cs.cache.commit(states)
 		if err := settle(p, states, retry, cs.forced.dropRung); err != nil {
 			return err
 		}
@@ -755,6 +760,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 			}); err != nil {
 				return err
 			}
+			cs.cache.commit(states)
 			if err := settle(p, states, retry, cs.forced.skipCompact); err != nil {
 				return err
 			}
@@ -838,8 +844,8 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 		if do == nil {
 			rep.digest = outDigest()
 		}
-		// The artifact shares the compiled functions with p; put freezes
-		// any the stages left mutable.
+		// The artifact shares the compiled functions with p; putProgram
+		// freezes any the stages left mutable.
 		art := &programArtifact{
 			funcs:   append([]*ir.Func(nil), p.Funcs...),
 			digest:  rep.digest,
@@ -850,7 +856,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 			fr.BackCacheHit = false
 			art.perFunc[name] = fr
 		}
-		cache.put(progKey, diskKindProgramV2, art)
+		cache.putProgram(progKey, art)
 	}
 
 	d.finish(rep, cs, do, start, false, mainSh, tracer)
@@ -1104,13 +1110,14 @@ func (d *Driver) compileFront(ctx context.Context, p *ir.Program, i int, cs *com
 	var key digest
 	if cache != nil {
 		key = frontKey(cs.digests[i], cs.cfg)
-		if v, ok := cache.get(key, diskKindFrontV2, sh); ok {
+		if v, ok := cache.lookup(key, "front", sh); ok {
 			// Frozen artifact, shared by reference; the stages that rewrite
 			// it (barrier, back stage) clone at their own mutation points.
 			art := v.(*frontArtifact)
 			p.Funcs[i] = art.fn
 			st.fr = art.fr
 			st.frontHit = true
+			st.mem = cacheItem{key: key}
 			return nil
 		}
 	}
@@ -1133,12 +1140,14 @@ func (d *Driver) compileFront(ctx context.Context, p *ir.Program, i int, cs *com
 		return cs.fault(ctx, st, cerr, passNames(passes), sh)
 	}
 	if cache != nil {
-		// put freezes f, so the stages still to run on p.Funcs[i] clone it
-		// before they rewrite it. The report derives Attempts, so the
-		// artifact stores the 1 of a clean first try.
+		// f is frozen as the artifact records it, so the stages still to
+		// run on p.Funcs[i] clone it before they rewrite it. The report
+		// derives Attempts, so the artifact stores the 1 of a clean first
+		// try.
+		f.Freeze()
 		fr := st.fr
 		fr.Attempts = 1
-		cache.put(key, diskKindFrontV2, &frontArtifact{fn: f, fr: fr})
+		st.mem = cacheItem{key: key, val: &frontArtifact{fn: f, fr: fr}}
 	}
 	return nil
 }
@@ -1161,7 +1170,7 @@ func (d *Driver) compileBack(ctx context.Context, p *ir.Program, i int, cs *comp
 	var key digest
 	if cs.cache != nil {
 		key = backKey(f, cs.cfg)
-		if v, ok := cs.cache.get(key, diskKindBackV2, sh); ok {
+		if v, ok := cs.cache.lookup(key, "back", sh); ok {
 			// Frozen artifact, shared by reference: the back stage is the
 			// last rewrite, so nothing downstream mutates it, and the
 			// program artifact shares it too.
@@ -1171,6 +1180,7 @@ func (d *Driver) compileBack(ctx context.Context, p *ir.Program, i int, cs *comp
 			st.fr.SpillBytesCompacted = art.compactAfter
 			st.fr.SpillWebs = art.webs
 			st.backHit = true
+			st.mem = cacheItem{key: key}
 			return nil
 		}
 	}
@@ -1187,13 +1197,14 @@ func (d *Driver) compileBack(ctx context.Context, p *ir.Program, i int, cs *comp
 		return cs.fault(ctx, st, cerr, passNames(passes), sh)
 	}
 	if cs.cache != nil && q.degraded() == "" {
+		f.Freeze()
 		st.digest = funcDigest(f)
-		cs.cache.put(key, diskKindBackV2, &backArtifact{
+		st.mem = cacheItem{key: key, val: &backArtifact{
 			fn:           f,
 			digest:       st.digest,
 			compactAfter: st.fr.SpillBytesCompacted,
 			webs:         st.fr.SpillWebs,
-		})
+		}}
 	}
 	return nil
 }

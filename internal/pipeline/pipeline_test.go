@@ -81,6 +81,75 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestMemoryTierDeterminism: which artifacts a bounded memory tier keeps
+// must not depend on scheduling, or a later compile's hit flags and pass
+// run counts would. One driver with a 64-entry memory tier and a 1 MiB
+// disk budget compiles the suite's whole programs under every strategy,
+// twice over, strict with the final oracle check, so both tiers evict
+// throughout. At workers 1 and 8 every compile must produce the same
+// ILOC, the same FuncReport for every function (hit flags included) and
+// the same Report.Passes, wall time aside.
+func TestMemoryTierDeterminism(t *testing.T) {
+	var inputs []*ir.Program
+	for _, bp := range workload.Programs() {
+		p, err := bp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, p)
+	}
+	// run returns one block of lines per compile: the ILOC, each
+	// function's report and each pass's counts.
+	run := func(workers int) [][]string {
+		d := New(Options{Workers: workers, Cache: NewCache(64), CacheDir: t.TempDir(), CacheBytes: 1 << 20})
+		var blocks [][]string
+		for round := 0; round < 2; round++ {
+			for _, in := range inputs {
+				for _, strat := range allStrategies {
+					cfg := with(detConfig(strat), func(c *Config) { c.DiffCheck, c.Strict = DiffFinal, true })
+					p := &ir.Program{Globals: in.Globals, Funcs: append([]*ir.Func(nil), in.Funcs...)}
+					rep := mustCompile(t, d, p, cfg)
+					at := fmt.Sprintf("round %d %s %v:", round, in.Funcs[0].Name, strat)
+					lines := []string{at + " ILOC " + p.String()}
+					for _, f := range p.Funcs {
+						lines = append(lines, fmt.Sprintf("%s %s %+v", at, f.Name, rep.PerFunc[f.Name]))
+					}
+					for _, ps := range rep.Passes {
+						lines = append(lines, fmt.Sprintf("%s pass %s runs %d instrs %d -> %d",
+							at, ps.Name, ps.Runs, ps.InstrsBefore, ps.InstrsAfter))
+					}
+					blocks = append(blocks, lines)
+				}
+			}
+		}
+		return blocks
+	}
+	line := func(block []string, j int) string {
+		if j < len(block) {
+			return block[j]
+		}
+		return "(no line)"
+	}
+	seq, par := run(1), run(8)
+	differ := 0
+	for i := range seq {
+		if slices.Equal(seq[i], par[i]) {
+			continue
+		}
+		if differ < 3 {
+			j := 0
+			for j < len(seq[i]) && j < len(par[i]) && seq[i][j] == par[i][j] {
+				j++
+			}
+			t.Errorf("workers=8 differs from workers=1:\n seq: %.300s\n par: %.300s", line(seq[i], j), line(par[i], j))
+		}
+		differ++
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d compiles differ between workers=1 and workers=8", differ, len(seq))
+	}
+}
+
 // TestCacheSecondCompileIsFullHit: an identical (program, Config) pair
 // must be answered entirely from the cache — zero new misses — and
 // produce byte-identical output.
@@ -253,11 +322,10 @@ func TestProgramArtifactSharesFrozenFuncs(t *testing.T) {
 	if rep.ProgramCacheHit {
 		t.Fatal("a DiffCheck change hit the program tier")
 	}
-	v, ok := d.Cache().get(key, diskKindProgramV2, nil)
+	art, ok := d.Cache().getProgram(key, nil)
 	if !ok {
 		t.Fatal("the checked compile stored no program artifact")
 	}
-	art := v.(*programArtifact)
 	for i, f := range p.Funcs {
 		if !rep.PerFunc[f.Name].BackCacheHit {
 			t.Errorf("%s missed the back tier", f.Name)

@@ -223,14 +223,19 @@ func (s *sickShardRT) RoundTrip(req *http.Request) (*http.Response, error) {
 // invariant — Hits == Memory.Hits + Disk.Hits + Remote.Hits — to a warm
 // shared server with one sick shard of its key space, at both worker
 // counts: healthy keys still hit, sick keys miss, and the output stays
-// byte-identical to a cold compile.
+// byte-identical to a cold compile. Each driver compiles several
+// programs, whose program keys (the only keys the remote tier holds)
+// spread over the shards.
 func TestFleetWholeCacheInvariantUnderFaults(t *testing.T) {
 	cfg := detConfig(Integrated)
-	const seed = 91
-	want := coldILOC(t, seed, cfg)
+	seeds := []int64{91, 92, 93, 94, 95, 96}
+	want := map[int64]string{}
 	_, hs := remoteServer(t)
 	w := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
-	mustCompile(t, w, workload.RandomProgram(seed), cfg)
+	for _, seed := range seeds {
+		want[seed] = coldILOC(t, seed, cfg)
+		mustCompile(t, w, workload.RandomProgram(seed), cfg)
+	}
 	closeRemote(t, w)
 
 	// The invariant is under test, not the breaker: keep it closed so a
@@ -244,15 +249,17 @@ func TestFleetWholeCacheInvariantUnderFaults(t *testing.T) {
 			fault.Arm(remotecache.FaultRefused)
 			d := New(Options{Workers: workers, RemoteURLs: []string{hs.URL},
 				RemoteFaultRT: &sickShardRT{sick: sick, fault: fault}, RemoteTuning: tun})
-			p := workload.RandomProgram(seed)
-			rep := mustCompile(t, d, p, cfg)
-			if p.String() != want {
-				t.Errorf("workers=%d sick=%d: output differs from cold compile", workers, sick)
-			}
-			got := rep.Cache
-			if got.Hits != got.Memory.Hits+got.Disk.Hits+got.Remote.Hits {
-				t.Errorf("workers=%d sick=%d: whole-cache invariant broken: %d != %d + %d + %d",
-					workers, sick, got.Hits, got.Memory.Hits, got.Disk.Hits, got.Remote.Hits)
+			var got CacheStats
+			for _, seed := range seeds {
+				p := workload.RandomProgram(seed)
+				got = mustCompile(t, d, p, cfg).Cache
+				if p.String() != want[seed] {
+					t.Errorf("workers=%d sick=%d seed=%d: output differs from cold compile", workers, sick, seed)
+				}
+				if got.Hits != got.Memory.Hits+got.Disk.Hits+got.Remote.Hits {
+					t.Errorf("workers=%d sick=%d seed=%d: whole-cache invariant broken: %d != %d + %d + %d",
+						workers, sick, seed, got.Hits, got.Memory.Hits, got.Disk.Hits, got.Remote.Hits)
+				}
 			}
 			if got.Remote.Hits < 1 {
 				t.Errorf("workers=%d sick=%d: warm server served no hits: %+v", workers, sick, got.Remote)
@@ -260,8 +267,8 @@ func TestFleetWholeCacheInvariantUnderFaults(t *testing.T) {
 			closeRemote(t, d)
 			injected += fault.Injected()
 		}
-		// Exactly one shard holds the program key, so one run misses it
-		// and looks up the functions through the sick shard.
+		// Every program key lies in one shard, so the shards that hold one
+		// are reached when they are sick.
 		if injected == 0 {
 			t.Errorf("workers=%d: no request reached a sick shard", workers)
 		}
@@ -271,21 +278,23 @@ func TestFleetWholeCacheInvariantUnderFaults(t *testing.T) {
 // TestRemoteCircuitBreakerInReport: with the server down, the breaker
 // trips after its threshold and the report + obs gauges say so — open
 // circuit, trips counted, later lookups skipped without touching the
-// network.
+// network. A compile looks up one remote key, its program's, so the
+// driver compiles several programs.
 func TestRemoteCircuitBreakerInReport(t *testing.T) {
 	cfg := detConfig(PostPass)
-	const seed = 43
-	want := coldILOC(t, seed, cfg)
-
 	reg := obs.NewRegistry()
 	tun := fastRemoteTuning()
 	tun.TripAfter = 2 // trip early enough that later lookups get skipped
 	d := New(Options{RemoteURLs: []string{deadURL(t)}, RemoteTuning: tun, Metrics: reg})
 	defer closeRemote(t, d)
-	p := workload.RandomProgram(seed)
-	rep := mustCompile(t, d, p, cfg)
-	if p.String() != want {
-		t.Fatal("dead server changed the output")
+	var rep *Report
+	for seed := int64(43); seed < 47; seed++ {
+		want := coldILOC(t, seed, cfg)
+		p := workload.RandomProgram(seed)
+		rep = mustCompile(t, d, p, cfg)
+		if p.String() != want {
+			t.Fatalf("seed %d: dead server changed the output", seed)
+		}
 	}
 	rs := rep.Cache.Remote
 	if rs.Circuit != "open" || rs.Trips < 1 {
@@ -318,7 +327,8 @@ func TestRemoteBreakerRecoversAcrossCompiles(t *testing.T) {
 	mustCompile(t, w, workload.RandomProgram(seed), cfg)
 	closeRemote(t, w)
 
-	// A second process starts with the network broken; the breaker opens.
+	// A second process starts with the network broken; the breaker opens
+	// once its three compiles' program lookups have failed.
 	// Unix seconds, atomic because the client's put worker reads the clock.
 	var clock atomic.Int64
 	clock.Store(5000)
@@ -329,23 +339,25 @@ func TestRemoteBreakerRecoversAcrossCompiles(t *testing.T) {
 	rt.Arm(remotecache.FaultRefused)
 	d := New(Options{RemoteURLs: []string{hs.URL}, RemoteFaultRT: rt, RemoteTuning: tun})
 	defer closeRemote(t, d)
-	mustCompile(t, d, workload.RandomProgram(seed), cfg)
-	if st := d.Cache().Remote().State(); st != remotecache.StateOpen {
-		t.Fatalf("breaker state after faulted compile = %v, want open", st)
+	for s := int64(seed); s < seed+3; s++ {
+		mustCompile(t, d, workload.RandomProgram(s), cfg)
 	}
-	// Drain the faulted compile's write-behind puts while the circuit is
+	if st := d.Cache().Remote().State(); st != remotecache.StateOpen {
+		t.Fatalf("breaker state after faulted compiles = %v, want open", st)
+	}
+	// Drain the faulted compiles' write-behind puts while the circuit is
 	// open: one still queued after the cooldown would take the half-open
 	// probe and could still be in flight when the state is read below.
 	if err := d.Cache().Remote().Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	// Network heals, cooldown passes; a *different* program forces fresh
-	// lookups (the first one is now memory-cached), and the probe closes
-	// the circuit.
+	// Network heals, cooldown passes; a *different* program forces a
+	// fresh lookup (the faulted ones are now memory-cached), and the
+	// probe closes the circuit.
 	rt.Disarm()
 	clock.Add(3)
-	mustCompile(t, d, workload.RandomProgram(seed+1), cfg)
+	mustCompile(t, d, workload.RandomProgram(seed+3), cfg)
 	if st := d.Cache().Remote().State(); st != remotecache.StateClosed {
 		t.Fatalf("breaker did not recover after the server healed: %v", st)
 	}

@@ -118,4 +118,8 @@ go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/
 echo "== bench: go test -run '^\$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/"
 go test -run '^$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/
 
+# Last, the line counts each change records in CHANGES.md.
+echo '== loc: ./scripts/loc.sh'
+./scripts/loc.sh
+
 echo '== verify.sh: all green'
