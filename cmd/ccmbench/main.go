@@ -31,6 +31,11 @@
 // driver's cumulative report (per-pass wall time, per-tier cache
 // hit/miss counters and the computed hit rate) to stderr after the run.
 //
+// -workers bounds both the driver's per-function worker pool and how
+// many inputs (routines, programs, ablation routines, processes) the
+// evaluation measures at once; the output, cache hits and counters are
+// the same at any bound.
+//
 // -metrics-out writes that same cumulative report — plus the metrics
 // registry snapshot (pass-latency histograms, allocator and CCM
 // counters) — to a file. -trace records a span for every compile, pass,
@@ -71,7 +76,7 @@ func main() {
 	multiproc := flag.Bool("multiproc", false, "print only the §2.1 multi-process comparison")
 	markdown := flag.Bool("markdown", false, "emit the full evaluation as a markdown report")
 	memCost := flag.Int("memcost", 2, "cycles per main-memory operation")
-	workers := flag.Int("workers", 0, "compilation worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "compilation worker pool size, which also caps how many inputs the evaluation measures at once (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "print the cumulative pipeline report as JSON to stderr")
 	verifyPasses := flag.Bool("verify-passes", false, "verify IR and liveness invariants after every compilation pass")
 	timeout := flag.Duration("timeout", 0, "per-function compile attempt timeout (0 = none)")

@@ -289,7 +289,9 @@ func countCCMOps(f *ir.Func) int {
 // runs. With Config.DiffCheck, which ccmbench and perfbench always set,
 // the oracle simulates each input's runs once across its variants, and
 // its final check has already run main of every compiled program, so the
-// memo serves the measured runs too.
+// memo serves the measured runs too. Each of the two loops measures up to
+// Driver.Workers inputs at once, with the sequential loop's results,
+// counters and errors (see measureInputs).
 func RunSuite(cfg Config) (*SuiteResults, error) {
 	if cfg.Driver == nil {
 		cfg.Driver = cfg.driver()
@@ -306,12 +308,18 @@ func RunSuite(cfg Config) (*SuiteResults, error) {
 	return res, nil
 }
 
-// RunRoutineSuite measures every routine (Tables 1-4).
+// RunRoutineSuite measures every routine (Tables 1-4), up to
+// Driver.Workers of them at once.
 func RunRoutineSuite(cfg Config) (*SuiteResults, error) {
-	res := &SuiteResults{Config: cfg}
 	drv := cfg.driver()
-
-	for _, r := range workload.All() {
+	rs := workload.All()
+	names := make([]string, len(rs))
+	for i, r := range rs {
+		names[i] = r.Name
+	}
+	res := &SuiteResults{Config: cfg, Routines: make([]*RoutineResult, len(rs))}
+	err := measureInputs(cfg.ctx(), drv.Workers(), routineMembers(names), func(i int) error {
+		r := rs[i]
 		rr := &RoutineResult{
 			Name:   r.Name,
 			Family: r.Family,
@@ -321,12 +329,12 @@ func RunRoutineSuite(cfg Config) (*SuiteResults, error) {
 
 		in, err := r.Build()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Baseline (and Table 1 compaction measurements).
 		p, rep, err := compileWith(drv, in, StrategyNone, 0, cfg, true)
 		if err != nil {
-			return nil, fmt.Errorf("routine %s: %w", r.Name, err)
+			return fmt.Errorf("routine %s: %w", r.Name, err)
 		}
 		fr := rep.PerFunc[r.Name]
 		rr.SpillBefore = fr.SpillBytesNaive
@@ -334,7 +342,7 @@ func RunRoutineSuite(cfg Config) (*SuiteResults, error) {
 		rr.Webs = fr.SpillWebs
 		st, err := runProgram(drv, p, rep, cfg, sim.Config{})
 		if err != nil {
-			return nil, fmt.Errorf("routine %s baseline: %w", r.Name, err)
+			return fmt.Errorf("routine %s baseline: %w", r.Name, err)
 		}
 		fs := st.PerFunc[r.Name]
 		rr.Base = CycPair{Cycles: fs.Cycles, Mem: fs.MemOpCycles}
@@ -343,35 +351,56 @@ func RunRoutineSuite(cfg Config) (*SuiteResults, error) {
 			for _, strat := range Strategies {
 				pair, promo, err := measureRoutine(drv, r.Name, in, strat, size, cfg)
 				if err != nil {
-					return nil, fmt.Errorf("routine %s %v/%d: %w", r.Name, strat, size, err)
+					return fmt.Errorf("routine %s %v/%d: %w", r.Name, strat, size, err)
 				}
 				k := Key{strat, size}
 				rr.Strat[k] = pair
 				rr.Promo[k] = promo
 			}
 		}
-		res.Routines = append(res.Routines, rr)
+		res.Routines[i] = rr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// RunProgramSuite measures the whole-program workloads (Figures 3-4).
+// routineMembers gives each input of a loop over the named routines its
+// one member.
+func routineMembers(names []string) [][]string {
+	members := make([][]string, len(names))
+	for i, name := range names {
+		members[i] = []string{name}
+	}
+	return members
+}
+
+// RunProgramSuite measures the whole-program workloads (Figures 3-4), up
+// to Driver.Workers of them at once.
 func RunProgramSuite(cfg Config) (*SuiteResults, error) {
-	res := &SuiteResults{Config: cfg}
 	drv := cfg.driver()
-	for _, bp := range workload.Programs() {
+	bps := workload.Programs()
+	members := make([][]string, len(bps))
+	for i, bp := range bps {
+		members[i] = bp.Members
+	}
+	res := &SuiteResults{Config: cfg, Programs: make([]*ProgramResult, len(bps))}
+	err := measureInputs(cfg.ctx(), drv.Workers(), members, func(i int) error {
+		bp := bps[i]
 		pr := &ProgramResult{Name: bp.Name, Strat: map[Key]CycPair{}}
 		in, err := bp.Build()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p, rep, err := compileWith(drv, in, StrategyNone, 0, cfg, true)
 		if err != nil {
-			return nil, fmt.Errorf("program %s: %w", bp.Name, err)
+			return fmt.Errorf("program %s: %w", bp.Name, err)
 		}
 		st, err := runProgram(drv, p, rep, cfg, sim.Config{})
 		if err != nil {
-			return nil, fmt.Errorf("program %s baseline: %w", bp.Name, err)
+			return fmt.Errorf("program %s baseline: %w", bp.Name, err)
 		}
 		pr.Base = CycPair{Cycles: st.Cycles, Mem: st.MemOpCycles}
 
@@ -379,16 +408,20 @@ func RunProgramSuite(cfg Config) (*SuiteResults, error) {
 			for _, strat := range Strategies {
 				q, rep, err := compileWith(drv, in, strat, size, cfg, true)
 				if err != nil {
-					return nil, fmt.Errorf("program %s %v/%d: %w", bp.Name, strat, size, err)
+					return fmt.Errorf("program %s %v/%d: %w", bp.Name, strat, size, err)
 				}
 				st, err := runProgram(drv, q, rep, cfg, sim.Config{CCMBytes: size})
 				if err != nil {
-					return nil, fmt.Errorf("program %s %v/%d: %w", bp.Name, strat, size, err)
+					return fmt.Errorf("program %s %v/%d: %w", bp.Name, strat, size, err)
 				}
 				pr.Strat[Key{strat, size}] = CycPair{Cycles: st.Cycles, Mem: st.MemOpCycles}
 			}
 		}
-		res.Programs = append(res.Programs, pr)
+		res.Programs[i] = pr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -57,21 +57,26 @@ func MultiProcess(cfg Config, names []string, ccmBytes int64) (*MultiProcResult,
 	res := &MultiProcResult{Processes: names, CCMBytes: ccmBytes, Partition: partition}
 	drv := cfg.driver()
 
-	for i, name := range names {
+	// Each process is measured on its own, up to Driver.Workers at once,
+	// and the totals are summed in process order.
+	type process struct{ copyCycles, perSwitch, partitionCycles int64 }
+	procs := make([]process, len(names))
+	err := measureInputs(cfg.ctx(), drv.Workers(), routineMembers(names), func(i int) error {
+		name := names[i]
 		r, ok := workload.Lookup(name)
 		if !ok {
-			return nil, fmt.Errorf("experiments: unknown routine %q", name)
+			return fmt.Errorf("experiments: unknown routine %q", name)
 		}
 
 		in, err := r.Build()
 		if err != nil {
-			return nil, err
+			return err
 		}
 
 		// Copy policy: the process sees the whole CCM.
 		p, rep, err := compileWith(drv, in, StrategyPostPassIPA, ccmBytes, cfg, false)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		maxUsed := int64(0)
 		for _, f := range p.Funcs {
@@ -81,24 +86,33 @@ func MultiProcess(cfg Config, names []string, ccmBytes int64) (*MultiProcResult,
 		}
 		st, err := runProgram(drv, p, rep, cfg, sim.Config{CCMBytes: ccmBytes})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.CopyCycles += st.Cycles
+		procs[i].copyCycles = st.Cycles
 		// Saving + restoring the used region through 2-cycle memory.
-		res.CopyPerSwitch += 2 * (maxUsed / 8) * int64(cfg.MemCost)
+		procs[i].perSwitch = 2 * (maxUsed / 8) * int64(cfg.MemCost)
 
 		// Partition policy: compiled against the smaller region, executed
 		// at this process's base register — the simulator enforces that no
 		// access escapes the partition.
 		q, rep, err := compileWith(drv, in, StrategyPostPassIPA, partition, cfg, false)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		st2, err := runProgram(drv, q, rep, cfg, sim.Config{CCMBytes: ccmBytes, CCMBase: int64(i) * partition})
 		if err != nil {
-			return nil, fmt.Errorf("partition isolation violated for %s: %w", name, err)
+			return fmt.Errorf("partition isolation violated for %s: %w", name, err)
 		}
-		res.PartitionCycles += st2.Cycles
+		procs[i].partitionCycles = st2.Cycles
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, pr := range procs {
+		res.CopyCycles += pr.copyCycles
+		res.CopyPerSwitch += pr.perSwitch
+		res.PartitionCycles += pr.partitionCycles
 	}
 
 	// Partition wins once s * CopyPerSwitch > PartitionCycles - CopyCycles.

@@ -25,6 +25,7 @@ func TestAllocGuardDisabled(t *testing.T) {
 		{"Record with an Attr", func() {
 			sh.Record("pass:opt", "pass", start, time.Microsecond, Attr{Key: "func", Value: "main"})
 		}},
+		{"LeaseTIDs and ReleaseTIDs", func() { tr.ReleaseTIDs(tr.LeaseTIDs(9)) }},
 	} {
 		if avg := testing.AllocsPerRun(100, tc.fn); avg != 0 {
 			t.Errorf("disabled %s allocates %.1f/op, want 0", tc.name, avg)

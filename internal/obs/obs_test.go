@@ -187,6 +187,42 @@ func equalSpans(a, b Span) bool {
 		a.Seq == b.Seq && a.StartNanos == b.StartNanos && a.DurNanos == b.DurNanos
 }
 
+// TestLeaseTIDs: a lease takes the lowest block of tids no other lease
+// holds, so a compile alone on a tracer records on 0..n-1 and
+// concurrent compiles never share a track.
+func TestLeaseTIDs(t *testing.T) {
+	tr := NewTracer()
+	for _, step := range []struct {
+		lease, release int // lease a block of this size, or release the block at this base
+		want           int // the base a lease returns
+	}{
+		{lease: 3, want: 0},
+		{lease: 3, want: 3},
+		{lease: 2, want: 6},
+		{release: 3},
+		{lease: 2, want: 3}, // the lowest gap that fits
+		{lease: 2, want: 8}, // [5, 6) is too small
+		{release: 0},
+		{release: 6},
+		{lease: 3, want: 0},
+		{lease: 4, want: 10}, // [5, 8) is too small
+		{lease: 1, want: 5},
+	} {
+		if step.lease == 0 {
+			tr.ReleaseTIDs(step.release)
+			continue
+		}
+		if got := tr.LeaseTIDs(step.lease); got != step.want {
+			t.Fatalf("LeaseTIDs(%d) = %d, want %d (leases %v)", step.lease, got, step.want, tr.leases)
+		}
+	}
+	var nilTracer *Tracer
+	if got := nilTracer.LeaseTIDs(4); got != 0 {
+		t.Fatalf("nil tracer leased base %d", got)
+	}
+	nilTracer.ReleaseTIDs(0) // must not panic
+}
+
 func TestTracerMaxSpansDrops(t *testing.T) {
 	tr := NewTracerMax(3)
 	sh := tr.NewShard(0)

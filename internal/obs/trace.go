@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,12 +51,15 @@ type Attr struct {
 
 // Span is one completed timed region. StartNanos is relative to the
 // tracer's epoch (its creation time), so spans from one tracer share a
-// timeline; TID is the logical worker that ran the region (0 = the
-// goroutine driving the compile, 1..N = pool workers). PID groups spans
-// into separate process rows in the exported trace — a tracer records
-// PID 0 (exported as process 1), and an aggregator merging spans from
-// several tracers (one per request, say) stamps each batch with its own
-// PID before export so the viewer shows one process group per batch.
+// timeline; TID is the logical worker that ran the region. A compile
+// records on a block of tids its tracer leases it (LeaseTIDs): the
+// block's first tid is the goroutine driving the compile, the next N its
+// pool workers, so a compile alone on its tracer records on 0..N. PID
+// groups spans into separate process rows in the exported trace — a
+// tracer records PID 0 (exported as process 1), and an aggregator
+// merging spans from several tracers (one per request, say) stamps each
+// batch with its own PID before export so the viewer shows one process
+// group per batch.
 type Span struct {
 	Name       string `json:"name"`
 	Cat        string `json:"cat"`
@@ -78,7 +82,11 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	shards []*Shard
+	leases []tidLease // tid blocks in use, by first tid
 }
+
+// tidLease is one block of tids in use: [base, base+n).
+type tidLease struct{ base, n int }
 
 // NewTracer builds a tracer bounded to DefaultMaxSpans recorded spans.
 func NewTracer() *Tracer { return NewTracerMax(DefaultMaxSpans) }
@@ -105,6 +113,36 @@ func (t *Tracer) NewShard(tid int) *Shard {
 	t.shards = append(t.shards, s)
 	t.mu.Unlock()
 	return s
+}
+
+// LeaseTIDs reserves the lowest block of n consecutive tids that no
+// other lease holds and returns its first tid; ReleaseTIDs frees it.
+// Each compile in flight on a tracer records on its own block, so spans
+// of concurrent compiles never share a track, and sequential compiles
+// all record on tids 0..n-1. Returns 0 on a nil tracer.
+func (t *Tracer) LeaseTIDs(n int) int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	base, at := 0, 0
+	for ; at < len(t.leases) && t.leases[at].base < base+n; at++ {
+		base = t.leases[at].base + t.leases[at].n
+	}
+	t.leases = slices.Insert(t.leases, at, tidLease{base, n})
+	return base
+}
+
+// ReleaseTIDs frees the block whose first tid is base; call it once no
+// shard records on the block any more. No-op on a nil tracer.
+func (t *Tracer) ReleaseTIDs(base int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.leases = slices.DeleteFunc(t.leases, func(l tidLease) bool { return l.base == base })
 }
 
 // Count returns the number of spans recorded so far (0 on nil).

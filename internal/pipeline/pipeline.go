@@ -621,19 +621,26 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	// One span shard per logical worker, all per-compile: the main
-	// goroutine records into tid 0, pool worker w into tid w+1. Shards
+	// One span shard per logical worker, all per-compile, on a block of
+	// tids the tracer leases this compile: the main goroutine records
+	// into the block's first tid, pool worker w into the (w+1)th. Shards
 	// are single-owner, so recording is lock-free; concurrent Compiles
-	// each get their own set.
-	mainSh := tracer.NewShard(0)
+	// each get their own set, and their own block, so their spans never
+	// share a track. The block is leased before the compile's clock
+	// starts and released after its last span, so a later compile's
+	// spans on it start after this one's end.
+	var mainSh *obs.Shard
 	var workerShards []*obs.Shard
 	if tracer != nil {
+		base := tracer.LeaseTIDs(d.workers + 1)
+		defer tracer.ReleaseTIDs(base)
+		mainSh = tracer.NewShard(base)
 		workerShards = make([]*obs.Shard, d.workers)
 		for w := range workerShards {
-			workerShards[w] = tracer.NewShard(w + 1)
+			workerShards[w] = tracer.NewShard(base + w + 1)
 		}
 	}
+	start := time.Now()
 	shardFor := func(w int) *obs.Shard {
 		if workerShards == nil {
 			return nil
@@ -1219,26 +1226,16 @@ func (d *Driver) finish(rep *Report, cs *compileState, do *diffOracle, start tim
 	rep.Passes = cs.m.stats()
 	rep.Failures = cs.failures.Load()
 	if d.cache != nil {
-		rep.Cache = d.cache.Stats()
-	}
-	if sh != nil {
-		sh.Record("compile", "pipeline", start, time.Since(start),
-			obs.Attr{Key: "strategy", Value: rep.Strategy},
-			obs.Attr{Key: "funcs", Value: fmt.Sprint(rep.Funcs)})
-	}
-	if d.reg != nil {
-		d.reg.Counter("pipeline.compiles").Inc()
-		d.reg.Counter("pipeline.funcs").Add(int64(rep.Funcs))
-		d.reg.Counter("pipeline.failures").Add(rep.Failures)
-		d.reg.Counter("pipeline.degraded").Add(rep.Degraded)
-		if programHit {
-			d.reg.Counter("pipeline.program_hits").Inc()
-		}
-		if d.cache != nil {
+		// The cache is read and mirrored under d.mu, so whichever of
+		// several concurrent compiles finishes last leaves gauges that
+		// count every compile finished before it.
+		d.mu.Lock()
+		cst := d.cache.Stats()
+		rep.Cache = cst
+		if d.reg != nil {
 			// Gauges mirror the cache's cumulative counters so a metrics
 			// snapshot is self-contained; the disk block surfaces the
 			// persistent tier's robustness counters.
-			cst := rep.Cache
 			d.reg.Gauge("cache.hits").Set(cst.Hits)
 			d.reg.Gauge("cache.misses").Set(cst.Misses)
 			d.reg.Gauge("cache.entries").Set(int64(cst.Entries))
@@ -1272,6 +1269,21 @@ func (d *Driver) finish(rep *Report, cs *compileState, do *diffOracle, start tim
 				d.reg.Gauge("remotecache.trips").Set(cst.Remote.Trips)
 				d.reg.Gauge("remotecache.probes").Set(cst.Remote.Probes)
 			}
+		}
+		d.mu.Unlock()
+	}
+	if sh != nil {
+		sh.Record("compile", "pipeline", start, time.Since(start),
+			obs.Attr{Key: "strategy", Value: rep.Strategy},
+			obs.Attr{Key: "funcs", Value: fmt.Sprint(rep.Funcs)})
+	}
+	if d.reg != nil {
+		d.reg.Counter("pipeline.compiles").Inc()
+		d.reg.Counter("pipeline.funcs").Add(int64(rep.Funcs))
+		d.reg.Counter("pipeline.failures").Add(rep.Failures)
+		d.reg.Counter("pipeline.degraded").Add(rep.Degraded)
+		if programHit {
+			d.reg.Counter("pipeline.program_hits").Inc()
 		}
 	}
 	rep.Spans = tracer.Count()

@@ -65,3 +65,39 @@ func TestCompileTracedNilFallsBack(t *testing.T) {
 		t.Fatalf("nil tracer did not fall back to the driver's tracer")
 	}
 }
+
+// TestCompilesLeaseTIDBlocks: a compile records on a block of tids its
+// tracer leases it and frees on return, error or not. Compiles one at a
+// time, on the driver's tracer or a per-request one, keep tids
+// 0..workers; compiles in flight together on one tracer get disjoint
+// blocks.
+func TestCompilesLeaseTIDBlocks(t *testing.T) {
+	const workers = 3
+	tr := obs.NewTracer()
+	drv := New(Options{Workers: workers, DisableCache: true, Tracer: tr})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := drv.CompileContext(cancelled, workload.RandomProgram(1), Config{Strategy: NoCCM}); err == nil {
+		t.Fatal("a compile under a cancelled context succeeded")
+	}
+	for i := 0; i < 3; i++ {
+		mustCompile(t, drv, workload.RandomProgram(int64(i+1)), Config{Strategy: PostPass, CCMBytes: 512})
+	}
+	for _, sp := range tr.Spans() {
+		if sp.TID > workers {
+			t.Fatalf("sequential compiles recorded %q on tid %d, past 0..%d", sp.Name, sp.TID, workers)
+		}
+	}
+
+	// Hold one block, as a compile in flight does: the next compile
+	// records on the block after it.
+	held := tr.LeaseTIDs(workers + 1)
+	before := len(tr.Spans())
+	mustCompile(t, drv, workload.RandomProgram(9), Config{Strategy: PostPass, CCMBytes: 512})
+	tr.ReleaseTIDs(held)
+	for _, sp := range tr.Spans()[before:] {
+		if sp.TID <= workers || sp.TID > 2*workers+1 {
+			t.Fatalf("a compile beside a held block recorded %q on tid %d, want %d..%d", sp.Name, sp.TID, workers+1, 2*workers+1)
+		}
+	}
+}

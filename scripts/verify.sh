@@ -3,10 +3,10 @@
 #
 # Runs tier-1 (build, vet, full test suite), vets the perfbench module,
 # then runs the race-detector suites the ROADMAP requires for the
-# concurrent driver, the miscompile oracle, and the persistent disk
-# cache. The long fault-injection soak is part of the default run; pass
-# short=1 in the environment to gate it off (go test -short). Intended
-# for CI and for humans before committing:
+# concurrent driver, the miscompile oracle, the experiments harness, and
+# the persistent disk cache. The long fault-injection soak is part of
+# the default run; pass short=1 in the environment to gate it off (go
+# test -short). Intended for CI and for humans before committing:
 #
 #	./scripts/verify.sh
 #
@@ -47,6 +47,13 @@ echo '== perfbench: go vet ./... (its own module)'
 
 echo "== race: go test -race $SHORTFLAG ./internal/pipeline/... ./internal/oracle/..."
 go test -race $SHORTFLAG ./internal/pipeline/... ./internal/oracle/...
+
+# The experiments harness measures up to the driver's worker bound of
+# inputs at once, all sharing one driver's cache and oracle memo, so its
+# suite (the workers=1 vs workers=8 determinism contract included)
+# always runs under the race detector.
+echo '== race: go test -race ./internal/experiments/...'
+go test -race ./internal/experiments/...
 
 # The observability subsystem's whole point is concurrent-safe counters
 # and per-worker span shards, so its suite always runs under the race
