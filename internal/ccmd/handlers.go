@@ -38,10 +38,13 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 			h(w, r)
 		}
 	}
+	// JSON escapes each tab and newline of ILOC text as two bytes, so a
+	// body may be twice its program's size, plus room for the config.
+	maxBody := 2*s.cfg.MaxProgramBytes + 64*1024
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /compile", authed(func(w http.ResponseWriter, r *http.Request) {
 		var req CompileRequest
-		if apiErr := decodeJSON(w, r, s.cfg.MaxProgramBytes+64*1024, &req); apiErr != nil {
+		if apiErr := decodeJSON(w, r, maxBody, &req); apiErr != nil {
 			writeError(w, apiErr)
 			return
 		}
@@ -54,7 +57,7 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 	}))
 	mux.HandleFunc("POST /run", authed(func(w http.ResponseWriter, r *http.Request) {
 		var req RunRequest
-		if apiErr := decodeJSON(w, r, s.cfg.MaxProgramBytes+64*1024, &req); apiErr != nil {
+		if apiErr := decodeJSON(w, r, maxBody, &req); apiErr != nil {
 			writeError(w, apiErr)
 			return
 		}

@@ -157,6 +157,40 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestHTTPEscapedProgramUnderLimit: a program under MaxProgramBytes
+// whose JSON escapes (two bytes per tab and newline) carry its body past
+// the program bound reaches the parser, whose error names the last line.
+func TestHTTPEscapedProgramUnderLimit(t *testing.T) {
+	_, ts := newTestHTTP(t, nil)
+	const nops = 200_000
+	src := "func main() {\nentry:\n" + strings.Repeat("\tnop\n", nops) + "\tbogus\n}\n"
+	if len(src) > DefaultMaxProgramBytes {
+		t.Fatalf("program is %d bytes, over the %d limit", len(src), DefaultMaxProgramBytes)
+	}
+	for _, path := range []string{"/compile", "/run"} {
+		var body any = CompileRequest{Program: src}
+		if path == "/run" {
+			body = RunRequest{Program: src}
+		}
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) <= DefaultMaxProgramBytes+64*1024 {
+			t.Fatalf("%s body is %d bytes: it must exceed the program bound plus 64 KiB", path, len(buf))
+		}
+		resp := postJSON(t, ts.URL+path, body)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422", path, resp.StatusCode)
+		}
+		env := decodeBody[errEnvelope](t, resp)
+		want := fmt.Sprintf("parse line %d: unknown opcode \"bogus\"", nops+3)
+		if env.Error == nil || env.Error.Code != CodeBadProgram || !strings.Contains(env.Error.Message, want) {
+			t.Fatalf("%s: error %+v, want %s with %q", path, env.Error, CodeBadProgram, want)
+		}
+	}
+}
+
 func TestHTTPRun(t *testing.T) {
 	_, ts := newTestHTTP(t, nil)
 	resp := postJSON(t, ts.URL+"/run", RunRequest{Program: testProgram(t, 12), CCMBytes: 256})

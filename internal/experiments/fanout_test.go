@@ -20,8 +20,9 @@ import (
 )
 
 // TestMeasureInputs pins the harness pool's contract on a fake loop:
-// index order, dependency waits, the lowest-index error, and a done
-// context that stops the hand-out.
+// index order at one worker, dependency waits, the lowest ready input
+// handed out first, the lowest-index error, and a done context that
+// stops the hand-out.
 func TestMeasureInputs(t *testing.T) {
 	members := [][]string{{"a"}, {"b"}, {"a", "c"}, {"d"}, {"c"}, {"e"}, {"b", "d"}, {"f"}}
 	// after lists, for each input, every earlier input sharing a member.
@@ -65,6 +66,28 @@ func TestMeasureInputs(t *testing.T) {
 					t.Fatalf("input %d never measured", i)
 				}
 			}
+		}
+	})
+
+	t.Run("a later input runs while an earlier one waits", func(t *testing.T) {
+		// Input 1 waits for input 0, with which it shares a member, so at
+		// two workers the second one must take input 2 while input 0 runs.
+		twoStarted := make(chan struct{})
+		err := measureInputs(context.Background(), 2, [][]string{{"a"}, {"a"}, {"b"}}, func(i int) error {
+			switch i {
+			case 0:
+				select {
+				case <-twoStarted:
+				case <-time.After(10 * time.Second):
+					return errors.New("input 2 did not start while input 1 waited on input 0")
+				}
+			case 2:
+				close(twoStarted)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
 

@@ -32,6 +32,12 @@ type parser struct {
 	f    *Func
 	blk  *Block
 	line int
+
+	// Scratch the parser reuses from line to line: the current line's
+	// operands, and the current block's instructions, which endBlock
+	// copies into the block once at their final count.
+	ops    []string
+	instrs []Instr
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -39,9 +45,12 @@ func (p *parser) errf(format string, args ...any) error {
 }
 
 func (p *parser) run(src string) error {
-	for _, raw := range strings.Split(src, "\n") {
+	// Cut yields the same lines as strings.Split(src, "\n"), the empty
+	// one after a trailing newline included, so line numbers count it.
+	for rest, more := src, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		p.line++
-		line := raw
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
@@ -159,8 +168,8 @@ func (p *parser) parseFuncHeader(line string) error {
 	p.f = &Func{Name: name, RetClass: ret}
 	params := strings.TrimSpace(rest[open+1 : close_])
 	if params != "" {
-		for _, tok := range strings.Split(params, ",") {
-			r, err := p.reg(strings.TrimSpace(tok))
+		for _, tok := range p.operands(params) {
+			r, err := p.reg(tok)
 			if err != nil {
 				return err
 			}
@@ -177,6 +186,7 @@ func (p *parser) endFunc() error {
 	if len(p.f.Blocks) == 0 {
 		return p.errf("func %s has no blocks", p.f.Name)
 	}
+	p.endBlock()
 	p.f.Renumber()
 	err := p.prog.AddFunc(p.f)
 	p.f, p.blk = nil, nil
@@ -190,9 +200,45 @@ func (p *parser) startBlock(name string) error {
 	if p.f.BlockNamed(name) != nil {
 		return p.errf("duplicate block label %q", name)
 	}
+	p.endBlock()
 	p.blk = &Block{Name: name, Index: len(p.f.Blocks)}
 	p.f.Blocks = append(p.f.Blocks, p.blk)
 	return nil
+}
+
+// endBlock moves the current block's instructions out of the scratch
+// slice into the block, allocated at their exact count. Instructions
+// are only collected under a label, so a non-empty scratch has a block.
+func (p *parser) endBlock() {
+	if len(p.instrs) > 0 {
+		p.blk.Instrs = append(make([]Instr, 0, len(p.instrs)), p.instrs...)
+	}
+	p.instrs = p.instrs[:0]
+}
+
+// operands splits s at its commas into the parser's scratch slice,
+// trimming each operand; the slice is valid until the next call.
+func (p *parser) operands(s string) []string {
+	p.ops = p.ops[:0]
+	for more := true; more; {
+		var op string
+		op, s, more = strings.Cut(s, ",")
+		p.ops = append(p.ops, strings.TrimSpace(op))
+	}
+	return p.ops
+}
+
+// regs resolves register tokens into a slice allocated at their count.
+func (p *parser) regs(toks []string) ([]Reg, error) {
+	rs := make([]Reg, len(toks))
+	for i, tok := range toks {
+		r, err := p.reg(tok)
+		if err != nil {
+			return nil, err
+		}
+		rs[i] = r
+	}
+	return rs, nil
 }
 
 // reg resolves a register token ("r12", "f3"), growing the register table
@@ -229,7 +275,7 @@ func (p *parser) parseInstr(line string) error {
 	if p.blk == nil {
 		return p.errf("instruction before any label")
 	}
-	if t := p.blk.Term(); t != nil {
+	if n := len(p.instrs); n > 0 && p.instrs[n-1].Op.IsTerminator() {
 		return p.errf("instruction after terminator in block %s", p.blk.Name)
 	}
 	var dstTok string
@@ -271,7 +317,7 @@ func (p *parser) parseInstr(line string) error {
 		}
 		in.FImm = x
 	case OpAddr:
-		parts := splitOperands(rest)
+		parts := p.operands(rest)
 		if len(parts) != 2 {
 			return p.errf("addr wants 'addr SYM, OFFSET'")
 		}
@@ -281,38 +327,22 @@ func (p *parser) parseInstr(line string) error {
 			return p.errf("bad addr offset %q", parts[1])
 		}
 		in.Imm = n
-	case OpLoadAI, OpFLoadAI, OpSpill, OpFSpill, OpCCMSpill, OpCCMFSpill:
-		parts := splitOperands(rest)
-		if len(parts) != 2 {
+	case OpLoadAI, OpFLoadAI, OpSpill, OpFSpill, OpCCMSpill, OpCCMFSpill, OpStoreAI, OpFStoreAI:
+		parts := p.operands(rest)
+		nregs := op.NumArgs()
+		if len(parts) != nregs+1 {
+			if nregs == 2 {
+				return p.errf("%s wants 'val, addr, offset'", op)
+			}
 			return p.errf("%s wants 'reg, offset'", op)
 		}
-		r, err := p.reg(parts[0])
-		if err != nil {
+		var err error
+		if in.Args, err = p.regs(parts[:nregs]); err != nil {
 			return err
 		}
-		n, err := strconv.ParseInt(parts[1], 10, 64)
-		if err != nil {
-			return p.errf("bad offset %q", parts[1])
+		if in.Imm, err = strconv.ParseInt(parts[nregs], 10, 64); err != nil {
+			return p.errf("bad offset %q", parts[nregs])
 		}
-		in.Args, in.Imm = []Reg{r}, n
-	case OpStoreAI, OpFStoreAI:
-		parts := splitOperands(rest)
-		if len(parts) != 3 {
-			return p.errf("%s wants 'val, addr, offset'", op)
-		}
-		v, err := p.reg(parts[0])
-		if err != nil {
-			return err
-		}
-		a, err := p.reg(parts[1])
-		if err != nil {
-			return err
-		}
-		n, err := strconv.ParseInt(parts[2], 10, 64)
-		if err != nil {
-			return p.errf("bad offset %q", parts[2])
-		}
-		in.Args, in.Imm = []Reg{v, a}, n
 	case OpRestore, OpFRestore, OpCCMRestore, OpCCMFRestore:
 		n, err := strconv.ParseInt(rest, 10, 64)
 		if err != nil {
@@ -325,7 +355,7 @@ func (p *parser) parseInstr(line string) error {
 		}
 		in.Then = rest
 	case OpCBr:
-		parts := splitOperands(rest)
+		parts := p.operands(rest)
 		if len(parts) != 3 {
 			return p.errf("cbr wants 'cond, then, else'")
 		}
@@ -341,14 +371,10 @@ func (p *parser) parseInstr(line string) error {
 			return p.errf("call wants 'call NAME(args)'")
 		}
 		in.Sym = strings.TrimSpace(rest[:open])
-		argstr := strings.TrimSpace(rest[open+1 : close_])
-		if argstr != "" {
-			for _, tok := range splitOperands(argstr) {
-				r, err := p.reg(tok)
-				if err != nil {
-					return err
-				}
-				in.Args = append(in.Args, r)
+		if argstr := strings.TrimSpace(rest[open+1 : close_]); argstr != "" {
+			var err error
+			if in.Args, err = p.regs(p.operands(argstr)); err != nil {
+				return err
 			}
 		}
 	case OpRet:
@@ -360,39 +386,25 @@ func (p *parser) parseInstr(line string) error {
 			in.Args = []Reg{r}
 		}
 	case OpPhi:
-		for _, tok := range splitOperands(rest) {
-			r, err := p.reg(tok)
-			if err != nil {
-				return err
-			}
-			in.Args = append(in.Args, r)
+		var err error
+		if in.Args, err = p.regs(p.operands(rest)); err != nil {
+			return err
 		}
 	default:
 		// Uniform fixed-arity register ops.
 		want := op.NumArgs()
 		var parts []string
 		if rest != "" {
-			parts = splitOperands(rest)
+			parts = p.operands(rest)
 		}
 		if len(parts) != want {
 			return p.errf("%s wants %d operands, got %d", op, want, len(parts))
 		}
-		for _, tok := range parts {
-			r, err := p.reg(tok)
-			if err != nil {
-				return err
-			}
-			in.Args = append(in.Args, r)
+		var err error
+		if in.Args, err = p.regs(parts); err != nil {
+			return err
 		}
 	}
-	p.blk.Instrs = append(p.blk.Instrs, in)
+	p.instrs = append(p.instrs, in)
 	return nil
-}
-
-func splitOperands(s string) []string {
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
 }

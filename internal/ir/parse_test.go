@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-func TestParseEveryInstructionForm(t *testing.T) {
-	src := `
+// everyFormSrc writes every instruction form, global initializer kind
+// and function signature shape, with comments and blank lines.
+const everyFormSrc = `
 # comment line
 global G 8 = i 1 -2 3
 global H 2 = f 1.5 -0.25
@@ -92,7 +93,93 @@ entry:
 	ret
 }
 `
-	p, err := Parse(src)
+
+// everyFormText is everyFormSrc in the printer's canonical form.
+const everyFormText = `global G 8 = x 1 fffffffffffffffe 3
+global H 2 = x 3ff8000000000000 bfd0000000000000
+global X 1 = x deadbeef
+
+func main() {
+entry:
+	nop
+	r0 = loadi -42
+	f1 = loadf 2.5
+	r2 = add r0, r0
+	r3 = sub r2, r0
+	r4 = mul r3, r3
+	r5 = div r4, r3
+	r6 = rem r5, r3
+	r7 = and r6, r5
+	r8 = or r7, r6
+	r9 = xor r8, r7
+	r10 = shl r9, r0
+	r11 = shr r10, r0
+	r12 = neg r11
+	r13 = not r12
+	r14 = cmplt r13, r12
+	r15 = cmple r14, r13
+	r16 = cmpgt r15, r14
+	r17 = cmpge r16, r15
+	r18 = cmpeq r17, r16
+	r19 = cmpne r18, r17
+	f20 = fadd f1, f1
+	f21 = fsub f20, f1
+	f22 = fmul f21, f20
+	f23 = fdiv f22, f21
+	f24 = fneg f23
+	f25 = fabs f24
+	f26 = fsqrt f25
+	r27 = fcmplt f26, f25
+	r28 = fcmple f26, f25
+	r29 = fcmpgt f26, f25
+	r30 = fcmpge f26, f25
+	r31 = fcmpeq f26, f25
+	r32 = fcmpne f26, f25
+	f33 = i2f r32
+	r34 = f2i f33
+	r35 = copy r34
+	f36 = fcopy f33
+	r37 = addr G, 16
+	r38 = load r37
+	r39 = loadai r37, 8
+	store r38, r37
+	storeai r39, r37, 8
+	f40 = fload r37
+	f41 = floadai r37, 8
+	fstore f40, r37
+	fstoreai f41, r37, 8
+	spill r39, 0
+	r42 = restore 0
+	fspill f41, 8
+	f43 = frestore 8
+	ccmspill r42, 0
+	r44 = ccmrestore 0
+	ccmfspill f43, 8
+	f45 = ccmfrestore 8
+	emit r44
+	femit f45
+	r46 = call fn(r44, f45)
+	call fn2()
+	cbr r46, next, next
+next:
+	jmp done
+done:
+	ret
+}
+
+func fn(r0, f1) int {
+entry:
+	ret r0
+}
+
+func fn2() {
+entry:
+	ret
+}
+`
+
+func TestParseEveryInstructionForm(t *testing.T) {
+	p, err := Parse(everyFormSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +252,9 @@ func TestParseErrors(t *testing.T) {
 		{"r0 = loadi 1", "outside function"},
 		{"func f() {\nentry:\n\tret\nentry:\n\tret\n}", "duplicate block label"},
 		{"func f() {\nentry:\n\tret\n\tnop\n}", "after terminator"},
-		{"func f() {\nentry:\n\tret\n", "missing closing brace"},
+		// The line count takes in the empty line after a final newline.
+		{"func f() {\nentry:\n\tret\n", "parse line 4: missing closing brace for func f"},
+		{"func f() {\nentry:\n\tret", "parse line 3: missing closing brace for func f"},
 		{"}", "unexpected '}'"},
 		{"func f() {\nentry:\n\tcbr r0, a\n}", "cbr wants"},
 		{"func f() {\nentry:\n\tjmp\n}", "jmp wants a label"},
@@ -177,8 +266,62 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse accepted %q (want error %q)", c.src, c.want)
 			continue
 		}
-		if !strings.Contains(err.Error(), c.want) {
+		// A want naming the line is the whole message; others are substrings.
+		if strings.HasPrefix(c.want, "parse line ") {
+			if err.Error() != c.want {
+				t.Errorf("Parse(%q) error %q, want %q", c.src, err, c.want)
+			}
+		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Parse(%q) error %q, want substring %q", c.src, err, c.want)
+		}
+	}
+}
+
+// TestPrintExactText pins the printer's bytes to literal text: the
+// canonical form of every instruction, float constants at the edges of
+// their shortest form, a full-width hex initializer, and the register
+// names of NoReg and of a register with no class.
+func TestPrintExactText(t *testing.T) {
+	p, err := Parse(everyFormSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.String(); got != everyFormText {
+		t.Errorf("printed:\n%s\nwant:\n%s", got, everyFormText)
+	}
+
+	f := &Func{Name: "x"}
+	fr := f.NewReg(ClassFloat, "")
+	for _, c := range []struct {
+		x    float64
+		want string
+	}{
+		{math.Copysign(0, -1), "f0 = loadf -0"},
+		{math.NaN(), "f0 = loadf NaN"},
+		{math.Inf(1), "f0 = loadf +Inf"},
+		{math.Inf(-1), "f0 = loadf -Inf"},
+		{1e21, "f0 = loadf 1e+21"},
+		{5e-324, "f0 = loadf 5e-324"},
+		{0.1, "f0 = loadf 0.1"},
+	} {
+		in := Instr{Op: OpLoadF, Dst: fr, FImm: c.x}
+		if got := f.FormatInstr(&in); got != c.want {
+			t.Errorf("FormatInstr(loadf %v) = %q, want %q", c.x, got, c.want)
+		}
+	}
+
+	g := &Program{Globals: []*Global{{Name: "G", Words: 1, Init: []uint64{math.MaxUint64}}}}
+	if got, want := g.String(), "global G 1 = x ffffffffffffffff\n\n"; got != want {
+		t.Errorf("global printed %q, want %q", got, want)
+	}
+
+	none := f.NewReg(ClassNone, "")
+	for _, c := range []struct {
+		r    Reg
+		want string
+	}{{NoReg, "_"}, {none, "r1"}} {
+		if got := f.RegName(c.r); got != c.want {
+			t.Errorf("RegName(%d) = %q, want %q", c.r, got, c.want)
 		}
 	}
 }

@@ -1,131 +1,149 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
+
+// The printer appends into one byte slice, which Program.String sizes
+// once for the whole program; RegName, FormatInstr and Func.String wrap
+// the same appenders.
 
 // RegName renders a register in the textual form used by the parser:
 // r<N> for integer registers, f<N> for floats. The index space is shared,
 // so r4 and f4 never coexist in one function.
-func (f *Func) RegName(r Reg) string {
+func (f *Func) RegName(r Reg) string { return string(f.appendReg(nil, r)) }
+
+func (f *Func) appendReg(b []byte, r Reg) []byte {
 	if r == NoReg {
-		return "_"
+		return append(b, '_')
 	}
-	switch f.RegClass(r) {
-	case ClassFloat:
-		return fmt.Sprintf("f%d", r)
-	default:
-		return fmt.Sprintf("r%d", r)
+	if f.RegClass(r) == ClassFloat {
+		b = append(b, 'f')
+	} else {
+		b = append(b, 'r')
 	}
+	return strconv.AppendInt(b, int64(r), 10)
+}
+
+// appendRegs appends regs separated by ", ".
+func (f *Func) appendRegs(b []byte, regs []Reg) []byte {
+	for i, r := range regs {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = f.appendReg(b, r)
+	}
+	return b
 }
 
 // FormatInstr renders one instruction in parseable form.
-func (f *Func) FormatInstr(in *Instr) string {
-	var b strings.Builder
-	arg := func(i int) string { return f.RegName(in.Args[i]) }
+func (f *Func) FormatInstr(in *Instr) string { return string(f.appendInstr(nil, in)) }
+
+func (f *Func) appendInstr(b []byte, in *Instr) []byte {
 	if in.Dst != NoReg {
-		fmt.Fprintf(&b, "%s = ", f.RegName(in.Dst))
+		b = append(f.appendReg(b, in.Dst), " = "...)
 	}
+	b = append(b, in.Op.String()...)
 	switch in.Op {
 	case OpNop:
-		b.WriteString("nop")
-	case OpLoadI:
-		fmt.Fprintf(&b, "loadi %d", in.Imm)
+	case OpLoadI, OpRestore, OpFRestore, OpCCMRestore, OpCCMFRestore:
+		b = strconv.AppendInt(append(b, ' '), in.Imm, 10)
 	case OpLoadF:
-		fmt.Fprintf(&b, "loadf %v", in.FImm)
-	case OpLoadAI, OpFLoadAI:
-		fmt.Fprintf(&b, "%s %s, %d", in.Op, arg(0), in.Imm)
+		b = strconv.AppendFloat(append(b, ' '), in.FImm, 'g', -1, 64)
+	case OpLoadAI, OpFLoadAI, OpSpill, OpFSpill, OpCCMSpill, OpCCMFSpill:
+		b = f.appendReg(append(b, ' '), in.Args[0])
+		b = strconv.AppendInt(append(b, ", "...), in.Imm, 10)
 	case OpStoreAI, OpFStoreAI:
-		fmt.Fprintf(&b, "%s %s, %s, %d", in.Op, arg(0), arg(1), in.Imm)
+		b = f.appendReg(append(b, ' '), in.Args[0])
+		b = f.appendReg(append(b, ", "...), in.Args[1])
+		b = strconv.AppendInt(append(b, ", "...), in.Imm, 10)
 	case OpAddr:
-		fmt.Fprintf(&b, "addr %s, %d", in.Sym, in.Imm)
-	case OpSpill, OpFSpill, OpCCMSpill, OpCCMFSpill:
-		fmt.Fprintf(&b, "%s %s, %d", in.Op, arg(0), in.Imm)
-	case OpRestore, OpFRestore, OpCCMRestore, OpCCMFRestore:
-		fmt.Fprintf(&b, "%s %d", in.Op, in.Imm)
+		b = append(append(b, ' '), in.Sym...)
+		b = strconv.AppendInt(append(b, ", "...), in.Imm, 10)
 	case OpJmp:
-		fmt.Fprintf(&b, "jmp %s", in.Then)
+		b = append(append(b, ' '), in.Then...)
 	case OpCBr:
-		fmt.Fprintf(&b, "cbr %s, %s, %s", arg(0), in.Then, in.Else)
+		b = f.appendReg(append(b, ' '), in.Args[0])
+		b = append(append(b, ", "...), in.Then...)
+		b = append(append(b, ", "...), in.Else...)
 	case OpCall:
-		parts := make([]string, len(in.Args))
-		for i := range in.Args {
-			parts[i] = arg(i)
-		}
-		fmt.Fprintf(&b, "call %s(%s)", in.Sym, strings.Join(parts, ", "))
+		b = append(append(b, ' '), in.Sym...)
+		b = append(f.appendRegs(append(b, '('), in.Args), ')')
 	case OpRet:
-		b.WriteString("ret")
 		if len(in.Args) == 1 {
-			fmt.Fprintf(&b, " %s", arg(0))
+			b = f.appendReg(append(b, ' '), in.Args[0])
 		}
 	case OpPhi:
-		parts := make([]string, len(in.Args))
-		for i := range in.Args {
-			parts[i] = arg(i)
-		}
-		fmt.Fprintf(&b, "phi %s", strings.Join(parts, ", "))
+		b = f.appendRegs(append(b, ' '), in.Args)
 	default:
 		// Uniform fixed-arity ops: "op a[, b]".
-		b.WriteString(in.Op.String())
-		for i := range in.Args {
-			if i == 0 {
-				b.WriteByte(' ')
-			} else {
-				b.WriteString(", ")
-			}
-			b.WriteString(arg(i))
+		if len(in.Args) > 0 {
+			b = f.appendRegs(append(b, ' '), in.Args)
 		}
 	}
-	return b.String()
+	return b
 }
 
 // String renders the function in the textual ILOC form accepted by Parse.
-func (f *Func) String() string {
-	var b strings.Builder
-	params := make([]string, len(f.Params))
-	for i, p := range f.Params {
-		params[i] = f.RegName(p)
-	}
-	fmt.Fprintf(&b, "func %s(%s)", f.Name, strings.Join(params, ", "))
+func (f *Func) String() string { return string(f.appendFunc(make([]byte, 0, f.printSize()))) }
+
+func (f *Func) appendFunc(b []byte) []byte {
+	b = append(append(b, "func "...), f.Name...)
+	b = append(f.appendRegs(append(b, '('), f.Params), ')')
 	switch f.RetClass {
 	case ClassInt:
-		b.WriteString(" int")
+		b = append(b, " int"...)
 	case ClassFloat:
-		b.WriteString(" float")
+		b = append(b, " float"...)
 	}
-	b.WriteString(" {\n")
+	b = append(b, " {\n"...)
 	for _, blk := range f.Blocks {
-		fmt.Fprintf(&b, "%s:\n", blk.Name)
+		b = append(append(b, blk.Name...), ":\n"...)
 		for i := range blk.Instrs {
-			fmt.Fprintf(&b, "\t%s\n", f.FormatInstr(&blk.Instrs[i]))
+			b = append(f.appendInstr(append(b, '\t'), &blk.Instrs[i]), '\n')
 		}
 	}
-	b.WriteString("}\n")
-	return b.String()
+	return append(b, "}\n"...)
+}
+
+// printSize overestimates the bytes f prints as, so that printing
+// rarely grows its buffer: it allows 32 bytes an instruction, where the
+// suite's compiled functions print 16 to 43, headers and labels included.
+func (f *Func) printSize() int {
+	n := len(f.Name) + 32 + 8*len(f.Params)
+	for _, blk := range f.Blocks {
+		n += len(blk.Name) + 2 + 32*len(blk.Instrs)
+	}
+	return n
 }
 
 // String renders the whole program in parseable form.
 func (p *Program) String() string {
-	var b strings.Builder
+	n := 1
 	for _, g := range p.Globals {
-		fmt.Fprintf(&b, "global %s %d", g.Name, g.Words)
+		n += len(g.Name) + 32 + 17*len(g.Init) // a hex word prints in at most 16 digits
+	}
+	for _, f := range p.Funcs {
+		n += f.printSize() + 1
+	}
+	b := make([]byte, 0, n)
+	for _, g := range p.Globals {
+		b = append(append(b, "global "...), g.Name...)
+		b = strconv.AppendInt(append(b, ' '), int64(g.Words), 10)
 		if len(g.Init) > 0 {
-			b.WriteString(" = x")
+			b = append(b, " = x"...)
 			for _, w := range g.Init {
-				fmt.Fprintf(&b, " %x", w)
+				b = strconv.AppendUint(append(b, ' '), w, 16)
 			}
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	if len(p.Globals) > 0 {
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	for i, f := range p.Funcs {
 		if i > 0 {
-			b.WriteByte('\n')
+			b = append(b, '\n')
 		}
-		b.WriteString(f.String())
+		b = f.appendFunc(b)
 	}
-	return b.String()
+	return string(b)
 }

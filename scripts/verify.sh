@@ -110,12 +110,14 @@ go test -race -run TestCacheDaemonSmoke ./cmd/ccmcached/
 # webs rather than the CCM, disabled metrics and tracing must
 # allocate nothing, and an oracle check whose every run the memo holds
 # must resolve neither program (TestAllocGuardMemoizedCheck: the same
-# allocation count and bytes at 8 and 4,096 blocks per function). Run
+# allocation count and bytes at 8 and 4,096 blocks per function), and
+# printing a program must size one buffer for its whole text
+# (TestAllocGuardPrint: compiled fpppp allocates as often as radb2). Run
 # with -count=1 so a cached 'ok' can never mask an allocation
 # regression, and without -race (the race runtime inflates allocation
 # counts).
-echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/ ./internal/oracle/"
-go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/ ./internal/oracle/
+echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/ ./internal/oracle/ ./internal/ir/"
+go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/ ./internal/oracle/ ./internal/ir/
 
 # The root package holds one benchmark per paper table and figure plus
 # the fpppp, simulator and parser micro-benchmarks; internal/pipeline
