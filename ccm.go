@@ -26,7 +26,6 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
-	"time"
 
 	"ccmem/internal/ir"
 	"ccmem/internal/memsys"
@@ -146,9 +145,6 @@ type Config struct {
 	// pass, attributing the first breakage to the pass that introduced
 	// it (slower; a debugging and hardening mode).
 	VerifyPasses bool
-	// FuncTimeout bounds each per-function compile attempt; on expiry
-	// the function is retried down the degradation ladder. 0 = no limit.
-	FuncTimeout time.Duration
 	// Strict fails the compile on the first pass fault instead of
 	// degrading the affected function.
 	Strict bool
@@ -336,8 +332,7 @@ func driverFor(cfg Config) *pipeline.Driver {
 
 // Compile runs the full pipeline in place. The work is delegated to the
 // internal/pipeline driver; use that package directly (via IR) for
-// per-pass timings, cache statistics, worker control, and experimental
-// pass injection.
+// per-pass timings, cache statistics, and worker control.
 func (pr *Program) Compile(cfg Config) (*CompileReport, error) {
 	return pr.CompileContext(context.Background(), cfg)
 }
@@ -360,7 +355,7 @@ func (pr *Program) CompileContext(ctx context.Context, cfg Config) (*CompileRepo
 		// the base driver's artifact cache (so hit rates and disk LRU state
 		// stay process-wide) but owns its tracer and registry, so
 		// concurrent Compiles never mix spans or counters.
-		opts := pipeline.Options{Cache: base.Cache(), PprofLabels: true}
+		opts := pipeline.Options{Cache: base.Cache()}
 		if cfg.Trace != nil {
 			tracer = obs.NewTracer()
 			opts.Tracer = tracer
@@ -378,7 +373,6 @@ func (pr *Program) CompileContext(ctx context.Context, cfg Config) (*CompileRepo
 		DisableOptimizer:  cfg.DisableOptimizer,
 		DisableCompaction: cfg.DisableCompaction,
 		VerifyPasses:      cfg.VerifyPasses,
-		FuncTimeout:       cfg.FuncTimeout,
 		Strict:            cfg.Strict,
 		ReproDir:          cfg.ReproDir,
 		DiffCheck:         diffMode(cfg.DiffCheck),

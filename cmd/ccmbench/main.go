@@ -6,16 +6,16 @@
 //
 //	ccmbench [-table N] [-figure N] [-ablation] [-multiproc] [-markdown]
 //	         [-memcost N] [-workers N] [-json]
-//	         [-verify-passes] [-timeout D] [-repro-dir DIR]
+//	         [-verify-passes] [-repro-dir DIR]
 //	         [-cache-dir DIR] [-cache-bytes N] [-remote-url URL]
 //	         [-trace out.json] [-metrics-out FILE]
 //
 // The fault-isolation flags harden long benchmark runs: -verify-passes
-// checkpoints compiler invariants after every pass, -timeout bounds each
-// per-function compile attempt, and -repro-dir captures a replayable
-// bundle for any pass fault. Benchmarks always compile in strict mode —
-// silently degraded code would skew the tables — so a fault aborts the
-// run (after writing its bundle) rather than polluting the measurements.
+// checkpoints compiler invariants after every pass, and -repro-dir
+// captures a replayable bundle for any pass fault. Benchmarks always
+// compile in strict mode — silently degraded code would skew the tables
+// — so a fault aborts the run (after writing its bundle) rather than
+// polluting the measurements.
 // For the same reason the differential miscompile oracle is always on:
 // every measured compile is executed against its input on deterministic
 // argument vectors, and a divergence — wrong code that parses, verifies,
@@ -79,7 +79,6 @@ func main() {
 	workers := flag.Int("workers", 0, "compilation worker pool size, which also caps how many inputs the evaluation measures at once (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "print the cumulative pipeline report as JSON to stderr")
 	verifyPasses := flag.Bool("verify-passes", false, "verify IR and liveness invariants after every compilation pass")
-	timeout := flag.Duration("timeout", 0, "per-function compile attempt timeout (0 = none)")
 	reproDir := flag.String("repro-dir", "", "write crash repro bundles for pass faults to this directory")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (empty = memory-only)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "persistent cache byte budget (0 = default)")
@@ -112,11 +111,9 @@ func main() {
 	}
 	if *traceOut != "" {
 		popts.Tracer = obs.NewTracer()
-		popts.PprofLabels = true
 	}
 	if *metricsOut != "" {
 		popts.Metrics = obs.NewRegistry()
-		popts.PprofLabels = true
 	}
 	cfg.Driver = pipeline.New(popts)
 	if err := cfg.Driver.DiskCacheErr(); err != nil {
@@ -126,7 +123,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ccmbench: warning: remote cache disabled: %v\n", err)
 	}
 	cfg.VerifyPasses = *verifyPasses
-	cfg.FuncTimeout = *timeout
 	cfg.ReproDir = *reproDir
 	cfg.Strict = true
 	// Strict benchmarking distrusts wrong code as much as crashed code.

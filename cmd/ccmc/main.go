@@ -7,7 +7,7 @@
 //
 //	ccmc [-strategy none|postpass|postpass-ipa|integrated] [-ccm BYTES]
 //	     [-regs N] [-no-opt] [-no-compact] [-workers N]
-//	     [-verify-passes] [-timeout D] [-strict] [-repro-dir DIR]
+//	     [-verify-passes] [-strict] [-repro-dir DIR]
 //	     [-diff-check off|final] [-diff-vectors N]
 //	     [-cache-dir DIR] [-cache-bytes N]
 //	     [-trace out.json] [-metrics]
@@ -20,8 +20,7 @@
 //
 // The fault-isolation flags: -verify-passes checkpoints IR and liveness
 // invariants after every pass, attributing the first breakage to the pass
-// that introduced it; -timeout bounds each per-function compile attempt
-// (e.g. -timeout 5s); -strict turns the first pass fault into a fatal
+// that introduced it; -strict turns the first pass fault into a fatal
 // error instead of degrading the affected function down the ladder
 // (no-opt → baseline spills → no CCM); -repro-dir writes a replayable
 // crash repro bundle for every fault. Recovered faults are summarized on
@@ -92,7 +91,6 @@ func main() {
 	noCompact := flag.Bool("no-compact", false, "skip spill-memory compaction")
 	workers := flag.Int("workers", 0, "compilation worker pool size (0 = GOMAXPROCS)")
 	verifyPasses := flag.Bool("verify-passes", false, "verify IR and liveness invariants after every pass")
-	timeout := flag.Duration("timeout", 0, "per-function compile attempt timeout (0 = none)")
 	strict := flag.Bool("strict", false, "fail on the first pass fault instead of degrading")
 	reproDir := flag.String("repro-dir", "", "write crash repro bundles for pass faults to this directory")
 	diffCheck := flag.String("diff-check", "off", "differential miscompile oracle: off or final")
@@ -139,7 +137,6 @@ func main() {
 		DisableOptimizer:  *noOpt,
 		DisableCompaction: *noCompact,
 		VerifyPasses:      *verifyPasses,
-		FuncTimeout:       *timeout,
 		Strict:            *strict,
 		ReproDir:          *reproDir,
 		DiffCheck:         diff,
@@ -151,11 +148,9 @@ func main() {
 	popts := pipeline.Options{Workers: *workers, CacheDir: *cacheDir, CacheBytes: *cacheBytes}
 	if *traceOut != "" {
 		popts.Tracer = obs.NewTracer()
-		popts.PprofLabels = true
 	}
 	if *metrics {
 		popts.Metrics = obs.NewRegistry()
-		popts.PprofLabels = true
 	}
 	drv := pipeline.New(popts)
 	if err := drv.DiskCacheErr(); err != nil {

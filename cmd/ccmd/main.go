@@ -118,7 +118,6 @@ func main() {
 		RemoteURLs:  remoteURLs,
 		RemoteToken: rtoken,
 		Metrics:     obs.NewRegistry(),
-		PprofLabels: true,
 	})
 	if err := drv.DiskCacheErr(); err != nil {
 		// Degraded, not dead: compiles fall back to the memory tier and

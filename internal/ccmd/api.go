@@ -21,7 +21,7 @@ const (
 	CodeRunFault     = "run-fault"     // 422: execution faulted or hit a resource limit
 	CodeSaturated    = "saturated"     // 429: admission queue full service-wide; retry after backoff
 	CodeDraining     = "draining"      // 503: the service is shutting down
-	CodeCanceled     = "canceled"      // 499-ish: the client went away mid-compile
+	CodeCanceled     = "canceled"      // 499-ish: the client went away mid-compile or mid-run
 	CodeInternal     = "internal"      // 500: anything the service cannot attribute
 )
 
@@ -71,7 +71,6 @@ type RequestConfig struct {
 	DisableCompaction bool `json:"no_compact,omitempty"`
 
 	VerifyPasses bool   `json:"verify_passes,omitempty"`
-	TimeoutMS    int64  `json:"timeout_ms,omitempty"` // per-function attempt timeout, clamped to the service max
 	Strict       bool   `json:"strict,omitempty"`
 	DiffCheck    string `json:"diff_check,omitempty"` // off | final
 	DiffVectors  int    `json:"diff_vectors,omitempty"`

@@ -43,12 +43,11 @@ import (
 
 // Defaults for Config fields left zero.
 const (
-	DefaultMaxQueueFactor  = 4                // MaxQueue = factor * MaxInflight
-	DefaultRetryAfter      = 2 * time.Second  // 429/503 backoff hint
-	DefaultMaxProgramBytes = 1 << 20          // 1 MiB of ILOC text per request
-	DefaultMaxFuncTimeout  = 60 * time.Second // ceiling on the per-function timeout a request may ask for
-	DefaultMaxTraceSpans   = 1 << 16          // retained spans across recent traced requests
-	DefaultMaxRunSteps     = 500_000_000      // ceiling on RunRequest.MaxSteps (the simulator default)
+	DefaultMaxQueueFactor  = 4               // MaxQueue = factor * MaxInflight
+	DefaultRetryAfter      = 2 * time.Second // 429/503 backoff hint
+	DefaultMaxProgramBytes = 1 << 20         // 1 MiB of ILOC text per request
+	DefaultMaxTraceSpans   = 1 << 16         // retained spans across recent traced requests
+	DefaultMaxRunSteps     = 500_000_000     // ceiling on RunRequest.MaxSteps (the simulator default)
 )
 
 // Config parameterizes a Service. Driver is required; everything else
@@ -75,8 +74,6 @@ type Config struct {
 
 	// MaxProgramBytes bounds the ILOC text of one request.
 	MaxProgramBytes int64
-	// MaxFuncTimeout is the ceiling a request's timeout_ms is clamped to.
-	MaxFuncTimeout time.Duration
 	// MaxRunSteps is the ceiling a run request's max_steps is clamped to.
 	MaxRunSteps int64
 	// MaxTraceSpans bounds the spans retained from recent traced
@@ -96,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxProgramBytes <= 0 {
 		c.MaxProgramBytes = DefaultMaxProgramBytes
-	}
-	if c.MaxFuncTimeout <= 0 {
-		c.MaxFuncTimeout = DefaultMaxFuncTimeout
 	}
 	if c.MaxRunSteps <= 0 {
 		c.MaxRunSteps = DefaultMaxRunSteps
@@ -346,13 +340,6 @@ func (s *Service) pipelineConfig(req *CompileRequest) (pipeline.Config, *APIErro
 	if req.Config.DiffVectors < 0 {
 		return zero, errBadRequest("config.diff_vectors", "must be >= 0, got %d", req.Config.DiffVectors)
 	}
-	if req.Config.TimeoutMS < 0 {
-		return zero, errBadRequest("config.timeout_ms", "must be >= 0, got %d", req.Config.TimeoutMS)
-	}
-	timeout := time.Duration(req.Config.TimeoutMS) * time.Millisecond
-	if timeout > s.cfg.MaxFuncTimeout {
-		timeout = s.cfg.MaxFuncTimeout
-	}
 	cfg := pipeline.Config{
 		Strategy:          strat,
 		IntRegs:           req.Config.IntRegs,
@@ -360,7 +347,6 @@ func (s *Service) pipelineConfig(req *CompileRequest) (pipeline.Config, *APIErro
 		DisableOptimizer:  req.Config.DisableOptimizer,
 		DisableCompaction: req.Config.DisableCompaction,
 		VerifyPasses:      req.Config.VerifyPasses,
-		FuncTimeout:       timeout,
 		Strict:            req.Config.Strict,
 		DiffCheck:         diff,
 		DiffVectors:       req.Config.DiffVectors,
@@ -519,7 +505,10 @@ func (s *Service) TraceSpans() []obs.Span {
 
 // Run serves one execution request on the instrumented simulator. Runs
 // go through the same admission queue as compiles — simulation is CPU
-// work too — and are bounded by the service's step and depth ceilings.
+// work too — and are bounded by the service's step and depth ceilings
+// and by ctx: once the client hangs up, or a drain closes its
+// connection, the run stops at its next block boundary and frees its
+// slot, answered 499 canceled as a compile is.
 func (s *Service) Run(ctx context.Context, req *RunRequest) (*RunResponse, *APIError) {
 	s.requests.Add(1)
 	s.reg.Counter("ccmd.requests").Inc()
@@ -558,13 +547,21 @@ func (s *Service) Run(ctx context.Context, req *RunRequest) (*RunResponse, *APIE
 	if steps <= 0 || steps > s.cfg.MaxRunSteps {
 		steps = s.cfg.MaxRunSteps
 	}
-	st, err := sim.Run(p, entry, sim.Config{
+	m, err := sim.New(p, sim.Config{
 		MemCost:  req.MemCost,
 		CCMBytes: req.CCMBytes,
 		MaxSteps: steps,
 		MaxDepth: req.MaxDepth,
 	})
 	if err != nil {
+		return nil, &APIError{Status: http.StatusUnprocessableEntity, Code: CodeRunFault, Message: err.Error()}
+	}
+	st, err := m.RunContext(ctx, entry)
+	if err != nil {
+		var f *sim.Fault
+		if errors.As(err, &f) && f.Kind == sim.FaultCancelled {
+			return nil, &APIError{Status: 499, Code: CodeCanceled, Message: err.Error()}
+		}
 		return nil, &APIError{Status: http.StatusUnprocessableEntity, Code: CodeRunFault, Message: err.Error()}
 	}
 	resp := &RunResponse{

@@ -102,8 +102,6 @@ func TestCompileValidation(t *testing.T) {
 			Config: RequestConfig{DiffCheck: "per-stage"}}, 400, CodeBadRequest, "config.diff_check"},
 		{"ccm without bytes", CompileRequest{Program: testProgram(t, 2),
 			Config: RequestConfig{Strategy: "postpass"}}, 400, CodeBadRequest, "config.ccm_bytes"},
-		{"negative timeout", CompileRequest{Program: testProgram(t, 2),
-			Config: RequestConfig{TimeoutMS: -5}}, 400, CodeBadRequest, "config.timeout_ms"},
 		{"negative int regs", CompileRequest{Program: testProgram(t, 2),
 			Config: RequestConfig{IntRegs: -1}}, 400, CodeBadRequest, "config.int_regs"},
 		{"negative float regs", CompileRequest{Program: testProgram(t, 2),
@@ -196,16 +194,21 @@ func TestPipelineConfigTenant(t *testing.T) {
 	}
 }
 
-func TestTimeoutClamp(t *testing.T) {
-	svc := newTestService(t, func(c *Config) { c.MaxFuncTimeout = time.Second })
-	cfg, apiErr := svc.pipelineConfig(&CompileRequest{
-		Config: RequestConfig{TimeoutMS: 60_000},
-	})
-	if apiErr != nil {
-		t.Fatalf("pipelineConfig: %v", apiErr)
+// TestCompileRejectsTimeoutField: no compile has a per-function timeout,
+// so a body that still sends timeout_ms is a 400 naming the unknown
+// field rather than a compile that silently ignores it.
+func TestCompileRejectsTimeoutField(t *testing.T) {
+	svc := newTestService(t, nil)
+	body := `{"program": "func main() {\nentry:\n\tret\n}\n", "config": {"timeout_ms": 5000}}`
+	rec := httptest.NewRecorder()
+	Handler(svc, "test", "").ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/compile", strings.NewReader(body)))
+	var env errEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("status %d, undecodable body %q: %v", rec.Code, rec.Body, err)
 	}
-	if cfg.FuncTimeout != time.Second {
-		t.Fatalf("FuncTimeout = %v, want clamp to 1s", cfg.FuncTimeout)
+	if rec.Code != http.StatusBadRequest || env.Error == nil || env.Error.Code != CodeBadRequest ||
+		!strings.Contains(env.Error.Message, `unknown field "timeout_ms"`) {
+		t.Fatalf("status %d, error %+v; want 400 %s naming timeout_ms", rec.Code, env.Error, CodeBadRequest)
 	}
 }
 
@@ -438,6 +441,23 @@ func TestRunNegativeBoundNamesItsField(t *testing.T) {
 				t.Fatalf("got %v, want 400 %q on field %s", apiErr, CodeBadRequest, tc.field)
 			}
 		})
+	}
+}
+
+// TestRunCanceled: a run whose client has gone away stops at the next
+// block boundary and answers 499, as a compile does, instead of holding
+// its admission slot for the whole step budget.
+func TestRunCanceled(t *testing.T) {
+	svc := newTestService(t, func(c *Config) { c.MaxRunSteps = 50_000_000 })
+	loop := "func main() {\nentry:\n\tjmp loop\nloop:\n\tjmp loop\n}\n"
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, apiErr := svc.Run(ctx, &RunRequest{Program: loop})
+	if apiErr == nil || apiErr.Status != 499 || apiErr.Code != CodeCanceled {
+		t.Fatalf("got %v, want 499 %q", apiErr, CodeCanceled)
+	}
+	if n := svc.Stats().Inflight; n != 0 {
+		t.Fatalf("Inflight = %d after the canceled run, want 0", n)
 	}
 }
 

@@ -17,7 +17,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"ccmem/internal/ir"
 	"ccmem/internal/pipeline"
@@ -82,10 +81,8 @@ type Config struct {
 	// code would silently skew the tables, so benchmarking wants Strict).
 	VerifyPasses bool
 	Strict       bool
-	// FuncTimeout bounds each per-function compile attempt (0 = none);
 	// ReproDir receives crash repro bundles for any pass fault.
-	FuncTimeout time.Duration
-	ReproDir    string
+	ReproDir string
 
 	// DiffCheck runs the differential-execution miscompile oracle on
 	// every measured compile: wrong code would skew the tables as
@@ -224,7 +221,6 @@ func compileWith(drv *pipeline.Driver, in *ir.Program, strat Strategy, ccmBytes 
 		DisableCompaction: !compact,
 		VerifyPasses:      cfg.VerifyPasses,
 		Strict:            cfg.Strict,
-		FuncTimeout:       cfg.FuncTimeout,
 		ReproDir:          cfg.ReproDir,
 		DiffCheck:         cfg.DiffCheck,
 	})

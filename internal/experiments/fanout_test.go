@@ -337,8 +337,9 @@ func spansNest(t *testing.T, exported []byte, workers int) {
 }
 
 // TestFanOutErrors: a strict loop fails with the sequential loop's error
-// at any worker count, whether every compile times out, the context is
-// cancelled before the loop starts, or one input in the middle is bad.
+// at any worker count, whether every compile rejects its config, the
+// context is cancelled before the loop starts, or one input in the middle
+// is bad.
 func TestFanOutErrors(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -354,8 +355,8 @@ func TestFanOutErrors(t *testing.T) {
 		set      func(*Config)
 		routines string // RunRoutineSuite's error
 	}{
-		{"timeout", func(c *Config) { c.FuncTimeout = time.Nanosecond },
-			"routine radb2: pipeline: pass optimize failed on main (level full): context deadline exceeded"},
+		{"bad config", func(c *Config) { c.IntRegs = -1 },
+			"routine radb2: pipeline: register counts must be >= 0, got IntRegs -1, FloatRegs 32"},
 		{"cancelled", func(c *Config) { c.Ctx = cancelled }, "routine radb2: pipeline: context canceled"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

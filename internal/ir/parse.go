@@ -19,8 +19,11 @@ import (
 // '#' starts a comment that runs to end of line. Register names use a
 // shared index space: r5 and f5 denote the same register slot, and the
 // prefix fixes its class; using both prefixes for one index is an error.
+//
+// The program holds no substring of src: each name it keeps is copied
+// once per parse, so a long-lived program pins its names, not its text.
 func Parse(src string) (*Program, error) {
-	p := &parser{prog: &Program{}}
+	p := &parser{prog: &Program{}, names: map[string]string{}}
 	if err := p.run(src); err != nil {
 		return nil, err
 	}
@@ -34,10 +37,27 @@ type parser struct {
 	line int
 
 	// Scratch the parser reuses from line to line: the current line's
-	// operands, and the current block's instructions, which endBlock
-	// copies into the block once at their final count.
-	ops    []string
-	instrs []Instr
+	// operands, the current block's instructions, which endBlock copies
+	// into the block once at their final count, and the current
+	// function's register classes, which endFunc copies into its
+	// register table once at its final size.
+	ops     []string
+	instrs  []Instr
+	classes []Class
+
+	// names maps every name kept so far to its copy, so each distinct
+	// name is copied once and an operand shares its target's copy.
+	names map[string]string
+}
+
+// name returns the parse's copy of s, a substring of the source.
+func (p *parser) name(s string) string {
+	if c, ok := p.names[s]; ok {
+		return c
+	}
+	c := strings.Clone(s)
+	p.names[c] = c
+	return c
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -99,7 +119,7 @@ func (p *parser) parseGlobal(line string) error {
 	if err != nil || words < 0 {
 		return p.errf("bad global size %q", fields[1])
 	}
-	g := &Global{Name: fields[0], Words: words}
+	g := &Global{Name: p.name(fields[0]), Words: words}
 	if init != "" {
 		vals := strings.Fields(init)
 		if len(vals) < 1 {
@@ -165,7 +185,7 @@ func (p *parser) parseFuncHeader(line string) error {
 	default:
 		return p.errf("unknown return class %q", tail)
 	}
-	p.f = &Func{Name: name, RetClass: ret}
+	p.f = &Func{Name: p.name(name), RetClass: ret}
 	params := strings.TrimSpace(rest[open+1 : close_])
 	if params != "" {
 		for _, tok := range p.operands(params) {
@@ -187,6 +207,13 @@ func (p *parser) endFunc() error {
 		return p.errf("func %s has no blocks", p.f.Name)
 	}
 	p.endBlock()
+	if len(p.classes) > 0 {
+		p.f.Regs = make([]RegInfo, len(p.classes))
+		for i, c := range p.classes {
+			p.f.Regs[i].Class = c
+		}
+		p.classes = p.classes[:0]
+	}
 	p.f.Renumber()
 	err := p.prog.AddFunc(p.f)
 	p.f, p.blk = nil, nil
@@ -201,7 +228,7 @@ func (p *parser) startBlock(name string) error {
 		return p.errf("duplicate block label %q", name)
 	}
 	p.endBlock()
-	p.blk = &Block{Name: name, Index: len(p.f.Blocks)}
+	p.blk = &Block{Name: p.name(name), Index: len(p.f.Blocks)}
 	p.f.Blocks = append(p.f.Blocks, p.blk)
 	return nil
 }
@@ -241,8 +268,8 @@ func (p *parser) regs(toks []string) ([]Reg, error) {
 	return rs, nil
 }
 
-// reg resolves a register token ("r12", "f3"), growing the register table
-// as needed and checking class consistency across mentions.
+// reg resolves a register token ("r12", "f3"), recording its class and
+// checking class consistency across mentions.
 func (p *parser) reg(tok string) (Reg, error) {
 	if len(tok) < 2 || (tok[0] != 'r' && tok[0] != 'f') {
 		return NoReg, p.errf("bad register %q", tok)
@@ -255,12 +282,12 @@ func (p *parser) reg(tok string) (Reg, error) {
 	if tok[0] == 'f' {
 		c = ClassFloat
 	}
-	for len(p.f.Regs) <= n {
-		p.f.Regs = append(p.f.Regs, RegInfo{Class: ClassNone})
+	if n >= len(p.classes) {
+		p.classes = append(p.classes, make([]Class, n+1-len(p.classes))...)
 	}
-	switch p.f.Regs[n].Class {
+	switch p.classes[n] {
 	case ClassNone:
-		p.f.Regs[n].Class = c
+		p.classes[n] = c
 	case c:
 	default:
 		return NoReg, p.errf("register %d used as both int and float", n)
@@ -321,7 +348,7 @@ func (p *parser) parseInstr(line string) error {
 		if len(parts) != 2 {
 			return p.errf("addr wants 'addr SYM, OFFSET'")
 		}
-		in.Sym = parts[0]
+		in.Sym = p.name(parts[0])
 		n, err := strconv.ParseInt(parts[1], 10, 64)
 		if err != nil {
 			return p.errf("bad addr offset %q", parts[1])
@@ -353,7 +380,7 @@ func (p *parser) parseInstr(line string) error {
 		if rest == "" {
 			return p.errf("jmp wants a label")
 		}
-		in.Then = rest
+		in.Then = p.name(rest)
 	case OpCBr:
 		parts := p.operands(rest)
 		if len(parts) != 3 {
@@ -363,14 +390,14 @@ func (p *parser) parseInstr(line string) error {
 		if err != nil {
 			return err
 		}
-		in.Args, in.Then, in.Else = []Reg{c}, parts[1], parts[2]
+		in.Args, in.Then, in.Else = []Reg{c}, p.name(parts[1]), p.name(parts[2])
 	case OpCall:
 		open := strings.IndexByte(rest, '(')
 		close_ := strings.LastIndexByte(rest, ')')
 		if open < 0 || close_ < open {
 			return p.errf("call wants 'call NAME(args)'")
 		}
-		in.Sym = strings.TrimSpace(rest[:open])
+		in.Sym = p.name(strings.TrimSpace(rest[:open]))
 		if argstr := strings.TrimSpace(rest[open+1 : close_]); argstr != "" {
 			var err error
 			if in.Args, err = p.regs(p.operands(argstr)); err != nil {

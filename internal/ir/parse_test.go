@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // everyFormSrc writes every instruction form, global initializer kind
@@ -207,6 +208,64 @@ func TestParseEveryInstructionForm(t *testing.T) {
 	}
 	if q.String() != text {
 		t.Fatal("print→parse→print not a fixed point")
+	}
+}
+
+// TestParseKeepsNoSourceText: every name a parsed program keeps is a
+// copy, so a program outliving its request does not pin the request's
+// text, and an operand naming a block, function or global shares that
+// name's one copy.
+func TestParseKeepsNoSourceText(t *testing.T) {
+	src := strings.Repeat(" ", 8) + everyFormSrc // a heap copy, as a request's text is
+	p, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	hi := lo + uintptr(len(src))
+	kept := 0
+	check := func(what, s string) {
+		if s == "" {
+			return
+		}
+		kept++
+		if at := uintptr(unsafe.Pointer(unsafe.StringData(s))); at >= lo && at < hi {
+			t.Errorf("%s %q lies inside the source text", what, s)
+		}
+	}
+	same := func(what, a, b string) {
+		if unsafe.StringData(a) != unsafe.StringData(b) {
+			t.Errorf("%s %q is a copy of its own, not its target's", what, a)
+		}
+	}
+	for _, g := range p.Globals {
+		check("global", g.Name)
+	}
+	for _, f := range p.Funcs {
+		check("func", f.Name)
+		for _, r := range f.Regs {
+			check("register name", r.Name)
+		}
+		for _, b := range f.Blocks {
+			check("block", b.Name)
+			for _, in := range b.Instrs {
+				check("symbol", in.Sym)
+				check("then", in.Then)
+				check("else", in.Else)
+				if in.Then != "" {
+					same("branch target", in.Then, f.BlockNamed(in.Then).Name)
+				}
+				switch {
+				case in.Op == OpCall:
+					same("callee", in.Sym, p.Func(in.Sym).Name)
+				case in.Sym != "":
+					same("address symbol", in.Sym, p.Global(in.Sym).Name)
+				}
+			}
+		}
+	}
+	if kept < 10 {
+		t.Fatalf("only %d names checked; the test checks nothing", kept)
 	}
 }
 

@@ -91,7 +91,6 @@ func BenchmarkPipelineObsOn(b *testing.B) {
 			DisableCache: true,
 			Tracer:       obs.NewTracer(),
 			Metrics:      obs.NewRegistry(),
-			PprofLabels:  true,
 		})
 		compileSuite(b, d, progs)
 	}

@@ -161,7 +161,7 @@ func newForcedDegrade() *forcedDegrade {
 // reports whether anything was left to strip. A false return means the
 // divergence survived maximal degradation of its function — the compile
 // must fail rather than ship wrong code.
-func (fd *forcedDegrade) escalate(me *MiscompileError, cfg Config) bool {
+func (fd *forcedDegrade) escalate(me *MiscompileError) bool {
 	q := fd.funcs[me.Func]
 	ok := false
 	switch me.Pass {
@@ -173,14 +173,6 @@ func (fd *forcedDegrade) escalate(me *MiscompileError, cfg Config) bool {
 		ok, q.noCCM = !q.noCCM, true
 	case PassCompact:
 		ok, q.noCompact = !q.noCompact, true
-	default:
-		// An injected experimental pass: levelNoOpt drops all of them.
-		for _, ip := range cfg.InjectFront {
-			if ip.Name == me.Pass {
-				ok = q.raise(levelNoOpt) || q.raise(levelBaseline)
-				break
-			}
-		}
 	}
 	if !ok || me.Func == "" {
 		return false

@@ -29,15 +29,14 @@ func dupFirstEmit(f *ir.Func) bool {
 	return false
 }
 
-// miscompileOn returns an injected pass that silently miscompiles the
-// named function.
-func miscompileOn(name, passName string) InjectedPass {
-	return InjectedPass{Name: passName, Fn: func(_ context.Context, f *ir.Func) error {
-		if f.Name == name {
+// miscompileOn returns a passHook that silently miscompiles the named
+// function in pass.
+func miscompileOn(pass, name string) func(context.Context, string, *ir.Func) {
+	return func(_ context.Context, p string, f *ir.Func) {
+		if p == pass && f.Name == name {
 			dupFirstEmit(f)
 		}
-		return nil
-	}}
+	}
 }
 
 // diffProgram is a small deterministic program whose main trace is a
@@ -65,7 +64,7 @@ entry:
 }
 
 // TestMiscompileDetectedAndQuarantined is the tentpole acceptance walk:
-// an injected pass that silently duplicates an emit is (a) detected by
+// an optimizer that silently duplicates an emit is (a) detected by
 // the differential oracle, (b) attributed to itself by snapshot
 // bisection, (c) quarantined by forcing its function down the
 // degradation ladder so the shipped program matches the input, and
@@ -75,7 +74,7 @@ func TestMiscompileDetectedAndQuarantined(t *testing.T) {
 	for _, strat := range allStrategies {
 		cfg := detConfig(strat)
 		cfg.DiffCheck = DiffFinal
-		cfg.InjectFront = []InjectedPass{miscompileOn("main", "exp-dup")}
+		cfg.passHook = miscompileOn(PassOptimize, "main")
 		cfg.ReproDir = t.TempDir()
 
 		p := diffProgram(t)
@@ -89,14 +88,14 @@ func TestMiscompileDetectedAndQuarantined(t *testing.T) {
 		if rep.Divergences == 0 {
 			t.Fatalf("%v: silent miscompile not detected", strat)
 		}
-		if rep.DivergentPasses["exp-dup"] == 0 {
-			t.Errorf("%v: bisection attributed to %v, want exp-dup", strat, rep.DivergentPasses)
+		if rep.DivergentPasses[PassOptimize] == 0 {
+			t.Errorf("%v: bisection attributed to %v, want optimize", strat, rep.DivergentPasses)
 		}
 		fr := rep.PerFunc["main"]
 		if fr.Degraded != "no-opt" {
 			t.Errorf("%v: main degraded to %q, want no-opt", strat, fr.Degraded)
 		}
-		if fr.FailedPass != "exp-dup" || !strings.Contains(fr.Error, "miscompile") {
+		if fr.FailedPass != PassOptimize || !strings.Contains(fr.Error, "miscompile") {
 			t.Errorf("%v: per-func attribution = %q/%q", strat, fr.FailedPass, fr.Error)
 		}
 		if rep.DiffFuncsChecked == 0 || rep.DiffRuns == 0 {
@@ -121,7 +120,7 @@ func TestMiscompileDetectedAndQuarantined(t *testing.T) {
 		if mb == nil {
 			t.Fatalf("%v: no miscompile bundle written (%v)", strat, rep.Repros)
 		}
-		if mb.Func != "main" || mb.Pass != "exp-dup" || mb.Post == "" || mb.Entry == "" {
+		if mb.Func != "main" || mb.Pass != PassOptimize || mb.Post == "" || mb.Entry == "" {
 			t.Errorf("%v: bundle misattributed: func=%q pass=%q entry=%q", strat, mb.Func, mb.Pass, mb.Entry)
 		}
 		if err := Replay(mb); err != nil {
@@ -136,7 +135,7 @@ func TestMiscompileStrict(t *testing.T) {
 	cfg := detConfig(PostPassInterproc)
 	cfg.DiffCheck = DiffFinal
 	cfg.Strict = true
-	cfg.InjectFront = []InjectedPass{miscompileOn("main", "exp-dup")}
+	cfg.passHook = miscompileOn(PassOptimize, "main")
 
 	d := New(Options{DisableCache: true})
 	_, err := d.Compile(diffProgram(t), cfg)
@@ -144,7 +143,7 @@ func TestMiscompileStrict(t *testing.T) {
 	if !errors.As(err, &me) {
 		t.Fatalf("strict compile returned %v, want *MiscompileError", err)
 	}
-	if me.Pass != "exp-dup" || me.Func != "main" || me.Divergence == nil {
+	if me.Pass != PassOptimize || me.Func != "main" || me.Divergence == nil {
 		t.Errorf("bad attribution: %+v", me)
 	}
 }
@@ -155,16 +154,20 @@ func TestMiscompileStrict(t *testing.T) {
 func TestFaultCountedOnceAcrossRecompiles(t *testing.T) {
 	cfg := detConfig(PostPassInterproc)
 	cfg.DiffCheck = DiffFinal
-	cfg.InjectFront = []InjectedPass{panicOn("helper", "exp-bad"), miscompileOn("main", "exp-dup")}
+	fault, miscompile := hookFault(PassOptimize, "helper"), miscompileOn(PassOptimize, "main")
+	cfg.passHook = func(ctx context.Context, pass string, f *ir.Func) {
+		fault(ctx, pass, f)
+		miscompile(ctx, pass, f)
+	}
 	rep := mustCompile(t, New(Options{DisableCache: true}), diffProgram(t), cfg)
 	if rep.Failures != 1 {
 		t.Errorf("failures = %d, want 1", rep.Failures)
 	}
-	if fr := rep.PerFunc["helper"]; fr.Degraded != "no-opt" || fr.FailedPass != "exp-bad" || fr.Attempts != 2 {
-		t.Errorf("helper: degraded=%q pass=%q attempts=%d, want no-opt/exp-bad/2", fr.Degraded, fr.FailedPass, fr.Attempts)
+	if fr := rep.PerFunc["helper"]; fr.Degraded != "no-opt" || fr.FailedPass != PassOptimize || fr.Attempts != 2 {
+		t.Errorf("helper: degraded=%q pass=%q attempts=%d, want no-opt/optimize/2", fr.Degraded, fr.FailedPass, fr.Attempts)
 	}
-	if fr := rep.PerFunc["main"]; fr.Degraded != "no-opt" || fr.FailedPass != "exp-dup" || fr.Attempts != 1 {
-		t.Errorf("main: degraded=%q pass=%q attempts=%d, want no-opt/exp-dup/1", fr.Degraded, fr.FailedPass, fr.Attempts)
+	if fr := rep.PerFunc["main"]; fr.Degraded != "no-opt" || fr.FailedPass != PassOptimize || fr.Attempts != 1 {
+		t.Errorf("main: degraded=%q pass=%q attempts=%d, want no-opt/optimize/1", fr.Degraded, fr.FailedPass, fr.Attempts)
 	}
 }
 
@@ -177,11 +180,7 @@ func TestBarrierMiscompileQuarantined(t *testing.T) {
 
 	cfg := detConfig(PostPassInterproc)
 	cfg.DiffCheck = DiffFinal
-	cfg.passHook = func(pass, name string) {
-		if pass == PassPostPass && name == "main" {
-			dupFirstEmit(p.Func("main"))
-		}
-	}
+	cfg.passHook = miscompileOn(PassPostPass, "main")
 
 	d := New(Options{DisableCache: true})
 	rep, err := d.Compile(p, cfg)
@@ -214,11 +213,7 @@ func TestDivergenceBehindWarmCache(t *testing.T) {
 		cfg := detConfig(PostPassInterproc)
 		cfg.DiffCheck = DiffFinal
 		cfg.Strict = strict
-		cfg.passHook = func(pass, name string) {
-			if pass == PassPostPass && name == "main" {
-				dupFirstEmit(p.Func("main"))
-			}
-		}
+		cfg.passHook = miscompileOn(PassPostPass, "main")
 		rep, err := d.Compile(p, cfg)
 		return p, rep, err
 	}
@@ -299,15 +294,15 @@ func TestDiffCheckCleanSuite(t *testing.T) {
 	}
 }
 
-// TestDiffCheckDeterminism: with the oracle on and a miscompiling pass
-// injected, workers=8 produces byte-identical output, per-func reports,
+// TestDiffCheckDeterminism: with the oracle on and a miscompiling
+// optimizer, workers=8 produces byte-identical output, per-func reports,
 // and oracle counters to workers=1 — detection, bisection, and
 // quarantine all run outside the worker pool.
 func TestDiffCheckDeterminism(t *testing.T) {
 	for _, strat := range allStrategies {
 		cfg := detConfig(strat)
 		cfg.DiffCheck = DiffFinal
-		cfg.InjectFront = []InjectedPass{miscompileOn("main", "exp-dup")}
+		cfg.passHook = miscompileOn(PassOptimize, "main")
 
 		p1 := diffProgram(t)
 		p8 := diffProgram(t)

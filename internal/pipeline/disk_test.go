@@ -303,11 +303,7 @@ func TestDegradedCompileNotPersisted(t *testing.T) {
 	a := New(Options{CacheDir: dir})
 
 	fcfg := detConfig(PostPassInterproc)
-	fcfg.passHook = func(pass, name string) {
-		if pass == PassPostPass && name == "main" {
-			panic("transient allocator bug")
-		}
-	}
+	fcfg.passHook = hookFault(PassPostPass, "main")
 	frep, err := a.Compile(workload.RandomProgram(21), fcfg)
 	if err != nil {
 		t.Fatal(err)

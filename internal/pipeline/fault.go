@@ -48,8 +48,8 @@ type degradeLevel int
 const (
 	// levelFull compiles exactly as configured.
 	levelFull degradeLevel = iota
-	// levelNoOpt disables the scalar optimizer and every injected
-	// experimental pass, keeping the configured allocator.
+	// levelNoOpt disables the scalar optimizer, keeping the configured
+	// allocator.
 	levelNoOpt
 	// levelBaseline additionally falls back to the plain spill-to-RAM
 	// allocator: no integrated CCM assignment, and the function is
@@ -145,8 +145,8 @@ func VerifyLiveness(f *ir.Func) error {
 }
 
 // ctxErr converts a context failure at a pass boundary into a
-// *CompileError so cancellation and timeout flow through the same
-// reporting path as faults.
+// *CompileError so cancellation flows through the same reporting path as
+// faults.
 func ctxErr(ctx context.Context, pass, fn string, level degradeLevel) *CompileError {
 	if err := ctx.Err(); err != nil {
 		return &CompileError{Pass: pass, Func: fn, Level: level.String(), Err: err}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -16,16 +17,6 @@ import (
 	"ccmem/internal/sim"
 	"ccmem/internal/workload"
 )
-
-// panicOn returns an injected pass that panics on the named function.
-func panicOn(name, passName string) InjectedPass {
-	return InjectedPass{Name: passName, Fn: func(_ context.Context, f *ir.Func) error {
-		if f.Name == name {
-			panic("injected fault in " + f.Name)
-		}
-		return nil
-	}}
-}
 
 // faultConfig is the common non-strict fault-test configuration.
 func faultConfig(strat Strategy) Config {
@@ -42,13 +33,13 @@ func faultConfig(strat Strategy) Config {
 func TestPanicPassIsolated(t *testing.T) {
 	for _, strat := range allStrategies {
 		cfg := faultConfig(strat)
-		cfg.InjectFront = []InjectedPass{panicOn("main", "exp-bad")}
+		cfg.passHook = hookFault(PassOptimize, "main")
 		cfg.ReproDir = t.TempDir()
 
 		p := workload.RandomProgram(3)
 		want := mustCompileClean(t, p.Clone())
 
-		d := New(Options{})
+		d := New(Options{DisableCache: true})
 		rep, err := d.Compile(p, cfg)
 		if err != nil {
 			t.Fatalf("strategy %v: compile failed despite degradation ladder: %v", strat, err)
@@ -57,8 +48,8 @@ func TestPanicPassIsolated(t *testing.T) {
 		if fr.Degraded != "no-opt" {
 			t.Errorf("strategy %v: main degraded to %q, want no-opt", strat, fr.Degraded)
 		}
-		if fr.FailedPass != "exp-bad" {
-			t.Errorf("strategy %v: fault attributed to %q, want exp-bad", strat, fr.FailedPass)
+		if fr.FailedPass != PassOptimize {
+			t.Errorf("strategy %v: fault attributed to %q, want optimize", strat, fr.FailedPass)
 		}
 		if fr.Attempts != 2 {
 			t.Errorf("strategy %v: main took %d attempts, want 2", strat, fr.Attempts)
@@ -84,7 +75,7 @@ func TestPanicPassIsolated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("strategy %v: loading bundle: %v", strat, err)
 		}
-		if b.Func != "main" || b.Pass != "exp-bad" || b.Kind != repro.KindCompile {
+		if b.Func != "main" || b.Pass != PassOptimize || b.Kind != repro.KindCompile {
 			t.Errorf("strategy %v: bundle misattributed: func=%q pass=%q kind=%q", strat, b.Func, b.Pass, b.Kind)
 		}
 		if !strings.Contains(b.Stack, "panic") && !strings.Contains(b.Stack, "goroutine") {
@@ -93,10 +84,10 @@ func TestPanicPassIsolated(t *testing.T) {
 		if b.Program == "" {
 			t.Errorf("strategy %v: bundle carries no input program", strat)
 		}
-		// Injected passes cannot be serialized, so the replay compiles the
-		// bundled input without the faulty experiment: it must pass now.
+		// No bundle carries the test hook, so the replay compiles the
+		// bundled input without the fault: it must pass now.
 		if err := Replay(b); err != nil {
-			t.Errorf("strategy %v: replay without the injected pass should succeed: %v", strat, err)
+			t.Errorf("strategy %v: replay without the hooked fault should succeed: %v", strat, err)
 		}
 	}
 }
@@ -118,60 +109,22 @@ func mustCompileClean(t *testing.T, p *ir.Program) []sim.Value {
 func TestPanicPassStrict(t *testing.T) {
 	cfg := faultConfig(PostPassInterproc)
 	cfg.Strict = true
-	cfg.InjectFront = []InjectedPass{panicOn("main", "exp-bad")}
+	cfg.passHook = hookFault(PassOptimize, "main")
 
-	d := New(Options{})
+	d := New(Options{DisableCache: true})
 	_, err := d.Compile(workload.RandomProgram(3), cfg)
 	var cerr *CompileError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("strict compile returned %v, want *CompileError", err)
 	}
-	if cerr.Pass != "exp-bad" || cerr.Func != "main" || !cerr.Panicked {
+	if cerr.Pass != PassOptimize || cerr.Func != "main" || !cerr.Panicked {
 		t.Errorf("bad attribution: %+v", cerr)
 	}
 	if len(cerr.Stack) == 0 {
 		t.Error("CompileError has no panic stack")
 	}
-	if !strings.Contains(cerr.Error(), "exp-bad") || !strings.Contains(cerr.Error(), "main") {
+	if !strings.Contains(cerr.Error(), PassOptimize) || !strings.Contains(cerr.Error(), "main") {
 		t.Errorf("error text lacks attribution: %v", cerr)
-	}
-}
-
-// TestHangPassTimedOut: a pass that blocks forever is cancelled by the
-// per-function timeout and the function recovers on the next rung — the
-// "pass that hangs" acceptance case.
-func TestHangPassTimedOut(t *testing.T) {
-	cfg := faultConfig(PostPass)
-	cfg.FuncTimeout = 50 * time.Millisecond
-	cfg.InjectFront = []InjectedPass{{Name: "exp-hang", Fn: func(ctx context.Context, f *ir.Func) error {
-		if f.Name != "main" {
-			return nil
-		}
-		<-ctx.Done() // hang until the watchdog fires
-		return ctx.Err()
-	}}}
-
-	p := workload.RandomProgram(5)
-	want := mustCompileClean(t, p.Clone())
-
-	start := time.Now()
-	d := New(Options{})
-	rep, err := d.Compile(p, cfg)
-	if err != nil {
-		t.Fatalf("compile failed despite timeout + ladder: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("hang was not cut short (took %v)", elapsed)
-	}
-	fr := rep.PerFunc["main"]
-	if fr.Degraded != "no-opt" || fr.FailedPass != "exp-hang" {
-		t.Errorf("hang not attributed: degraded=%q pass=%q", fr.Degraded, fr.FailedPass)
-	}
-	if !strings.Contains(fr.Error, context.DeadlineExceeded.Error()) {
-		t.Errorf("hang error is %q, want a deadline error", fr.Error)
-	}
-	if got := runEmit(t, p, cfg.CCMBytes); !reflect.DeepEqual(got, want) {
-		t.Error("degraded program diverges from oracle")
 	}
 }
 
@@ -180,9 +133,9 @@ func TestHangPassTimedOut(t *testing.T) {
 // caught by the liveness-consistency checkpoint right after it runs, not
 // passes later — the "pass that emits invalid IR" acceptance case.
 func TestInvalidIRPassAttributed(t *testing.T) {
-	bad := InjectedPass{Name: "exp-invalid", Fn: func(_ context.Context, f *ir.Func) error {
-		if f.Name != "main" {
-			return nil
+	bad := func(_ context.Context, pass string, f *ir.Func) {
+		if pass != PassOptimize || f.Name != "main" {
+			return
 		}
 		// Plain ir.VerifyFunc cannot see this: the register is declared
 		// and classed, it just never gets a value.
@@ -190,22 +143,21 @@ func TestInvalidIRPassAttributed(t *testing.T) {
 		entry := f.Entry()
 		use := ir.Instr{Op: ir.OpEmit, Dst: ir.NoReg, Args: []ir.Reg{ghost}}
 		entry.Instrs = append([]ir.Instr{use}, entry.Instrs...)
-		return nil
-	}}
+	}
 	cfg := faultConfig(PostPassInterproc)
-	cfg.InjectFront = []InjectedPass{bad}
+	cfg.passHook = bad
 
 	p := workload.RandomProgram(7)
 	want := mustCompileClean(t, p.Clone())
 
-	d := New(Options{})
+	d := New(Options{DisableCache: true})
 	rep, err := d.Compile(p, cfg)
 	if err != nil {
 		t.Fatalf("compile failed despite ladder: %v", err)
 	}
 	fr := rep.PerFunc["main"]
-	if fr.FailedPass != "exp-invalid" {
-		t.Errorf("invalid IR attributed to %q, want exp-invalid", fr.FailedPass)
+	if fr.FailedPass != PassOptimize {
+		t.Errorf("invalid IR attributed to %q, want optimize", fr.FailedPass)
 	}
 	if fr.Degraded != "no-opt" {
 		t.Errorf("main degraded to %q, want no-opt", fr.Degraded)
@@ -221,8 +173,8 @@ func TestInvalidIRPassAttributed(t *testing.T) {
 	// the final structural verify — which cannot see it either. The
 	// checkpoint is what catches it.
 	cfg2 := detConfig(NoCCM)
-	cfg2.InjectFront = []InjectedPass{bad}
-	rep2, err := New(Options{}).Compile(workload.RandomProgram(7), cfg2)
+	cfg2.passHook = bad
+	rep2, err := New(Options{DisableCache: true}).Compile(workload.RandomProgram(7), cfg2)
 	if err != nil {
 		t.Fatalf("unverified compile: %v", err)
 	}
@@ -273,6 +225,25 @@ entry:
 	}
 }
 
+// TestReplayRemovedConfigField: compile bundles written while Config
+// had a per-function timeout carry "FuncTimeout" in their config. Such a
+// bundle still replays: the rest of its config decodes and its fault
+// reproduces.
+func TestReplayRemovedConfigField(t *testing.T) {
+	b := &repro.Bundle{
+		Version: repro.Version,
+		Kind:    repro.KindCompile,
+		Func:    "main",
+		Pass:    PassInput,
+		Program: "func main() {\nentry:\n\tr0 = loadi 1\n\tr1 = add r0, r2\n\temit r1\n\tret\n}\n",
+		Config:  json.RawMessage(`{"Strategy":2,"CCMBytes":512,"VerifyPasses":true,"FuncTimeout":5000000000}`),
+	}
+	var cerr *CompileError
+	if err := Replay(b); !errors.As(err, &cerr) || cerr.Pass != PassInput || cerr.Func != "main" {
+		t.Fatalf("replay: %v, want the input fault on main reproduced", err)
+	}
+}
+
 // TestPostPassFaultQuarantinesFunction: a fault inside the sequential
 // interprocedural barrier is attributed to the function being processed,
 // which alone loses its CCM promotion; the rest of the program still
@@ -293,11 +264,7 @@ func TestPostPassFaultQuarantinesFunction(t *testing.T) {
 
 	cfg := detConfig(PostPassInterproc)
 	cfg.ReproDir = t.TempDir()
-	cfg.passHook = func(pass, name string) {
-		if pass == PassPostPass && name == victim {
-			panic("allocator bug on " + name)
-		}
-	}
+	cfg.passHook = hookFault(PassPostPass, victim)
 	d := New(Options{DisableCache: true})
 	rep, err := d.Compile(p, cfg)
 	if err != nil {
@@ -337,21 +304,22 @@ func TestPostPassFaultQuarantinesFunction(t *testing.T) {
 
 // TestCancellationNoGoroutineLeak: cancelling the compile context stops a
 // deliberately slow pass mid-pipeline; the error wraps context.Canceled
-// and no worker goroutines outlive the call — the cancellation/timeout
-// satellite.
+// and no worker goroutines outlive the call.
 func TestCancellationNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 64)
 	cfg := detConfig(NoCCM)
-	cfg.InjectFront = []InjectedPass{{Name: "exp-slow", Fn: func(pctx context.Context, f *ir.Func) error {
+	cfg.passHook = func(pctx context.Context, pass string, f *ir.Func) {
+		if pass != PassOptimize {
+			return
+		}
 		started <- struct{}{}
 		<-pctx.Done() // a slow pass stub: runs until cancelled
-		return pctx.Err()
-	}}}
+	}
 
-	d := New(Options{Workers: 8})
+	d := New(Options{Workers: 8, DisableCache: true})
 	done := make(chan error, 1)
 	p := workload.RandomProgram(2)
 	go func() {
@@ -385,52 +353,21 @@ func TestCancellationNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestTimeoutDoesNotAbortSiblings: one hanging function times out and
-// degrades; its siblings compile at full fidelity in parallel.
-func TestTimeoutDoesNotAbortSiblings(t *testing.T) {
-	cfg := detConfig(NoCCM)
-	cfg.FuncTimeout = 50 * time.Millisecond
-	cfg.InjectFront = []InjectedPass{{Name: "exp-hang", Fn: func(ctx context.Context, f *ir.Func) error {
-		if f.Name == "main" {
-			<-ctx.Done()
-			return ctx.Err()
-		}
-		return nil
-	}}}
-	p := workload.RandomProgram(4)
-	d := New(Options{Workers: 4})
-	rep, err := d.Compile(p, cfg)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
+// parityFault is a passHook that panics in the optimizer on every
+// function whose post-optimize instruction count is even:
+// input-dependent, scheduling-independent.
+func parityFault(_ context.Context, pass string, f *ir.Func) {
+	if pass == PassOptimize && f.NumInstrs()%2 == 0 {
+		panic(fmt.Sprintf("parity fault in %s (%d instrs)", f.Name, f.NumInstrs()))
 	}
-	if rep.PerFunc["main"].Degraded == "" {
-		t.Error("hanging main did not degrade")
-	}
-	for name, fr := range rep.PerFunc {
-		if name != "main" && fr.Degraded != "" {
-			t.Errorf("sibling %s degraded (%q)", name, fr.Degraded)
-		}
-	}
-}
-
-// parityFault is an injected pass that panics on every function whose
-// post-optimize instruction count is even: input-dependent,
-// scheduling-independent.
-func parityFault() []InjectedPass {
-	return []InjectedPass{{Name: "exp-parity", Fn: func(_ context.Context, f *ir.Func) error {
-		if f.NumInstrs()%2 == 0 {
-			panic(fmt.Sprintf("parity fault in %s (%d instrs)", f.Name, f.NumInstrs()))
-		}
-		return nil
-	}}}
 }
 
 // hookFault returns a passHook that panics in pass on the named functions.
-func hookFault(pass string, names ...string) func(string, string) {
-	return func(p, fn string) {
+func hookFault(pass string, names ...string) func(context.Context, string, *ir.Func) {
+	return func(_ context.Context, p string, f *ir.Func) {
 		for _, name := range names {
-			if p == pass && fn == name {
-				panic("injected " + pass + " fault in " + fn)
+			if p == pass && f.Name == name {
+				panic("injected " + pass + " fault in " + f.Name)
 			}
 		}
 	}
@@ -445,7 +382,7 @@ func TestDegradationDeterminism(t *testing.T) {
 		name   string
 		inject func(cfg *Config)
 	}{
-		{"front", func(cfg *Config) { cfg.InjectFront = parityFault() }},
+		{"front", func(cfg *Config) { cfg.passHook = parityFault }},
 		{"barrier", func(cfg *Config) { cfg.passHook = hookFault(PassPostPass, "main", "leaf1") }},
 		{"compact", func(cfg *Config) { cfg.passHook = hookFault(PassCompact, "main", "leaf1") }},
 	}
@@ -493,9 +430,9 @@ func TestStrictFaultDeterministic(t *testing.T) {
 			for run := 0; run < 3; run++ {
 				cfg := faultConfig(NoCCM)
 				cfg.Strict = true
-				cfg.InjectFront = parityFault()
+				cfg.passHook = parityFault
 				cfg.ReproDir = t.TempDir()
-				_, err := New(Options{Workers: workers}).Compile(workload.RandomProgram(seed), cfg)
+				_, err := New(Options{Workers: workers, DisableCache: true}).Compile(workload.RandomProgram(seed), cfg)
 				bundles, lerr := repro.LoadDir(cfg.ReproDir)
 				if lerr != nil {
 					t.Fatal(lerr)
@@ -520,7 +457,7 @@ func TestErrorExitCountsFailures(t *testing.T) {
 		name   string
 		inject func(cfg *Config)
 	}{
-		{"front", func(cfg *Config) { cfg.InjectFront = []InjectedPass{panicOn("main", "exp-bad")} }},
+		{"front", func(cfg *Config) { cfg.passHook = hookFault(PassOptimize, "main") }},
 		{"barrier", func(cfg *Config) { cfg.passHook = hookFault(PassPostPass, "main") }},
 	}
 	for _, row := range rows {
@@ -528,7 +465,7 @@ func TestErrorExitCountsFailures(t *testing.T) {
 		cfg.Strict = true
 		row.inject(&cfg)
 		reg := obs.NewRegistry()
-		d := New(Options{Metrics: reg})
+		d := New(Options{Metrics: reg, DisableCache: true})
 		if _, err := d.Compile(workload.RandomProgram(3), cfg); err == nil {
 			t.Fatalf("%s: strict compile with a fault succeeded", row.name)
 		}
@@ -608,18 +545,14 @@ func TestVerifyPassesCleanSuite(t *testing.T) {
 
 // TestDegradedCompileNotCached: a compile that recovered from faults must
 // not populate the program cache — a later identical compile (perhaps
-// with the bug fixed) must re-run the passes. The fault is injected via
-// the barrier hook, which does not disable caching the way closures in
-// InjectFront do, so this exercises the no-put-on-failure rule itself.
+// with the bug fixed) must re-run the passes. The fault is injected at
+// the barrier, on a cached driver, so this exercises the
+// no-put-on-failure rule itself.
 func TestDegradedCompileNotCached(t *testing.T) {
 	d := New(Options{})
 
 	fcfg := detConfig(PostPassInterproc)
-	fcfg.passHook = func(pass, name string) {
-		if pass == PassPostPass && name == "main" {
-			panic("transient allocator bug")
-		}
-	}
+	fcfg.passHook = hookFault(PassPostPass, "main")
 	frep, err := d.Compile(workload.RandomProgram(21), fcfg)
 	if err != nil {
 		t.Fatal(err)

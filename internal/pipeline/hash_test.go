@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"ccmem/internal/ir"
 )
@@ -176,7 +175,6 @@ func TestKeysSeparateContent(t *testing.T) {
 		{"DiffVectors", cfg, with(cfg, func(c *Config) { c.DiffVectors = 5 }), program},
 		// Fields that shape how a compile fails or is reported, never what
 		// a clean compile emits, address nothing.
-		{"FuncTimeout", cfg, with(cfg, func(c *Config) { c.FuncTimeout = time.Second }), nil},
 		{"Strict", cfg, with(cfg, func(c *Config) { c.Strict = true }), nil},
 		{"ReproDir", cfg, with(cfg, func(c *Config) { c.ReproDir = "repro" }), nil},
 	}
@@ -188,12 +186,11 @@ func TestKeysSeparateContent(t *testing.T) {
 		}
 		covered[strings.SplitN(tc.field, "/", 2)[0]] = true
 	}
-	// InjectFront turns the cache off for the whole compile, and passHook
-	// is a test seam: neither is content-addressed.
+	// passHook is a test seam, not content-addressed.
 	rt := reflect.TypeOf(Config{})
 	for i := 0; i < rt.NumField(); i++ {
 		name := rt.Field(i).Name
-		if name != "InjectFront" && name != "passHook" && !covered[name] {
+		if name != "passHook" && !covered[name] {
 			t.Errorf("no key-separation row for Config.%s", name)
 		}
 	}

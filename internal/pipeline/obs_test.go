@@ -17,10 +17,9 @@ import (
 // obsDriver builds a fresh driver with both observability backends on.
 func obsDriver(workers int) *Driver {
 	return New(Options{
-		Workers:     workers,
-		Tracer:      obs.NewTracer(),
-		Metrics:     obs.NewRegistry(),
-		PprofLabels: true,
+		Workers: workers,
+		Tracer:  obs.NewTracer(),
+		Metrics: obs.NewRegistry(),
 	})
 }
 
@@ -86,51 +85,6 @@ func TestObsCountersDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestInjectedPassStatsReported is the regression test for the report
-// bug this change fixes: pass names outside the canonical pipeline
-// order — injected experimental passes — used to be silently dropped
-// from Report.Passes. They must now follow the canonical passes in
-// sorted-name order.
-func TestInjectedPassStatsReported(t *testing.T) {
-	noop := func(name string) InjectedPass {
-		return InjectedPass{Name: name, Fn: func(ctx context.Context, f *ir.Func) error { return nil }}
-	}
-	cfg := detConfig(PostPass)
-	// Deliberately out of sorted order to pin the sorting.
-	cfg.InjectFront = []InjectedPass{noop("exp-b"), noop("exp-a")}
-
-	d := New(Options{DisableCache: true})
-	rep := mustCompile(t, d, workload.RandomProgram(42), cfg)
-
-	var names []string
-	for _, p := range rep.Passes {
-		names = append(names, p.Name)
-	}
-	idx := func(name string) int {
-		for i, n := range names {
-			if n == name {
-				return i
-			}
-		}
-		t.Fatalf("pass %q missing from report passes %v", name, names)
-		return -1
-	}
-	ia, ib := idx("exp-a"), idx("exp-b")
-	if ia > ib {
-		t.Errorf("injected passes not in sorted order: %v", names)
-	}
-	for _, canonical := range []string{PassOptimize, PassRegalloc} {
-		if ci := idx(canonical); ci > ia || ci > ib {
-			t.Errorf("canonical pass %q reported after injected passes: %v", canonical, names)
-		}
-	}
-	for _, name := range []string{"exp-a", "exp-b"} {
-		if p := rep.Passes[idx(name)]; p.Runs == 0 {
-			t.Errorf("injected pass %q reported with zero runs", name)
-		}
-	}
-}
-
 // TestWriteChromeTraceFromCompile locks the trace export end to end: a
 // real compile's spans serialize to valid Chrome trace-event JSON with
 // complete events, the pipeline's span vocabulary present, and the
@@ -183,12 +137,16 @@ func TestWriteChromeTraceFromCompile(t *testing.T) {
 	}
 }
 
-// TestPprofLabelsOnPassBodies: with Options.PprofLabels the goroutine
-// running a pass carries ccm_func/ccm_pass labels (so CPU profiles
-// attribute samples per pass); without it, no labels leak in.
+// TestPprofLabelsOnPassBodies: on a driver with a metrics registry the
+// goroutine running a pass carries ccm_func/ccm_pass labels (so CPU
+// profiles attribute samples per pass); on a driver with neither a
+// registry nor a tracer, no labels leak in.
 func TestPprofLabelsOnPassBodies(t *testing.T) {
-	probe := func(got map[string]map[string]string) InjectedPass {
-		return InjectedPass{Name: "exp-probe", Fn: func(ctx context.Context, f *ir.Func) error {
+	probe := func(got map[string]map[string]string) func(context.Context, string, *ir.Func) {
+		return func(ctx context.Context, pass string, f *ir.Func) {
+			if pass != PassRegalloc {
+				return
+			}
 			labels := map[string]string{}
 			for _, key := range []string{"ccm_func", "ccm_pass"} {
 				if v, ok := pprof.Label(ctx, key); ok {
@@ -196,14 +154,13 @@ func TestPprofLabelsOnPassBodies(t *testing.T) {
 				}
 			}
 			got[f.Name] = labels
-			return nil
-		}}
+		}
 	}
 
 	cfg := detConfig(PostPass)
 	got := map[string]map[string]string{}
-	cfg.InjectFront = []InjectedPass{probe(got)}
-	d := New(Options{Workers: 1, PprofLabels: true, DisableCache: true})
+	cfg.passHook = probe(got)
+	d := New(Options{Workers: 1, Metrics: obs.NewRegistry(), DisableCache: true})
 	mustCompile(t, d, workload.RandomProgram(44), cfg)
 	if len(got) == 0 {
 		t.Fatal("probe pass never ran")
@@ -212,19 +169,19 @@ func TestPprofLabelsOnPassBodies(t *testing.T) {
 		if labels["ccm_func"] != fn {
 			t.Errorf("ccm_func label = %q, want %q", labels["ccm_func"], fn)
 		}
-		if labels["ccm_pass"] != "exp-probe" {
-			t.Errorf("ccm_pass label = %q, want exp-probe", labels["ccm_pass"])
+		if labels["ccm_pass"] != PassRegalloc {
+			t.Errorf("ccm_pass label = %q, want regalloc", labels["ccm_pass"])
 		}
 	}
 
 	cfg2 := detConfig(PostPass)
 	got2 := map[string]map[string]string{}
-	cfg2.InjectFront = []InjectedPass{probe(got2)}
+	cfg2.passHook = probe(got2)
 	d2 := New(Options{Workers: 1, DisableCache: true})
 	mustCompile(t, d2, workload.RandomProgram(44), cfg2)
 	for fn, labels := range got2 {
 		if len(labels) != 0 {
-			t.Errorf("labels present without PprofLabels on %s: %v", fn, labels)
+			t.Errorf("labels present without a registry or tracer on %s: %v", fn, labels)
 		}
 	}
 }

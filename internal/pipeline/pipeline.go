@@ -23,16 +23,15 @@
 //   - fault isolation: every per-function pass runs under recover(), so a
 //     panicking pass becomes a structured *CompileError naming the pass,
 //     function, and stack instead of killing the worker pool; Compile
-//     accepts a context with per-function timeouts and cooperative
-//     cancellation at pass boundaries; an optional verification mode
-//     (Config.VerifyPasses) checkpoints IR and liveness invariants after
-//     every pass and attributes the first breakage to the pass that
-//     introduced it; and a faulting function is quarantined one rung down
-//     a degradation ladder (first without optimization, then on the
-//     baseline spill-to-RAM path) and the program recompiled, so one bad
-//     function degrades instead of failing the program. Failed attempts
-//     are captured as replayable crash repro bundles (Config.ReproDir,
-//     internal/repro).
+//     accepts a context for cooperative cancellation at pass boundaries;
+//     an optional verification mode (Config.VerifyPasses) checkpoints IR
+//     and liveness invariants after every pass and attributes the first
+//     breakage to the pass that introduced it; and a faulting function
+//     is quarantined one rung down a degradation ladder (first without
+//     optimization, then on the baseline spill-to-RAM path) and the
+//     program recompiled, so one bad function degrades instead of
+//     failing the program. Failed attempts are captured as replayable
+//     crash repro bundles (Config.ReproDir, internal/repro).
 //
 // Compile never writes its input: the compiled functions replace p.Funcs
 // on success, and p is unchanged on error. A stage clones a function
@@ -43,8 +42,9 @@
 // Parallel compilation is deterministic: every pass mutates only its own
 // function, so workers=N produces bit-identical output to workers=1 (the
 // package test suite asserts this under the race detector, including for
-// degraded functions). The one documented exception is timeout-induced
-// degradation, which depends on wall-clock scheduling.
+// degraded functions). The contract has no exception: no wall clock
+// decides what a compile emits, and cancellation fails the compile
+// rather than degrading it.
 package pipeline
 
 import (
@@ -118,18 +118,6 @@ func ParseStrategy(s string) (Strategy, error) {
 	return NoCCM, fmt.Errorf("unknown strategy %q (want none, postpass, postpass-ipa, integrated)", s)
 }
 
-// InjectedPass is an experimental per-function pass run between the
-// scalar optimizer and the register allocator — the hook an RL-driven or
-// otherwise untrusted transform plugs into. Injected passes run under the
-// same isolation as built-in passes (recover, checkpoints, the
-// degradation ladder), and the first rung of the ladder drops them, so a
-// crashing experiment can never take the toolchain down. The context is
-// the per-function compile context; long-running passes should honor it.
-type InjectedPass struct {
-	Name string
-	Fn   func(ctx context.Context, f *ir.Func) error
-}
-
 // Config parameterizes one compilation. The zero value compiles like the
 // paper's baseline: 32+32 registers, optimizer on, compaction on, no CCM.
 type Config struct {
@@ -149,23 +137,12 @@ type Config struct {
 	// input), attributing the first broken invariant to the pass that
 	// introduced it.
 	VerifyPasses bool
-	// FuncTimeout bounds each per-function compile attempt. The deadline
-	// is checked cooperatively at pass boundaries and passed to injected
-	// passes; a built-in pass that loops forever cannot be preempted. On
-	// expiry the attempt fails and the function degrades one rung like any
-	// other fault (timeout-induced degradation is wall-clock dependent and
-	// therefore not deterministic). 0 means no limit.
-	FuncTimeout time.Duration
 	// Strict fails the whole compile on the first fault instead of
 	// degrading (repro bundles are still written).
 	Strict bool
 	// ReproDir, when non-empty, receives one crash repro bundle
 	// (internal/repro) per failed attempt.
 	ReproDir string
-	// InjectFront holds experimental passes run between optimize and
-	// regalloc. Closures cannot be content-addressed, so any injected
-	// pass disables the compile cache for the whole Compile.
-	InjectFront []InjectedPass `json:"-"`
 
 	// DiffCheck runs the differential-execution miscompile oracle
 	// (internal/oracle) against the input program: DiffFinal once on the
@@ -182,10 +159,13 @@ type Config struct {
 	// function (0 = the oracle default of 3).
 	DiffVectors int
 
-	// passHook is a test seam: it is invoked inside the guarded body of
-	// every per-function pass and as the interprocedural barrier reaches
-	// each function, and may panic to simulate a pass fault.
-	passHook func(pass, fn string)
+	// passHook is a test seam: it is invoked with the labeled context
+	// inside the guarded body of every per-function pass, after the pass
+	// has run, and as the interprocedural barrier reaches each function.
+	// It may rewrite f, or panic to simulate a pass fault. A hook on a
+	// front pass changes the output without changing the front key, so a
+	// test that sets one compiles on an uncached driver.
+	passHook func(ctx context.Context, pass string, f *ir.Func)
 }
 
 // DefaultRegs is the register count of a class whose Config count is 0.
@@ -213,14 +193,6 @@ func (c Config) validate() error {
 	}
 	if c.IntRegs > ir.MaxRegs-c.FloatRegs { // the sum could overflow
 		return fmt.Errorf("pipeline: IntRegs + FloatRegs must be <= %d, got %d + %d", ir.MaxRegs, c.IntRegs, c.FloatRegs)
-	}
-	if c.FuncTimeout < 0 {
-		return fmt.Errorf("pipeline: FuncTimeout must be >= 0, got %v", c.FuncTimeout)
-	}
-	for _, ip := range c.InjectFront {
-		if ip.Name == "" || ip.Fn == nil {
-			return fmt.Errorf("pipeline: injected pass must have a name and a body")
-		}
 	}
 	if c.DiffCheck < DiffOff || c.DiffCheck > DiffFinal {
 		return fmt.Errorf("pipeline: unknown DiffCheck mode %d", int(c.DiffCheck))
@@ -293,12 +265,11 @@ type Options struct {
 	// (regalloc, CCM promotion, compaction, opt, oracle, both cache
 	// tiers). Counter and gauge values are deterministic across worker
 	// counts; histogram bucket placements are wall-clock and are not.
-	// nil disables metrics at ~zero cost.
-	Metrics *obs.Registry
-	// PprofLabels runs every pass body under runtime/pprof.Do with
+	// nil disables metrics at ~zero cost. With either a Tracer or
+	// Metrics, every pass body also runs under runtime/pprof.Do with
 	// ccm_func/ccm_pass labels, so CPU profiles attribute samples to
 	// passes and functions.
-	PprofLabels bool
+	Metrics *obs.Registry
 }
 
 // Driver is a reusable compilation pipeline. It is safe for concurrent
@@ -311,7 +282,7 @@ type Driver struct {
 
 	tracer *obs.Tracer   // nil when tracing is off
 	reg    *obs.Registry // nil when metrics are off
-	labels bool          // run pass bodies under pprof labels
+	labels bool          // run pass bodies under pprof labels (a tracer or a registry is set)
 
 	memo *oracle.Memo // oracle observations shared by every checked compile
 
@@ -344,7 +315,7 @@ func New(opts Options) *Driver {
 		divergentPasses: map[string]int64{},
 		tracer:          opts.Tracer,
 		reg:             opts.Metrics,
-		labels:          opts.PprofLabels,
+		labels:          opts.Tracer != nil || opts.Metrics != nil,
 		memo:            oracle.NewMemo(),
 	}
 	if !opts.DisableCache {
@@ -472,9 +443,9 @@ func (d *Driver) Tracer() *obs.Tracer { return d.tracer }
 func (d *Driver) Registry() *obs.Registry { return d.reg }
 
 // labeled runs body under pprof labels naming the function and pass,
-// when Options.PprofLabels is on; otherwise it calls body directly. The
-// labeled context is handed to body so injected passes (and nested
-// pprof.Do calls) observe the labels.
+// when the driver has a tracer or a metrics registry; otherwise it calls
+// body directly. The labeled context is handed to body so the test hook
+// (and nested pprof.Do calls) observe the labels.
 func (d *Driver) labeled(ctx context.Context, fn, pass string, body func(context.Context)) {
 	if !d.labels {
 		body(ctx)
@@ -590,11 +561,10 @@ func (d *Driver) Compile(p *ir.Program, cfg Config) (*Report, error) {
 }
 
 // CompileContext is Compile with cooperative cancellation: ctx is checked
-// between passes and between functions, and is the parent of every
-// per-function timeout. On cancellation the in-flight passes finish (or
-// fail their next boundary check), the first context error is returned
-// and p is unchanged; no goroutines outlive the call. On success the
-// compiled functions replace p.Funcs, as in Compile.
+// between passes and between functions. On cancellation the in-flight
+// passes finish (or fail their next boundary check), the first context
+// error is returned and p is unchanged; no goroutines outlive the call.
+// On success the compiled functions replace p.Funcs, as in Compile.
 func (d *Driver) CompileContext(ctx context.Context, p *ir.Program, cfg Config) (*Report, error) {
 	return d.compile(ctx, p, cfg, d.tracer)
 }
@@ -653,19 +623,13 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 		Funcs:    len(p.Funcs),
 		PerFunc:  make(map[string]FuncReport, len(p.Funcs)),
 	}
-	// Injected passes are closures and cannot be content-addressed, so
-	// they opt the whole compile out of the cache.
-	cache := d.cache
-	if len(cfg.InjectFront) > 0 {
-		cache = nil
-	}
 	cs := &compileState{cfg: cfg, m: newMetrics(d.reg), forced: newForcedDegrade()}
 
 	// One walk of the input digests every function and the program; the
 	// program key, the oracle's seed and every front key derive from those
 	// digests.
 	var pd, progKey digest
-	if cache != nil {
+	if d.cache != nil {
 		cs.digests = make([]digest, len(p.Funcs))
 		pd = programDigest(p, cs.digests)
 	} else if cfg.DiffCheck != DiffOff {
@@ -674,9 +638,9 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 
 	// Whole-program cache: a repeat compile of an identical (program,
 	// Config) pair skips every pass, including verification.
-	if cache != nil {
+	if d.cache != nil {
 		progKey = programKey(pd, cfg)
-		if art, ok := cache.getProgram(progKey, mainSh); ok {
+		if art, ok := d.cache.getProgram(progKey, mainSh); ok {
 			// The cached functions are frozen: handing them out by
 			// reference is safe (anything that later rewrites one clones
 			// it first), and it makes the hit path free of deep copies.
@@ -724,17 +688,17 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	// uncached and records them.
 	attempt := func(retry, bisect bool) error {
 		states = make([]funcState, len(p.Funcs))
-		cs.cache, cs.snaps = cache, nil
+		cs.cache, cs.snaps = d.cache, nil
 		if bisect {
 			cs.cache, cs.snaps = nil, newSnapRecorder(len(p.Funcs))
 		}
 
-		// Front stage (parallel): scalar optimization, injected
-		// experimental passes, and register allocation, each function at
-		// its quarantined rung. Each worker touches only p.Funcs[i] and
-		// states[i], and only reads the memory tier; its hits and new
-		// artifacts are committed in function order once the stage joins,
-		// so scheduling can change neither the output nor the tier.
+		// Front stage (parallel): scalar optimization and register
+		// allocation, each function at its quarantined rung. Each worker
+		// touches only p.Funcs[i] and states[i], and only reads the memory
+		// tier; its hits and new artifacts are committed in function order
+		// once the stage joins, so scheduling can change neither the
+		// output nor the tier.
 		if err := d.forEach(ctx, len(p.Funcs), func(w, i int) error {
 			return d.compileFront(ctx, p, i, cs, &states[i], shardFor(w))
 		}); err != nil {
@@ -803,7 +767,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 			return err
 		}
 		cs.recordMiscompile(me, p, do, mainSh)
-		if !retry || !cs.forced.escalate(me, cfg) {
+		if !retry || !cs.forced.escalate(me) {
 			return me
 		}
 		return errRecompile
@@ -847,7 +811,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	// compiles: degraded output is correct but below configured fidelity,
 	// and must not be served to a later compile whose faults might have
 	// been fixed.
-	if cache != nil && cs.failures.Load() == 0 && (do == nil || do.divergences == 0) {
+	if d.cache != nil && cs.failures.Load() == 0 && (do == nil || do.divergences == 0) {
 		if do == nil {
 			rep.digest = outDigest()
 		}
@@ -863,7 +827,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 			fr.BackCacheHit = false
 			art.perFunc[name] = fr
 		}
-		cache.putProgram(progKey, art)
+		d.cache.putProgram(progKey, art)
 	}
 
 	d.finish(rep, cs, do, start, false, mainSh, tracer)
@@ -923,7 +887,7 @@ func (d *Driver) postPassBarrier(ctx context.Context, p *ir.Program, cs *compile
 	var res *core.PostPassResult
 	var last string // function the walk was processing when it faulted
 	var cerr *CompileError
-	d.labeled(ctx, "", PassPostPass, func(context.Context) {
+	d.labeled(ctx, "", PassPostPass, func(lctx context.Context) {
 		cerr = runGuarded(PassPostPass, "", levelFull, func() error {
 			var err error
 			res, err = core.PostPass(p, core.PostPassOptions{
@@ -933,7 +897,7 @@ func (d *Driver) postPassBarrier(ctx context.Context, p *ir.Program, cs *compile
 				OnFunc: func(name string) {
 					last = name
 					if cs.cfg.passHook != nil {
-						cs.cfg.passHook(PassPostPass, name)
+						cs.cfg.passHook(lctx, PassPostPass, p.Func(name))
 					}
 				},
 			})
@@ -972,16 +936,16 @@ func (d *Driver) postPassBarrier(ctx context.Context, p *ir.Program, cs *compile
 // stagePass is one named step of a per-function stage.
 type stagePass struct {
 	name string
-	run  func(ctx context.Context, f *ir.Func) error
+	run  func(f *ir.Func) error
 }
 
 // frontPasses assembles the front-stage sequence for one degradation
-// rung: the ladder drops the optimizer and injected passes first, then
-// the integrated CCM assignment.
+// rung: the ladder drops the optimizer first, then the integrated CCM
+// assignment.
 func (d *Driver) frontPasses(cfg Config, level degradeLevel, st *funcState) []stagePass {
 	var passes []stagePass
 	if !cfg.DisableOptimizer && level < levelNoOpt {
-		passes = append(passes, stagePass{PassOptimize, func(_ context.Context, f *ir.Func) error {
+		passes = append(passes, stagePass{PassOptimize, func(f *ir.Func) error {
 			s, err := opt.Optimize(f)
 			if err != nil {
 				return err
@@ -998,16 +962,11 @@ func (d *Driver) frontPasses(cfg Config, level degradeLevel, st *funcState) []st
 			return nil
 		}})
 	}
-	if level < levelNoOpt {
-		for _, ip := range cfg.InjectFront {
-			passes = append(passes, stagePass{ip.Name, ip.Fn})
-		}
-	}
 	ra := regalloc.Options{IntRegs: cfg.IntRegs, FloatRegs: cfg.FloatRegs, Obs: d.reg}
 	if cfg.Strategy == Integrated && level < levelBaseline {
 		ra.CCMBytes = cfg.CCMBytes
 	}
-	passes = append(passes, stagePass{PassRegalloc, func(_ context.Context, f *ir.Func) error {
+	passes = append(passes, stagePass{PassRegalloc, func(f *ir.Func) error {
 		res, err := regalloc.Allocate(f, ra)
 		if err != nil {
 			return err
@@ -1023,7 +982,7 @@ func (d *Driver) frontPasses(cfg Config, level degradeLevel, st *funcState) []st
 
 // backPasses assembles the back-stage sequence: spill-memory compaction.
 func (d *Driver) backPasses(st *funcState) []stagePass {
-	return []stagePass{{PassCompact, func(_ context.Context, f *ir.Func) error {
+	return []stagePass{{PassCompact, func(f *ir.Func) error {
 		cres, err := core.CompactSpills(f)
 		if err != nil {
 			return err
@@ -1048,16 +1007,11 @@ func passNames(passes []stagePass) []string {
 }
 
 // runPasses runs the passes of the front or back stage over f, the i-th
-// function, at the given rung and under one per-function deadline. Each
-// pass gets a deadline check and a guarded run, then its metrics, span,
-// optional checkpoint and oracle snapshot. It returns the first fault.
+// function, at the given rung. Each pass gets a cancellation check and a
+// guarded run, then its metrics, span, optional checkpoint and oracle
+// snapshot. It returns the first fault.
 func (d *Driver) runPasses(ctx context.Context, cs *compileState, f *ir.Func, i int, passes []stagePass, level degradeLevel, back bool, sh *obs.Shard) *CompileError {
 	cfg := cs.cfg
-	if cfg.FuncTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.FuncTimeout)
-		defer cancel()
-	}
 	for _, pass := range passes {
 		if cerr := ctxErr(ctx, pass.name, f.Name, level); cerr != nil {
 			return cerr
@@ -1067,10 +1021,13 @@ func (d *Driver) runPasses(ctx context.Context, cs *compileState, f *ir.Func, i 
 		var cerr *CompileError
 		d.labeled(ctx, f.Name, pass.name, func(lctx context.Context) {
 			cerr = runGuarded(pass.name, f.Name, level, func() error {
-				if cfg.passHook != nil {
-					cfg.passHook(pass.name, f.Name)
+				if err := pass.run(f); err != nil {
+					return err
 				}
-				return pass.run(lctx, f)
+				if cfg.passHook != nil {
+					cfg.passHook(lctx, pass.name, f)
+				}
+				return nil
 			})
 		})
 		if cerr != nil {

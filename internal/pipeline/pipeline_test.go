@@ -401,11 +401,11 @@ func TestCompileLeavesInputUntouched(t *testing.T) {
 		}
 	}
 	fault := with(detConfig(PostPassInterproc), func(c *Config) {
-		c.InjectFront = []InjectedPass{panicOn("main", "exp-bad")}
+		c.passHook = hookFault(PassOptimize, "main")
 	})
 	miscompile := with(detConfig(PostPassInterproc), func(c *Config) {
 		c.DiffCheck = DiffFinal
-		c.InjectFront = []InjectedPass{miscompileOn("main", "exp-dup")}
+		c.passHook = miscompileOn(PassOptimize, "main")
 	})
 	rows = append(rows,
 		row{"recompile after a front fault", fault, false, false},

@@ -380,11 +380,7 @@ func TestDegradedCompileNeverReachesRemote(t *testing.T) {
 
 	a := New(Options{RemoteURLs: []string{hs.URL}, RemoteTuning: fastRemoteTuning()})
 	fcfg := detConfig(PostPassInterproc)
-	fcfg.passHook = func(pass, name string) {
-		if pass == PassPostPass && name == "main" {
-			panic("transient allocator bug")
-		}
-	}
+	fcfg.passHook = hookFault(PassPostPass, "main")
 	frep, err := a.Compile(workload.RandomProgram(45), fcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -10,9 +10,7 @@ import (
 	"ccmem/internal/repro"
 )
 
-// marshalConfig encodes cfg for a repro bundle. Injected passes are
-// closures and are excluded (tagged json:"-"); a bundle replays the
-// built-in pass sequence only.
+// marshalConfig encodes cfg for a repro bundle.
 func marshalConfig(cfg Config) json.RawMessage {
 	data, err := json.Marshal(cfg)
 	if err != nil {
@@ -27,9 +25,9 @@ func marshalConfig(cfg Config) json.RawMessage {
 // or nil if the toolchain no longer faults on it. Compile bundles replay
 // single-threaded, uncached, in Strict mode with per-pass verification,
 // so a latent fault surfaces as a *CompileError rather than being
-// degraded away; injected (experimental) passes cannot be serialized and
-// are not replayed. Run-kind bundles are executed by the public facade,
-// not here.
+// degraded away. A compile bundle's config decodes leniently, so a
+// bundle naming a field this version no longer has still replays.
+// Run-kind bundles are executed by the public facade, not here.
 func Replay(b *repro.Bundle) error {
 	switch b.Kind {
 	case repro.KindParse:
@@ -68,8 +66,6 @@ func Replay(b *repro.Bundle) error {
 		cfg.Strict = true
 		cfg.VerifyPasses = true
 		cfg.ReproDir = ""
-		cfg.FuncTimeout = 0 // replays must be deterministic
-		cfg.InjectFront = nil
 		d := New(Options{Workers: 1, DisableCache: true})
 		_, err = d.Compile(p, cfg)
 		return err

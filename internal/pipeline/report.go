@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -233,30 +232,15 @@ func (m *metrics) merge(o *metrics) {
 	}
 }
 
-// stats returns the accumulated passes in pipeline order. Passes whose
-// names are not in passOrder — injected experimental passes
-// (Config.InjectFront) — follow the canonical ones in sorted-name order,
-// so their timings are reported rather than silently dropped.
+// stats returns the accumulated passes in pipeline order.
 func (m *metrics) stats() []PassStat {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]PassStat, 0, len(m.passes))
-	canonical := make(map[string]bool, len(passOrder))
 	for _, name := range passOrder {
-		canonical[name] = true
 		if p, ok := m.passes[name]; ok {
 			out = append(out, *p)
 		}
-	}
-	extra := make([]string, 0, len(m.passes))
-	for name := range m.passes {
-		if !canonical[name] {
-			extra = append(extra, name)
-		}
-	}
-	sort.Strings(extra)
-	for _, name := range extra {
-		out = append(out, *m.passes[name])
 	}
 	return out
 }

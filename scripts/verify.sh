@@ -110,9 +110,12 @@ go test -race -run TestCacheDaemonSmoke ./cmd/ccmcached/
 # webs rather than the CCM, disabled metrics and tracing must
 # allocate nothing, and an oracle check whose every run the memo holds
 # must resolve neither program (TestAllocGuardMemoizedCheck: the same
-# allocation count and bytes at 8 and 4,096 blocks per function), and
+# allocation count and bytes at 8 and 4,096 blocks per function),
 # printing a program must size one buffer for its whole text
-# (TestAllocGuardPrint: compiled fpppp allocates as often as radb2). Run
+# (TestAllocGuardPrint: compiled fpppp allocates as often as radb2), and
+# parsing uncompiled fpppp must stay under a fixed allocation count and
+# byte ceiling (TestAllocGuardParse), so copying the names a program keeps
+# cannot bring per-line garbage back. Run
 # with -count=1 so a cached 'ok' can never mask an allocation
 # regression, and without -race (the race runtime inflates allocation
 # counts).
