@@ -102,7 +102,7 @@ func TestBuilderCleanConstructionStillVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyFunc(f, nil, VerifyOptions{}); err != nil {
+	if err := VerifyFunc(f, VerifyOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

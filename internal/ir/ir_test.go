@@ -133,7 +133,7 @@ func TestBuilderBasics(t *testing.T) {
 	if len(f.Blocks) != 3 || f.Entry().Name != "entry" {
 		t.Fatal("blocks wrong")
 	}
-	if err := VerifyFunc(f, nil, VerifyOptions{}); err != nil {
+	if err := VerifyFunc(f, VerifyOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if f.NumInstrs() != 7 {

@@ -23,7 +23,7 @@ import (
 // The program holds no substring of src: each name it keeps is copied
 // once per parse, so a long-lived program pins its names, not its text.
 func Parse(src string) (*Program, error) {
-	p := &parser{prog: &Program{}, names: map[string]string{}}
+	p := &parser{prog: &Program{}, names: map[string]string{}, declared: map[decl]bool{}}
 	if err := p.run(src); err != nil {
 		return nil, err
 	}
@@ -48,6 +48,32 @@ type parser struct {
 	// names maps every name kept so far to its copy, so each distinct
 	// name is copied once and an operand shares its target's copy.
 	names map[string]string
+
+	// declared holds every global, function and label declared so far,
+	// so each duplicate check is one lookup.
+	declared map[decl]bool
+}
+
+// A decl is a declared name in its scope: scopeGlobals, scopeFuncs, or,
+// for a label, 1 + the index of its function in the program.
+type decl struct {
+	scope int
+	name  string
+}
+
+const (
+	scopeGlobals = -1
+	scopeFuncs   = 0
+)
+
+// declare records name in scope and reports whether it is new there.
+func (p *parser) declare(scope int, name string) bool {
+	k := decl{scope, name}
+	if p.declared[k] {
+		return false
+	}
+	p.declared[k] = true
+	return true
 }
 
 // name returns the parse's copy of s, a substring of the source.
@@ -154,7 +180,11 @@ func (p *parser) parseGlobal(line string) error {
 			}
 		}
 	}
-	return p.prog.AddGlobal(g)
+	if !p.declare(scopeGlobals, g.Name) {
+		return fmt.Errorf("ir: duplicate global %q", g.Name)
+	}
+	p.prog.Globals = append(p.prog.Globals, g)
+	return nil
 }
 
 func (p *parser) parseFuncHeader(line string) error {
@@ -215,16 +245,19 @@ func (p *parser) endFunc() error {
 		p.classes = p.classes[:0]
 	}
 	p.f.Renumber()
-	err := p.prog.AddFunc(p.f)
+	if !p.declare(scopeFuncs, p.f.Name) {
+		return fmt.Errorf("ir: duplicate function %q", p.f.Name)
+	}
+	p.prog.Funcs = append(p.prog.Funcs, p.f)
 	p.f, p.blk = nil, nil
-	return err
+	return nil
 }
 
 func (p *parser) startBlock(name string) error {
 	if p.f == nil {
 		return p.errf("label %q outside function", name)
 	}
-	if p.f.BlockNamed(name) != nil {
+	if !p.declare(len(p.prog.Funcs)+1, name) {
 		return p.errf("duplicate block label %q", name)
 	}
 	p.endBlock()

@@ -300,7 +300,8 @@ func TestParseErrors(t *testing.T) {
 		{"global G 1 = i zz", "bad int initializer"},
 		{"func f( {", "malformed func header"},
 		{"func f() wat {", "unknown return class"},
-		{"func f() {\nentry:\n\tret\n}\nglobal G 1 # after func is fine\nfunc f() {\nentry:\n\tret\n}", "duplicate function"},
+		{"func f() {\nentry:\n\tret\n}\nglobal G 1 # after func is fine\nfunc f() {\nentry:\n\tret\n}", `ir: duplicate function "f"`},
+		{"global G 1\nglobal H 1\nglobal G 2", `ir: duplicate global "G"`},
 		{"func f() {\nentry:\n\tfrobnicate r1\n}", "unknown opcode"},
 		{"func f() {\nentry:\n\tr0 = loadi xyz\n}", "loadi wants an integer"},
 		{"func f() {\nentry:\n\tr0 = add r1\n}", "add wants 2 operands"},
@@ -309,7 +310,9 @@ func TestParseErrors(t *testing.T) {
 		{"func f() {\nentry:\n\tr0 = loadi 1\n\tf0 = loadf 1.0\n\tret\n}", "both int and float"},
 		{"func f() {\n\tr0 = loadi 1\n}", "before any label"},
 		{"r0 = loadi 1", "outside function"},
-		{"func f() {\nentry:\n\tret\nentry:\n\tret\n}", "duplicate block label"},
+		{"func f() {\nentry:\n\tret\nentry:\n\tret\n}", `parse line 4: duplicate block label "entry"`},
+		// Labels are scoped to their function.
+		{"func f() {\nentry:\n\tret\n}\nfunc g() {\nentry:\n\tret\nx:\n\tret\nx:\n\tret\n}", `parse line 10: duplicate block label "x"`},
 		{"func f() {\nentry:\n\tret\n\tnop\n}", "after terminator"},
 		// The line count takes in the empty line after a final newline.
 		{"func f() {\nentry:\n\tret\n", "parse line 4: missing closing brace for func f"},

@@ -11,14 +11,16 @@ type VerifyOptions struct {
 	AllowPhi bool
 }
 
-// VerifyProgram checks structural invariants for every function in p.
+// VerifyProgram checks structural invariants for every function in p,
+// resolving its calls and addr instructions against p's functions and
+// globals by name, so it runs in time linear in the program.
 func VerifyProgram(p *Program, opts VerifyOptions) error {
-	seenG := map[string]bool{}
+	n := &names{funcs: make(map[string]*Func, len(p.Funcs)), globals: make(map[string]*Global, len(p.Globals))}
 	for _, g := range p.Globals {
-		if seenG[g.Name] {
+		if n.globals[g.Name] != nil {
 			return fmt.Errorf("ir: duplicate global %q", g.Name)
 		}
-		seenG[g.Name] = true
+		n.globals[g.Name] = g
 		if g.Words < 0 {
 			return fmt.Errorf("ir: global %q has negative size", g.Name)
 		}
@@ -26,24 +28,33 @@ func VerifyProgram(p *Program, opts VerifyOptions) error {
 			return fmt.Errorf("ir: global %q: %d initializers for %d words", g.Name, len(g.Init), g.Words)
 		}
 	}
-	seenF := map[string]bool{}
 	for _, f := range p.Funcs {
-		if seenF[f.Name] {
+		if n.funcs[f.Name] != nil {
 			return fmt.Errorf("ir: duplicate function %q", f.Name)
 		}
-		seenF[f.Name] = true
+		n.funcs[f.Name] = f
 	}
 	for _, f := range p.Funcs {
-		if err := VerifyFunc(f, p, opts); err != nil {
+		if err := verifyFunc(f, n, opts); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// VerifyFunc checks one function against the program (for call and global
-// references; prog may be nil to skip cross-references).
-func VerifyFunc(f *Func, prog *Program, opts VerifyOptions) error {
+// names indexes a program's functions and globals by name.
+type names struct {
+	funcs   map[string]*Func
+	globals map[string]*Global
+}
+
+// VerifyFunc checks one function on its own, with no program to resolve
+// its calls and globals against (VerifyProgram resolves them).
+func VerifyFunc(f *Func, opts VerifyOptions) error { return verifyFunc(f, nil, opts) }
+
+// verifyFunc checks one function, and its cross-references against n
+// unless n is nil.
+func verifyFunc(f *Func, n *names, opts VerifyOptions) error {
 	errf := func(format string, args ...any) error {
 		return fmt.Errorf("ir: func %s: %s", f.Name, fmt.Sprintf(format, args...))
 	}
@@ -134,7 +145,7 @@ func VerifyFunc(f *Func, prog *Program, opts VerifyOptions) error {
 			} else {
 				sawNonPhi = true
 			}
-			if err := verifyInstr(f, prog, b, in, checkReg, errf); err != nil {
+			if err := verifyInstr(f, n, b, in, checkReg, errf); err != nil {
 				return err
 			}
 		}
@@ -186,7 +197,7 @@ func (l regLabel) String() string {
 	return s
 }
 
-func verifyInstr(f *Func, prog *Program, b *Block, in *Instr,
+func verifyInstr(f *Func, n *names, b *Block, in *Instr,
 	checkReg func(*Block, Reg, Class, regLabel) error,
 	errf func(string, ...any) error) error {
 
@@ -224,8 +235,8 @@ func verifyInstr(f *Func, prog *Program, b *Block, in *Instr,
 	// Arguments.
 	switch in.Op {
 	case OpCall:
-		if prog != nil {
-			callee := prog.Func(in.Sym)
+		if n != nil {
+			callee := n.funcs[in.Sym]
 			if callee == nil {
 				return errf("block %s: call to unknown function %q", b.Name, in.Sym)
 			}
@@ -290,8 +301,8 @@ func verifyInstr(f *Func, prog *Program, b *Block, in *Instr,
 	// Immediates and symbols.
 	switch in.Op {
 	case OpAddr:
-		if prog != nil {
-			g := prog.Global(in.Sym)
+		if n != nil {
+			g := n.globals[in.Sym]
 			if g == nil {
 				return errf("block %s: addr of unknown global %q", b.Name, in.Sym)
 			}

@@ -75,7 +75,7 @@ func TestVerifyMidBlockTerminator(t *testing.T) {
 		{Op: OpLoadI, Dst: r, Imm: 1},
 	}}}
 	// Manually craft: terminator mid-block (ret then more instrs then no term).
-	err := VerifyFunc(f, nil, VerifyOptions{})
+	err := VerifyFunc(f, VerifyOptions{})
 	if err == nil || !strings.Contains(err.Error(), "terminator") {
 		t.Fatalf("err = %v", err)
 	}
@@ -87,7 +87,7 @@ func TestVerifyMissingTerminator(t *testing.T) {
 	f.Blocks = []*Block{{Name: "entry", Instrs: []Instr{
 		{Op: OpLoadI, Dst: r, Imm: 1},
 	}}}
-	err := VerifyFunc(f, nil, VerifyOptions{})
+	err := VerifyFunc(f, VerifyOptions{})
 	if err == nil || !strings.Contains(err.Error(), "does not end with a terminator") {
 		t.Fatalf("err = %v", err)
 	}
@@ -95,7 +95,7 @@ func TestVerifyMissingTerminator(t *testing.T) {
 
 func TestVerifyEmptyBlock(t *testing.T) {
 	f := &Func{Name: "m", Blocks: []*Block{{Name: "entry"}}}
-	err := VerifyFunc(f, nil, VerifyOptions{})
+	err := VerifyFunc(f, VerifyOptions{})
 	if err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("err = %v", err)
 	}
@@ -109,7 +109,7 @@ func TestVerifyClassMismatch(t *testing.T) {
 		{Op: OpFAdd, Dst: rf, Args: []Reg{ri, rf}},
 		{Op: OpRet, Dst: NoReg},
 	}}}
-	err := VerifyFunc(f, nil, VerifyOptions{})
+	err := VerifyFunc(f, VerifyOptions{})
 	if err == nil || !strings.Contains(err.Error(), "class") {
 		t.Fatalf("err = %v", err)
 	}
@@ -123,7 +123,7 @@ func TestVerifyDstRules(t *testing.T) {
 		{Op: OpStore, Dst: r, Args: []Reg{r, r}},
 		{Op: OpRet, Dst: NoReg},
 	}}}
-	if err := VerifyFunc(f, nil, VerifyOptions{}); err == nil ||
+	if err := VerifyFunc(f, VerifyOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "must not have a destination") {
 		t.Fatalf("err = %v", err)
 	}
@@ -132,7 +132,7 @@ func TestVerifyDstRules(t *testing.T) {
 		{Op: OpAdd, Dst: NoReg, Args: []Reg{r, r}},
 		{Op: OpRet, Dst: NoReg},
 	}}}
-	if err := VerifyFunc(f, nil, VerifyOptions{}); err == nil ||
+	if err := VerifyFunc(f, VerifyOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "requires a destination") {
 		t.Fatalf("err = %v", err)
 	}
@@ -145,7 +145,7 @@ func TestVerifyArityMismatch(t *testing.T) {
 		{Op: OpAdd, Dst: r, Args: []Reg{r}},
 		{Op: OpRet, Dst: NoReg},
 	}}}
-	if err := VerifyFunc(f, nil, VerifyOptions{}); err == nil ||
+	if err := VerifyFunc(f, VerifyOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "operands") {
 		t.Fatalf("err = %v", err)
 	}
@@ -274,11 +274,11 @@ func TestVerifyPhiRules(t *testing.T) {
 		{Op: OpPhi, Dst: r, Args: []Reg{r2}},
 		{Op: OpRet, Dst: NoReg},
 	}}}
-	if err := VerifyFunc(f, nil, VerifyOptions{}); err == nil ||
+	if err := VerifyFunc(f, VerifyOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "phi present") {
 		t.Fatalf("phi without AllowPhi: err = %v", err)
 	}
-	if err := VerifyFunc(f, nil, VerifyOptions{AllowPhi: true}); err != nil {
+	if err := VerifyFunc(f, VerifyOptions{AllowPhi: true}); err != nil {
 		t.Fatalf("phi with AllowPhi rejected: %v", err)
 	}
 	// Phi after non-phi.
@@ -287,7 +287,7 @@ func TestVerifyPhiRules(t *testing.T) {
 		{Op: OpPhi, Dst: r, Args: []Reg{r2}},
 		{Op: OpRet, Dst: NoReg},
 	}}}
-	if err := VerifyFunc(f, nil, VerifyOptions{AllowPhi: true}); err == nil ||
+	if err := VerifyFunc(f, VerifyOptions{AllowPhi: true}); err == nil ||
 		!strings.Contains(err.Error(), "phi after non-phi") {
 		t.Fatalf("err = %v", err)
 	}
@@ -297,16 +297,16 @@ func TestVerifyAllocatedLayout(t *testing.T) {
 	f := &Func{Name: "m", Allocated: true, NumInt: 2, NumFloat: 1}
 	f.Regs = []RegInfo{{Class: ClassInt}, {Class: ClassInt}, {Class: ClassFloat}}
 	f.Blocks = []*Block{{Name: "entry", Instrs: []Instr{{Op: OpRet, Dst: NoReg}}}}
-	if err := VerifyFunc(f, nil, VerifyOptions{}); err != nil {
+	if err := VerifyFunc(f, VerifyOptions{}); err != nil {
 		t.Fatalf("good layout rejected: %v", err)
 	}
 	f.Regs[1].Class = ClassFloat
-	if err := VerifyFunc(f, nil, VerifyOptions{}); err == nil {
+	if err := VerifyFunc(f, VerifyOptions{}); err == nil {
 		t.Fatal("bad layout accepted")
 	}
 	f.Regs[1].Class = ClassInt
 	f.FrameBytes = 12 // unaligned
-	if err := VerifyFunc(f, nil, VerifyOptions{}); err == nil {
+	if err := VerifyFunc(f, VerifyOptions{}); err == nil {
 		t.Fatal("unaligned frame accepted")
 	}
 	f.FrameBytes = 8
@@ -314,7 +314,7 @@ func TestVerifyAllocatedLayout(t *testing.T) {
 		{Op: OpRestore, Dst: Reg(0), Imm: 8}, // beyond frame
 		{Op: OpRet, Dst: NoReg},
 	}
-	if err := VerifyFunc(f, nil, VerifyOptions{}); err == nil ||
+	if err := VerifyFunc(f, VerifyOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "exceeds frame") {
 		t.Fatalf("err = %v", err)
 	}
@@ -325,7 +325,7 @@ func TestVerifyDuplicateParams(t *testing.T) {
 	r := f.NewReg(ClassInt, "")
 	f.Params = []Reg{r, r}
 	f.Blocks = []*Block{{Name: "entry", Instrs: []Instr{{Op: OpRet, Dst: NoReg}}}}
-	if err := VerifyFunc(f, nil, VerifyOptions{}); err == nil ||
+	if err := VerifyFunc(f, VerifyOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "duplicate parameter") {
 		t.Fatalf("err = %v", err)
 	}
@@ -336,5 +336,22 @@ func TestVerifyGlobalRules(t *testing.T) {
 	if err := VerifyProgram(p, VerifyOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "initializers") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestVerifyDuplicateNames: a program that declares a global or a
+// function twice (which Parse never builds) is refused by name.
+func TestVerifyDuplicateNames(t *testing.T) {
+	p, err := Parse("global A 1\nglobal B 1\nfunc f() {\nentry:\n\tret\n}\nfunc g() {\nentry:\n\tret\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &Program{Globals: append(p.Globals, p.Globals[0]), Funcs: p.Funcs}
+	if err := VerifyProgram(q, VerifyOptions{}); err == nil || err.Error() != `ir: duplicate global "A"` {
+		t.Errorf("duplicate global: err = %v", err)
+	}
+	q = &Program{Globals: p.Globals, Funcs: append(p.Funcs, p.Funcs[1])}
+	if err := VerifyProgram(q, VerifyOptions{}); err == nil || err.Error() != `ir: duplicate function "g"` {
+		t.Errorf("duplicate function: err = %v", err)
 	}
 }

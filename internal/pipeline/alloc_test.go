@@ -62,7 +62,7 @@ func TestAllocGuardProgramHit(t *testing.T) {
 // ceiling; a compile that clones its input for the oracle trips it.
 func TestAllocGuardWarmFuncTiers(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector drops pooled hashers at random; verify.sh runs this guard without it")
+		t.Skip("the race detector drops pooled hashing writers at random; verify.sh runs this guard without it")
 	}
 	p0 := workload.RandomProgram(31)
 	cloneCost := testing.AllocsPerRun(5, func() { _ = p0.Clone() })
@@ -113,16 +113,18 @@ func TestAllocGuardWarmFuncTiers(t *testing.T) {
 // raceEnabled is set under the race detector (race_test.go).
 var raceEnabled bool
 
-// TestAllocGuardKeys pins the staged hasher: digesting a program and
-// computing its program, front and back keys allocates a constant per
-// function, however many instructions and strings the functions hold.
-// Two programs with the same functions, one 64 times the size of the
-// other in blocks, instructions and names, must cost the same. A hasher
-// that converts each string to a []byte, or allocates a hash per key,
-// grows with the content and trips the guard.
+// TestAllocGuardKeys pins the pooled hashing writers: digesting a
+// program and computing its program, front and back keys allocates a
+// constant per function, however many instructions and strings the
+// functions hold. Two programs with the same functions, one 64 times the
+// size of the other in blocks, instructions and names, must cost the
+// same; a hash allocated per key, or a string converted to a []byte,
+// grows with the content and trips the guard. A staging buffer that
+// grows with the function would grow once, in AllocsPerRun's warm-up
+// call, and hide in the pool, so its capacity is checked directly.
 func TestAllocGuardKeys(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector drops pooled hashers at random; verify.sh runs this guard without it")
+		t.Skip("the race detector drops pooled hashing writers at random; verify.sh runs this guard without it")
 	}
 	cfg := detConfig(PostPassInterproc).withDefaults()
 	keys := func(p *ir.Program) float64 {
@@ -148,6 +150,14 @@ func TestAllocGuardKeys(t *testing.T) {
 	if perFunc := largeCost / float64(len(large.Funcs)); perFunc > 1 {
 		t.Errorf("key work allocates %.1f/op per function, over the ceiling of 1", perFunc)
 	}
+	w := newHashWriter(funcDigestTag)
+	for _, f := range large.Funcs {
+		w.fn(f)
+	}
+	if c := cap(w.b); c > 2*hashChunk {
+		t.Errorf("hashing %d functions of the large program grew the staging buffer to %d bytes, over %d", len(large.Funcs), c, 2*hashChunk)
+	}
+	w.sum()
 }
 
 // scaledKeyProgram is keyProgram with every function's blocks repeated n

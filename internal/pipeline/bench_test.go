@@ -109,21 +109,7 @@ func BenchmarkPipelineObsOn(b *testing.B) {
 // post-program digest the oracle keys its memo by. The keys stand on the
 // input bodies; the compiled bodies have the same shape.
 func BenchmarkKeys(b *testing.B) {
-	var progs []*ir.Program
-	for _, r := range workload.All() {
-		p, err := r.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		progs = append(progs, p)
-	}
-	for _, bp := range workload.Programs() {
-		p, err := bp.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		progs = append(progs, p)
-	}
+	progs := suiteInputs(b)
 	cfg := Config{Strategy: PostPassInterproc, CCMBytes: 512, DiffCheck: DiffFinal}.withDefaults()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -137,6 +123,31 @@ func BenchmarkKeys(b *testing.B) {
 				backKey(f, cfg)
 			}
 			programDigest(p, nil)
+		}
+	}
+}
+
+// BenchmarkDecodeProgram measures the codec's decoder over the payloads
+// of every suite input compiled post-pass interprocedurally at 512 bytes
+// of CCM: the work a persistent-tier program hit does once its entry is
+// read and checksummed.
+func BenchmarkDecodeProgram(b *testing.B) {
+	d := New(Options{DisableCache: true})
+	var payloads [][]byte
+	for _, p := range suiteInputs(b) {
+		rep, err := d.Compile(p, Config{Strategy: PostPassInterproc, CCMBytes: 512})
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads = append(payloads, encodeProgramV2(&programArtifact{funcs: p.Funcs, perFunc: rep.PerFunc}))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, payload := range payloads {
+			if _, err := decodeProgramV2(payload); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 // well under it while runaway callers evict in LRU order.
 const DefaultCacheEntries = 4096
 
-// digest is a content address: SHA-256 over the canonical encoding
-// produced in hash.go.
+// digest is a content address: SHA-256 over a tag and the codec's
+// encoding of the content (hash.go).
 type digest [32]byte
 
 // Cache is a bounded, thread-safe, content-addressed artifact store with
@@ -30,7 +30,8 @@ type digest [32]byte
 // function after a stage) and whole programs. The persistent tiers hold
 // whole programs only, so a compile calls them at most twice, for its
 // program key and on its own goroutine. A program lookup reads memory →
-// disk → remote → miss: a lower-tier hit is decoded, verified, and
+// disk → remote → miss: a lower-tier hit, checksummed by its tier, is
+// decoded (bounds, shape and canonicity; the IR is not re-verified) and
 // promoted into every tier above it; a decode failure withdraws the entry
 // (disk quarantine / remote reclassify) and reads as a miss. A program
 // store writes through to memory and disk and behind to the remote tier

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math"
 	"sort"
 
@@ -23,17 +24,18 @@ import (
 // can store its replacement under the same key.
 const diskKindProgramV2 uint32 = 6
 
-// Codec v2: the binary payload format of diskKindProgramV2.
+// Codec v2: the binary payload format of diskKindProgramV2, and the one
+// encoding of a function: every digest and cache key (hash.go) is
+// SHA-256 over the same bytes.
 //
 // Design rules:
 //
 //   - Deterministic: one artifact value has exactly one encoding. Field
-//     order is fixed (mirroring the canonical hash order of hash.go),
-//     map-shaped data is emitted sorted by key, and the decoder rejects
-//     any non-canonical input (unsorted reports, trailing bytes), so
-//     decode∘encode and encode∘decode are both identities on the accepted
-//     sets. The determinism matrix relies on cache bytes being a pure
-//     function of the artifact.
+//     order is fixed, map-shaped data is emitted sorted by key, and the
+//     decoder rejects any non-canonical input (unsorted reports, trailing
+//     bytes), so decode∘encode and encode∘decode are both identities on
+//     the accepted sets. The determinism matrix relies on cache bytes
+//     being a pure function of the artifact.
 //   - Total for floats: FImm travels as its IEEE-754 bit pattern
 //     (math.Float64bits), so NaN immediates — which encoding/json cannot
 //     carry — round-trip exactly, payload bits included.
@@ -52,10 +54,23 @@ const codecV2Version = 1
 
 // ---- encoder ----
 
-// bw is a tiny append-only buffer writer. Encoding cannot fail: every
-// value the pipeline produces is representable (that is the point of v2).
+// bw is an append-only buffer writer. Encoding cannot fail: every value
+// the pipeline produces is representable (that is the point of v2). A
+// hashing writer (hash.go's newHashWriter) carries h and hands its bytes
+// to it as it goes, so it stages at most hashChunk bytes plus one list
+// element, however large the function it encodes.
 type bw struct {
 	b []byte
+	h hash.Hash
+}
+
+// spill hands a hashing writer's staged bytes to its hash once they
+// reach hashChunk. The encoders call it after each element of a list.
+func (w *bw) spill() {
+	if w.h != nil && len(w.b) >= hashChunk {
+		w.h.Write(w.b)
+		w.b = w.b[:0]
+	}
 }
 
 func (w *bw) u8(v uint8) { w.b = append(w.b, v) }
@@ -93,11 +108,13 @@ func (w *bw) fn(f *ir.Func) {
 	for _, p := range f.Params {
 		w.reg(p)
 	}
+	w.spill()
 	w.u8(uint8(f.RetClass))
 	w.u32(uint32(len(f.Regs)))
 	for _, ri := range f.Regs {
 		w.u8(uint8(ri.Class))
 		w.str(ri.Name)
+		w.spill()
 	}
 	w.bool(f.Allocated)
 	w.u32(uint32(f.NumInt))
@@ -108,6 +125,7 @@ func (w *bw) fn(f *ir.Func) {
 	for _, b := range f.Blocks {
 		w.str(b.Name)
 		w.u32(uint32(len(b.Instrs)))
+		w.spill()
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			w.u8(uint8(in.Op))
@@ -121,6 +139,7 @@ func (w *bw) fn(f *ir.Func) {
 			w.str(in.Sym)
 			w.str(in.Then)
 			w.str(in.Else)
+			w.spill()
 		}
 	}
 }
@@ -167,102 +186,101 @@ func encodeProgramV2(a *programArtifact) []byte {
 
 // ---- decoder ----
 
-// br is a bounds-checked buffer reader. Every method returns an error
-// instead of panicking; errV2 builds them with position context.
+// br is a bounds-checked buffer reader with a sticky error: the first
+// read that fails records err, naming its byte offset, and empties the
+// input, so every later read fails as well, returns a zero value and
+// leaves err alone. A decoder reads straight through and checks err
+// only where a value read so far must be trusted. A count read after a
+// failure is zero, so past a failure a decoder allocates at most the
+// elements of counts already admitted, each empty.
 type br struct {
-	b   []byte
-	off int
+	b    []byte // the input not yet read
+	size int    // the whole input's length
+	err  error
 }
 
 func errV2(off int, format string, args ...any) error {
 	return fmt.Errorf("pipeline: codec v2 at byte %d: %s", off, fmt.Sprintf(format, args...))
 }
 
-func (r *br) remaining() int { return len(r.b) - r.off }
+// off is the offset of the next byte to read.
+func (r *br) off() int { return r.size - len(r.b) }
 
-func (r *br) u8() (uint8, error) {
-	if r.remaining() < 1 {
-		return 0, errV2(r.off, "truncated u8")
+// fail records the first failure, at byte off, and empties the input.
+func (r *br) fail(off int, format string, args ...any) {
+	if r.err == nil {
+		r.err = errV2(off, format, args...)
 	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
+	r.b = nil
 }
 
-func (r *br) u32() (uint32, error) {
-	if r.remaining() < 4 {
-		return 0, errV2(r.off, "truncated u32")
+// short fails a read of an n-byte integer past the end of the input. It
+// stays out of line so that u8, u32 and u64, the reads every field goes
+// through, fit the compiler's inlining budget: each costs 80 of 80 under
+// Go 1.24 (go build -gcflags=-m=2), so a wrapper around one does not fit,
+// and the decoders convert what they read in place.
+//
+//go:noinline
+func (r *br) short(n int) { r.fail(r.off(), "truncated u%d", 8*n) }
+
+func (r *br) u8() (v uint8) {
+	if len(r.b) >= 1 {
+		v, r.b = r.b[0], r.b[1:]
+	} else {
+		r.short(1)
 	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
+	return v
 }
 
-func (r *br) u64() (uint64, error) {
-	if r.remaining() < 8 {
-		return 0, errV2(r.off, "truncated u64")
+func (r *br) u32() (v uint32) {
+	if len(r.b) >= 4 {
+		v, r.b = binary.LittleEndian.Uint32(r.b), r.b[4:]
+	} else {
+		r.short(4)
 	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
+	return v
 }
 
-func (r *br) i64() (int64, error) {
-	v, err := r.u64()
-	return int64(v), err
+func (r *br) u64() (v uint64) {
+	if len(r.b) >= 8 {
+		v, r.b = binary.LittleEndian.Uint64(r.b), r.b[8:]
+	} else {
+		r.short(8)
+	}
+	return v
 }
 
-func (r *br) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
+// bool accepts canonical booleans only: reading 2..255 as true would
+// give one artifact multiple encodings.
+func (r *br) bool() bool {
+	v := r.u8()
+	if v > 1 {
+		r.fail(r.off()-1, "non-canonical bool %d", v)
+	}
+	return v == 1
 }
 
-func (r *br) bool() (bool, error) {
-	v, err := r.u8()
-	if err != nil {
-		return false, err
+func (r *br) str() string {
+	n := r.u32()
+	if int64(n) > int64(len(r.b)) {
+		r.fail(r.off(), "string length %d exceeds %d remaining bytes", n, len(r.b))
+		return ""
 	}
-	// Canonical booleans only: accepting 2..255 as true would give one
-	// artifact multiple encodings.
-	switch v {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, errV2(r.off-1, "non-canonical bool %d", v)
-}
-
-func (r *br) str() (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
-	}
-	if int64(n) > int64(r.remaining()) {
-		return "", errV2(r.off, "string length %d exceeds %d remaining bytes", n, r.remaining())
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *br) reg() (ir.Reg, error) {
-	v, err := r.u32()
-	return ir.Reg(int32(v)), err
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
 }
 
 // count reads an element count and validates it against the bytes left,
 // given each element's minimum encoded size, so a hostile length prefix
 // cannot drive a giant allocation.
-func (r *br) count(minElemSize int) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
+func (r *br) count(minElemSize int) int {
+	n := r.u32()
+	if int64(n)*int64(minElemSize) > int64(len(r.b)) {
+		r.fail(r.off(), "count %d exceeds remaining input", n)
+		return 0
 	}
-	if int64(n)*int64(minElemSize) > int64(r.remaining()) {
-		return 0, errV2(r.off, "count %d exceeds remaining input", n)
-	}
-	return int(n), nil
+	return int(n)
 }
 
 // Minimum encoded sizes used for count validation.
@@ -274,205 +292,95 @@ const (
 	minReportV2  = 7*8 + 2 + 8 + 3*4
 )
 
-func (r *br) fn() (*ir.Func, error) {
-	f := &ir.Func{}
-	var err error
-	if f.Name, err = r.str(); err != nil {
-		return nil, err
-	}
-	np, err := r.count(4)
-	if err != nil {
-		return nil, err
-	}
-	if np > 0 {
-		f.Params = make([]ir.Reg, np)
+func (r *br) fn() *ir.Func {
+	f := &ir.Func{Name: r.str()}
+	if n := r.count(4); n > 0 {
+		f.Params = make([]ir.Reg, n)
 		for i := range f.Params {
-			if f.Params[i], err = r.reg(); err != nil {
-				return nil, err
-			}
+			f.Params[i] = ir.Reg(int32(r.u32()))
 		}
 	}
-	rc, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	f.RetClass = ir.Class(rc)
-	nr, err := r.count(minRegInfoV2)
-	if err != nil {
-		return nil, err
-	}
-	if nr > 0 {
-		f.Regs = make([]ir.RegInfo, nr)
+	f.RetClass = ir.Class(r.u8())
+	if n := r.count(minRegInfoV2); n > 0 {
+		f.Regs = make([]ir.RegInfo, n)
 		for i := range f.Regs {
-			cl, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			f.Regs[i].Class = ir.Class(cl)
-			if f.Regs[i].Name, err = r.str(); err != nil {
-				return nil, err
-			}
+			f.Regs[i].Class = ir.Class(r.u8())
+			f.Regs[i].Name = r.str()
 		}
 	}
-	if f.Allocated, err = r.bool(); err != nil {
-		return nil, err
-	}
-	ni, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	f.NumInt = int(ni)
-	nf, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	f.NumFloat = int(nf)
-	if f.FrameBytes, err = r.i64(); err != nil {
-		return nil, err
-	}
-	if f.CCMBytes, err = r.i64(); err != nil {
-		return nil, err
-	}
-	nb, err := r.count(minBlockV2)
-	if err != nil {
-		return nil, err
-	}
-	if nb > 0 {
-		f.Blocks = make([]*ir.Block, nb)
-	}
-	for bi := 0; bi < nb; bi++ {
-		b := &ir.Block{}
-		if b.Name, err = r.str(); err != nil {
-			return nil, err
+	f.Allocated = r.bool()
+	f.NumInt = int(r.u32())
+	f.NumFloat = int(r.u32())
+	f.FrameBytes = int64(r.u64())
+	f.CCMBytes = int64(r.u64())
+	if n := r.count(minBlockV2); n > 0 {
+		f.Blocks = make([]*ir.Block, n)
+		for i := range f.Blocks {
+			f.Blocks[i] = r.block()
 		}
-		nin, err := r.count(minInstrV2)
-		if err != nil {
-			return nil, err
-		}
-		if nin > 0 {
-			b.Instrs = make([]ir.Instr, nin)
-		}
-		for ii := 0; ii < nin; ii++ {
-			in := &b.Instrs[ii]
-			op, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			in.Op = ir.Op(op)
-			if in.Dst, err = r.reg(); err != nil {
-				return nil, err
-			}
-			na, err := r.count(4)
-			if err != nil {
-				return nil, err
-			}
-			if na > 0 {
+	}
+	return f
+}
+
+func (r *br) block() *ir.Block {
+	b := &ir.Block{Name: r.str()}
+	if n := r.count(minInstrV2); n > 0 {
+		b.Instrs = make([]ir.Instr, n)
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			in.Op = ir.Op(r.u8())
+			in.Dst = ir.Reg(int32(r.u32()))
+			if na := r.count(4); na > 0 {
 				in.Args = make([]ir.Reg, na)
-				for ai := range in.Args {
-					if in.Args[ai], err = r.reg(); err != nil {
-						return nil, err
-					}
+				for j := range in.Args {
+					in.Args[j] = ir.Reg(int32(r.u32()))
 				}
 			}
-			if in.Imm, err = r.i64(); err != nil {
-				return nil, err
-			}
-			if in.FImm, err = r.f64(); err != nil {
-				return nil, err
-			}
-			if in.Sym, err = r.str(); err != nil {
-				return nil, err
-			}
-			if in.Then, err = r.str(); err != nil {
-				return nil, err
-			}
-			if in.Else, err = r.str(); err != nil {
-				return nil, err
-			}
+			in.Imm = int64(r.u64())
+			in.FImm = math.Float64frombits(r.u64())
+			in.Sym = r.str()
+			in.Then = r.str()
+			in.Else = r.str()
 		}
-		f.Blocks[bi] = b
 	}
-	return f, nil
+	return b
 }
 
-func (r *br) report() (FuncReport, error) {
-	var fr FuncReport
-	var err error
-	if fr.SpillBytesNaive, err = r.i64(); err != nil {
-		return fr, err
-	}
-	if fr.SpillBytesCompacted, err = r.i64(); err != nil {
-		return fr, err
-	}
-	if fr.CCMBytes, err = r.i64(); err != nil {
-		return fr, err
-	}
-	ints := []*int{&fr.SpilledRanges, &fr.PromotedWebs, &fr.SpillWebs, &fr.Instrs}
-	for _, p := range ints {
-		v, err := r.i64()
-		if err != nil {
-			return fr, err
-		}
-		*p = int(v)
-	}
-	if fr.FrontCacheHit, err = r.bool(); err != nil {
-		return fr, err
-	}
-	if fr.BackCacheHit, err = r.bool(); err != nil {
-		return fr, err
-	}
-	att, err := r.i64()
-	if err != nil {
-		return fr, err
-	}
-	fr.Attempts = int(att)
-	if fr.Degraded, err = r.str(); err != nil {
-		return fr, err
-	}
-	if fr.FailedPass, err = r.str(); err != nil {
-		return fr, err
-	}
-	if fr.Error, err = r.str(); err != nil {
-		return fr, err
-	}
-	return fr, nil
-}
-
-func (r *br) version() error {
-	v, err := r.u8()
-	if err != nil {
-		return err
-	}
-	if v != codecV2Version {
-		return errV2(0, "unknown format revision %d", v)
-	}
-	return nil
-}
-
-// done rejects trailing bytes: a canonical payload is consumed exactly.
-func (r *br) done() error {
-	if r.remaining() != 0 {
-		return errV2(r.off, "%d trailing bytes", r.remaining())
-	}
-	return nil
+func (r *br) report() (fr FuncReport) {
+	fr.SpillBytesNaive = int64(r.u64())
+	fr.SpillBytesCompacted = int64(r.u64())
+	fr.CCMBytes = int64(r.u64())
+	fr.SpilledRanges = int(r.u64())
+	fr.PromotedWebs = int(r.u64())
+	fr.SpillWebs = int(r.u64())
+	fr.Instrs = int(r.u64())
+	fr.FrontCacheHit = r.bool()
+	fr.BackCacheHit = r.bool()
+	fr.Attempts = int(r.u64())
+	fr.Degraded = r.str()
+	fr.FailedPass = r.str()
+	fr.Error = r.str()
+	return fr
 }
 
 // decodeProgramV2 parses a checksum-verified payload back into a program
 // artifact. The checksum guarantees the bytes are what a writer produced,
-// not that the writer was sane, so the decoded shape is still validated:
-// a malformed payload is an error, which the caller turns into (miss,
-// quarantine) — never a wrong artifact. Validation is all-or-nothing:
-// nothing in the decoded value is mutated (block renumbering) until every
-// function and cross-field invariant has been checked, so an error never
+// not that the writer was sane, so decode checks bounds, shape and
+// canonicity, and a payload that fails is an error, which the caller
+// turns into (miss, quarantine). Decode does not verify the functions
+// (nor is a hit re-verified): the simulator refuses an operand outside
+// its function's register table (sim.New). Validation is all-or-nothing:
+// nothing in the decoded value is mutated (block renumbering) until
+// every function and the report map have been checked, so an error never
 // leaves a half-canonicalized artifact behind.
 func decodeProgramV2(payload []byte) (*programArtifact, error) {
-	r := &br{b: payload}
-	if err := r.version(); err != nil {
-		return nil, err
+	r := &br{b: payload, size: len(payload)}
+	if v := r.u8(); v != codecV2Version {
+		r.fail(0, "unknown format revision %d", v)
 	}
-	nf, err := r.count(minFuncV2)
-	if err != nil {
-		return nil, err
+	nf := r.count(minFuncV2)
+	if r.err != nil {
+		return nil, r.err
 	}
 	if nf == 0 {
 		return nil, fmt.Errorf("pipeline: disk program artifact has no functions")
@@ -480,44 +388,35 @@ func decodeProgramV2(payload []byte) (*programArtifact, error) {
 	funcs := make([]*ir.Func, nf)
 	byName := make(map[string]bool, nf)
 	for i := range funcs {
-		if funcs[i], err = r.fn(); err != nil {
-			return nil, err
+		f := r.fn()
+		if r.err == nil && byName[f.Name] {
+			return nil, fmt.Errorf("pipeline: disk program artifact repeats function %q", f.Name)
 		}
-		if byName[funcs[i].Name] {
-			return nil, fmt.Errorf("pipeline: disk program artifact repeats function %q", funcs[i].Name)
-		}
-		byName[funcs[i].Name] = true
+		byName[f.Name] = true
+		funcs[i] = f
 	}
-	nr, err := r.count(minReportV2 + 4)
-	if err != nil {
-		return nil, err
-	}
+	nr := r.count(minReportV2 + 4)
 	perFunc := make(map[string]FuncReport, nr)
 	prev := ""
 	for i := 0; i < nr; i++ {
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
+		name := r.str()
 		// Strictly ascending names: canonical order, no duplicates.
-		if i > 0 && name <= prev {
-			return nil, errV2(r.off, "report names out of canonical order (%q after %q)", name, prev)
+		if r.err == nil && i > 0 && name <= prev {
+			return nil, errV2(r.off(), "report names out of canonical order (%q after %q)", name, prev)
 		}
 		prev = name
-		fr, err := r.report()
-		if err != nil {
-			return nil, err
-		}
-		perFunc[name] = fr
+		perFunc[name] = r.report()
 	}
-	if err := r.done(); err != nil {
-		return nil, err
+	// A canonical payload is consumed exactly.
+	if len(r.b) != 0 {
+		r.fail(r.off(), "%d trailing bytes", len(r.b))
 	}
-	// Validation is all-or-nothing: no function is touched (Renumber)
-	// until every function and the report map have been checked.
+	if r.err != nil {
+		return nil, r.err
+	}
 	for _, f := range funcs {
-		if err := validateFunc(f); err != nil {
-			return nil, err
+		if f.Name == "" || len(f.Blocks) == 0 {
+			return nil, fmt.Errorf("pipeline: disk artifact function %q is hollow", f.Name)
 		}
 	}
 	if err := checkPerFunc(funcs, perFunc); err != nil {
@@ -527,24 +426,6 @@ func decodeProgramV2(payload []byte) (*programArtifact, error) {
 		f.Renumber()
 	}
 	return &programArtifact{funcs: funcs, perFunc: perFunc}, nil
-}
-
-// validateFunc rejects structurally hollow decoded functions. It never
-// mutates f: callers renumber blocks (the one piece of derived state in
-// the IR) only after every sibling of the artifact has validated.
-func validateFunc(f *ir.Func) error {
-	if f == nil {
-		return fmt.Errorf("pipeline: disk artifact has a nil function")
-	}
-	if f.Name == "" || len(f.Blocks) == 0 {
-		return fmt.Errorf("pipeline: disk artifact function %q is hollow", f.Name)
-	}
-	for _, b := range f.Blocks {
-		if b == nil {
-			return fmt.Errorf("pipeline: disk artifact function %q has a nil block", f.Name)
-		}
-	}
-	return nil
 }
 
 // checkPerFunc rejects a program artifact whose report map disagrees with

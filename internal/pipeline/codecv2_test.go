@@ -222,3 +222,72 @@ func TestCodecV2CarriesNaN(t *testing.T) {
 		t.Error("NaN program round-tripped differently through the v2 codec")
 	}
 }
+
+// TestCodecV2DecodeErrors pins the full text of the decoder's first
+// error for each way a checksum-consistent payload can be malformed: the
+// text names the byte offset of the failed read, and the decoder reports
+// that first failure, not a later consequence of it.
+func TestCodecV2DecodeErrors(t *testing.T) {
+	fn := func(name string) *ir.Func {
+		return &ir.Func{Name: name, Blocks: []*ir.Block{
+			{Name: "entry", Instrs: []ir.Instr{{Op: ir.OpRet, Dst: ir.NoReg}}},
+		}}
+	}
+	// payload encodes one function per name in funcs, then one zero
+	// report per name in reports, in the order given.
+	payload := func(funcs, reports []string) []byte {
+		w := &bw{}
+		w.u8(codecV2Version)
+		w.u32(uint32(len(funcs)))
+		for _, name := range funcs {
+			w.fn(fn(name))
+		}
+		w.u32(uint32(len(reports)))
+		for _, name := range reports {
+			w.str(name)
+			w.report(&FuncReport{})
+		}
+		return w.b
+	}
+	good := payload([]string{"a", "b"}, []string{"a", "b"})
+	if _, err := decodeProgramV2(good); err != nil {
+		t.Fatalf("the well-formed payload: %v", err)
+	}
+	// patch returns a copy of good with b written at off.
+	patch := func(off int, b ...byte) []byte {
+		p := bytes.Clone(good)
+		copy(p[off:], b)
+		return p
+	}
+	// Function a's Allocated flag follows the version, the function
+	// count, its name, its empty parameter list, its return class and
+	// its empty register table.
+	const allocatedA = 1 + 4 + (4 + 1) + 4 + 1 + 4
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"empty", nil, "pipeline: codec v2 at byte 0: truncated u8"},
+		{"revision", patch(0, 2), "pipeline: codec v2 at byte 0: unknown format revision 2"},
+		{"truncated", good[:len(good)-1], "pipeline: codec v2 at byte 357: truncated u32"},
+		{"truncated bool", good[:112], "pipeline: codec v2 at byte 112: truncated u8"},
+		{"truncated block", good[:150], "pipeline: codec v2 at byte 150: truncated u32"},
+		{"non-canonical bool", patch(allocatedA, 2), "pipeline: codec v2 at byte 19: non-canonical bool 2"},
+		{"hostile count", patch(1, 0xFF, 0xFF, 0xFF, 0xFF), "pipeline: codec v2 at byte 5: count 4294967295 exceeds remaining input"},
+		{"hostile string", patch(5, 0xFF, 0xFF, 0xFF, 0x7F), "pipeline: codec v2 at byte 9: string length 2147483647 exceeds 352 remaining bytes"},
+		{"trailing bytes", append(bytes.Clone(good), 0, 0), "pipeline: codec v2 at byte 361: 2 trailing bytes"},
+		{"report order", payload([]string{"a", "b"}, []string{"b", "a"}),
+			`pipeline: codec v2 at byte 283: report names out of canonical order ("a" after "b")`},
+		{"no functions", payload(nil, nil), "pipeline: disk program artifact has no functions"},
+		{"repeated function", payload([]string{"a", "a"}, []string{"a"}), `pipeline: disk program artifact repeats function "a"`},
+	}
+	for _, tc := range cases {
+		_, err := decodeProgramV2(tc.data)
+		if err == nil {
+			t.Errorf("%s: decoded", tc.name)
+		} else if err.Error() != tc.want {
+			t.Errorf("%s: error\n\t%s\nwant\n\t%s", tc.name, err, tc.want)
+		}
+	}
+}

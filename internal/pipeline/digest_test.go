@@ -8,20 +8,20 @@ import (
 )
 
 // suiteInputs builds every routine and program of the evaluation suite.
-func suiteInputs(t *testing.T) []*ir.Program {
-	t.Helper()
+func suiteInputs(tb testing.TB) []*ir.Program {
+	tb.Helper()
 	var inputs []*ir.Program
 	for _, r := range workload.All() {
 		p, err := r.Build()
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		inputs = append(inputs, p)
 	}
 	for _, bp := range workload.Programs() {
 		p, err := bp.Build()
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		inputs = append(inputs, p)
 	}

@@ -107,7 +107,7 @@ func runGuarded(pass, fn string, level degradeLevel, body func() error) (cerr *C
 // (call signatures) are deferred to the sequential final verify.
 func checkpoint(pass string, f *ir.Func, level degradeLevel) *CompileError {
 	return runGuarded(pass, f.Name, level, func() error {
-		if err := ir.VerifyFunc(f, nil, ir.VerifyOptions{}); err != nil {
+		if err := ir.VerifyFunc(f, ir.VerifyOptions{}); err != nil {
 			return err
 		}
 		return VerifyLiveness(f)

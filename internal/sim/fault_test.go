@@ -242,3 +242,68 @@ entry:
 		t.Errorf("output = %v, want [42]", st.Output)
 	}
 }
+
+// TestNewRefusesMalformedOperands: New refuses every operand the
+// interpreter would index out of range, as it refuses unknown labels: a
+// program that reaches the simulator unverified, such as a decoded cache
+// entry, must fail with an error, never a panic. Each row breaks one
+// instruction or parameter of an otherwise runnable two-function program.
+func TestNewRefusesMalformedOperands(t *testing.T) {
+	// program returns main, whose one block holds body and a ret, and a
+	// callee g(r0) that returns r0; each function has two int registers.
+	program := func(body ...ir.Instr) *ir.Program {
+		regs := []ir.RegInfo{{Class: ir.ClassInt}, {Class: ir.ClassInt}}
+		ret := ir.Instr{Op: ir.OpRet, Dst: ir.NoReg}
+		main := &ir.Func{Name: "main", Regs: regs, Blocks: []*ir.Block{
+			{Name: "entry", Instrs: append(body, ret)},
+			{Name: "out", Instrs: []ir.Instr{ret}},
+		}}
+		g := &ir.Func{Name: "g", Params: []ir.Reg{0}, RetClass: ir.ClassInt, Regs: regs, Blocks: []*ir.Block{
+			{Name: "entry", Instrs: []ir.Instr{{Op: ir.OpRet, Dst: ir.NoReg, Args: []ir.Reg{0}}}},
+		}}
+		return &ir.Program{Funcs: []*ir.Func{main, g}}
+	}
+	loadi := ir.Instr{Op: ir.OpLoadI, Dst: 0, Imm: 1}
+	cases := []struct {
+		name string
+		p    *ir.Program
+		want string
+	}{
+		{"add without operands", program(loadi, ir.Instr{Op: ir.OpAdd, Dst: 1}),
+			"sim: func main: add has 0 operands, want 2"},
+		{"cbr without operands", program(ir.Instr{Op: ir.OpCBr, Dst: ir.NoReg, Then: "out", Else: "out"}),
+			"sim: func main: cbr has 0 operands, want 1"},
+		{"operand past the table", program(loadi, ir.Instr{Op: ir.OpAdd, Dst: 1, Args: []ir.Reg{0, 69}}),
+			"sim: func main: add operand register 69 outside its 2 registers"},
+		{"destination past the table", program(ir.Instr{Op: ir.OpLoadI, Dst: 2, Imm: 1}),
+			"sim: func main: loadi destination register 2 outside its 2 registers"},
+		{"destination missing", program(ir.Instr{Op: ir.OpLoadI, Dst: ir.NoReg, Imm: 1}),
+			"sim: func main: loadi destination register -1 outside its 2 registers"},
+		{"call argument past the table", program(loadi, ir.Instr{Op: ir.OpCall, Dst: 1, Args: []ir.Reg{7}, Sym: "g"}),
+			"sim: func main: call operand register 7 outside its 2 registers"},
+		{"call result past the table", program(loadi, ir.Instr{Op: ir.OpCall, Dst: 9, Args: []ir.Reg{0}, Sym: "g"}),
+			"sim: func main: call destination register 9 outside its 2 registers"},
+		{"parameter past the table", func() *ir.Program {
+			p := program(loadi, ir.Instr{Op: ir.OpCall, Dst: 1, Args: []ir.Reg{0}, Sym: "g"})
+			p.Funcs[1].Params[0] = 3
+			return p
+		}(), "sim: func g: parameter register 3 outside its 2 registers"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			_, err := Run(tc.p, "main", Config{})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("got %v, want %q", err, tc.want)
+			}
+		})
+	}
+	// The unbroken program runs.
+	if _, err := Run(program(loadi, ir.Instr{Op: ir.OpCall, Dst: 1, Args: []ir.Reg{0}, Sym: "g"}), "main", Config{}); err != nil {
+		t.Fatalf("the well-formed program: %v", err)
+	}
+}

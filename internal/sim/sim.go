@@ -282,8 +282,20 @@ func New(p *ir.Program, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
+// resolveFunc lowers f's instructions for the interpreter. It refuses
+// what the interpreter would index out of range — an unknown label,
+// global or callee, an operand count other than the opcode's fixed arity,
+// and a parameter, destination or operand register outside f's register
+// table — so a malformed program that reaches New unverified (a decoded
+// cache entry is not re-verified) is an error, never a panic.
 func (m *Machine) resolveFunc(rf *rfunc) error {
 	f := rf.f
+	inRange := func(r ir.Reg) bool { return r >= 0 && int(r) < rf.nregs }
+	for _, p := range f.Params {
+		if !inRange(p) {
+			return fmt.Errorf("sim: func %s: parameter register %d outside its %d registers", f.Name, p, rf.nregs)
+		}
+	}
 	blockStart := map[string]int32{}
 	n := 0
 	for _, b := range f.Blocks {
@@ -299,6 +311,20 @@ func (m *Machine) resolveFunc(rf *rfunc) error {
 			in := &b.Instrs[i]
 			if in.Op == ir.OpPhi {
 				return fmt.Errorf("sim: func %s: phi instructions cannot be executed", f.Name)
+			}
+			if want := in.Op.NumArgs(); want >= 0 && len(in.Args) != want {
+				return fmt.Errorf("sim: func %s: %s has %d operands, want %d", f.Name, in.Op, len(in.Args), want)
+			}
+			// An op with a result class writes its destination; a call
+			// writes one unless it is NoReg.
+			writesDst := in.Op.DstClass() != ir.ClassNone || (in.Op == ir.OpCall && in.Dst != ir.NoReg)
+			if writesDst && !inRange(in.Dst) {
+				return fmt.Errorf("sim: func %s: %s destination register %d outside its %d registers", f.Name, in.Op, in.Dst, rf.nregs)
+			}
+			for _, a := range in.Args {
+				if !inRange(a) {
+					return fmt.Errorf("sim: func %s: %s operand register %d outside its %d registers", f.Name, in.Op, a, rf.nregs)
+				}
 			}
 			ri := rinstr{op: in.Op, dst: in.Dst, a0: ir.NoReg, a1: ir.NoReg, imm: in.Imm, fimm: in.FImm, t0: -1, t1: -1}
 			switch in.Op {

@@ -130,6 +130,15 @@ go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/
 echo "== bench: go test -run '^\$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/"
 go test -run '^$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/
 
+# The tier-1 run above replays only the seed corpora of the fuzz
+# targets. Fuzz the two decoders of untrusted bytes for a bounded time
+# each: the codec v2 program decoder, which reads cache entries, and the
+# ILOC parser, which reads every ccmd request. A finding fails this step
+# and is written under the package's testdata/fuzz for replay.
+echo "== fuzz: go test -fuzz FuzzBinaryArtifactDecode and FuzzParse, 10s each"
+go test -run '^$' -fuzz '^FuzzBinaryArtifactDecode$' -fuzztime 10s ./internal/pipeline/
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/ir/
+
 # Last, the line counts each change records in CHANGES.md.
 echo '== loc: ./scripts/loc.sh'
 ./scripts/loc.sh
