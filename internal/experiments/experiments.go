@@ -206,12 +206,17 @@ type SuiteResults struct {
 // compileWith compiles a shallow copy of in, one built input, through drv
 // and returns the compiled program. The driver never writes the functions
 // it is given, so each input is built once and compiled under every
+// variant. in's functions are frozen, so each keeps its digest and the
+// input is encoded once, at its first compile, rather than once per
 // variant. compact controls the back stage: the table and figure
 // measurements pack residual heavyweight spills (paper footnote 3), while
 // the ablation and multi-process studies skip compaction so the spill
 // address streams their cache models observe match the paper-faithful
 // harness.
 func compileWith(drv *pipeline.Driver, in *ir.Program, strat Strategy, ccmBytes int64, cfg Config, compact bool) (*ir.Program, *pipeline.Report, error) {
+	for _, f := range in.Funcs {
+		f.Freeze()
+	}
 	p := &ir.Program{Globals: in.Globals, Funcs: append([]*ir.Func(nil), in.Funcs...)}
 	rep, err := drv.CompileContext(cfg.ctx(), p, pipeline.Config{
 		Strategy:          strat.pipelineStrategy(),

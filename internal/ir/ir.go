@@ -11,7 +11,10 @@
 // it — exactly what the paper's post-pass CCM allocator requires.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Reg names a register within a Func. Before allocation a Func may use any
 // number of virtual registers; after allocation registers are the physical
@@ -119,6 +122,12 @@ type Func struct {
 	// invisible to encoding/json — frozen-ness is a property of the
 	// in-memory sharing scheme, never of a serialized artifact.
 	frozen bool
+
+	// digest is the content digest a frozen function keeps once one is
+	// computed (KeepDigest); it stays nil on a mutable function, whose
+	// content may still change. It makes a Func unsafe to copy by value,
+	// which vet's copylocks check enforces.
+	digest atomic.Pointer[[32]byte]
 }
 
 // Freeze marks f immutable. There is no Unfreeze: the only way back to a
@@ -133,6 +142,28 @@ func (f *Func) Freeze() {
 // Frozen reports whether f is shared immutable state that must be cloned
 // before mutation.
 func (f *Func) Frozen() bool { return f.frozen }
+
+// KeptDigest returns the content digest frozen f keeps, and whether it
+// keeps one. A mutable function never keeps one.
+func (f *Func) KeptDigest() ([32]byte, bool) {
+	if d := f.digest.Load(); d != nil {
+		return *d, true
+	}
+	return [32]byte{}, false
+}
+
+// KeepDigest stores d as frozen f's content digest, so later digests of
+// f read it instead of encoding f again. It does nothing when f is
+// mutable or already keeps a digest. What the digest covers is the
+// caller's: ir only keeps it, and a digest of the same content is the
+// same whichever of several concurrent first callers stores it.
+func (f *Func) KeepDigest(d [32]byte) {
+	if f.frozen {
+		kept := new([32]byte) // allocated here, so a mutable f costs nothing
+		*kept = d
+		f.digest.CompareAndSwap(nil, kept)
+	}
+}
 
 // NewReg appends a fresh register of class c and returns its name.
 func (f *Func) NewReg(c Class, name string) Reg {
@@ -260,8 +291,8 @@ func (p *Program) Clone() *Program {
 }
 
 // Clone deep-copies the function. The copy is always mutable, whatever
-// the receiver's frozen state: Clone is the copy-on-write point of the
-// cache's sharing scheme.
+// the receiver's frozen state, and keeps no digest: Clone is the
+// copy-on-write point of the cache's sharing scheme.
 func (f *Func) Clone() *Func {
 	nf := &Func{
 		Name:       f.Name,

@@ -122,6 +122,10 @@ var raceEnabled bool
 // grows with the content and trips the guard. A staging buffer that
 // grows with the function would grow once, in AllocsPerRun's warm-up
 // call, and hide in the pool, so its capacity is checked directly.
+//
+// A frozen program keeps its function digests, so digesting it a second
+// time encodes no function and allocates nothing: its digest survives a
+// rewrite of every function made behind the frozen flag's back.
 func TestAllocGuardKeys(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled hashing writers at random; verify.sh runs this guard without it")
@@ -158,6 +162,21 @@ func TestAllocGuardKeys(t *testing.T) {
 		t.Errorf("hashing %d functions of the large program grew the staging buffer to %d bytes, over %d", len(large.Funcs), c, 2*hashChunk)
 	}
 	w.sum()
+
+	frozen := scaledKeyProgram(64)
+	freezeFuncs(frozen.Funcs)
+	first := programDigest(frozen, nil)
+	again := testing.AllocsPerRun(10, func() { programDigest(frozen, nil) })
+	for _, f := range frozen.Funcs {
+		f.Blocks[0].Instrs[0].Imm++
+	}
+	t.Logf("keys: a frozen program digested again: %.0f allocs/op", again)
+	if again != 0 {
+		t.Errorf("digesting a frozen program again allocates %.0f/op, want 0", again)
+	}
+	if programDigest(frozen, nil) != first {
+		t.Error("digesting a frozen program again encoded its functions instead of reading their kept digests")
+	}
 }
 
 // scaledKeyProgram is keyProgram with every function's blocks repeated n

@@ -420,14 +420,12 @@ type frontArtifact struct {
 	fr FuncReport // naive spill bytes, spilled ranges, integrated CCM use
 }
 
-// backArtifact is a function after the back stage (compaction), with
-// its digest: the back stage is the last rewrite, so a compiled
-// program's digest is built from the digests its back artifacts carry.
-// Back artifacts live in the memory tier alone, so every one carries its
-// digest.
+// backArtifact is a function after the back stage (compaction), plus
+// the report fields compaction produced. Its function is frozen, so it
+// keeps its digest once the compiled program is first digested, and
+// every compile that ships it reads that digest.
 type backArtifact struct {
 	fn           *ir.Func
-	digest       digest // funcDigest(fn)
 	compactAfter int64
 	webs         int
 }

@@ -61,11 +61,19 @@ func (w *bw) sub(d digest) { w.b = append(w.b, d[:]...) }
 // compilation or the printed ILOC text — including diagnostic register
 // names, which appear in the output and must therefore distinguish
 // artifacts. Every key of a per-function stage is derived from the
-// digest of the function that stage compiles.
+// digest of the function that stage compiles. A frozen function keeps
+// its digest (ir.Func.KeepDigest), so it is encoded once per process
+// however many compiles, keys and runs digest it; a mutable one is
+// encoded every time.
 func funcDigest(f *ir.Func) digest {
+	if d, ok := f.KeptDigest(); ok {
+		return d
+	}
 	w := newHashWriter(funcDigestTag)
 	w.fn(f)
-	return w.sum()
+	d := w.sum()
+	f.KeepDigest(d)
+	return d
 }
 
 // programDigest addresses a program's content alone, with no Config: its
@@ -73,9 +81,8 @@ func funcDigest(f *ir.Func) digest {
 // (len(fds) == len(p.Funcs)) it carries the function digests: a non-zero
 // fds[i] is taken as p.Funcs[i]'s digest, and a zero one is computed and
 // written back. So one walk of the input yields the program digest, and
-// with it the program key and the oracle's seed, and every front key; and
-// a compiled program is digested from the digests its back artifacts
-// carry, re-encoding only functions that arrived without one. The memo of
+// with it the program key and the oracle's seed, and every front key, and
+// a recompile reads a mutable input's digests from fds. The memo of
 // simulator runs keys every run by the digest of the program it runs.
 func programDigest(p *ir.Program, fds []digest) digest {
 	w := newHashWriter(programDigestTag)

@@ -460,7 +460,6 @@ type funcState struct {
 	fr       FuncReport
 	frontHit bool
 	backHit  bool
-	digest   digest        // the shipped function's digest, when a back artifact carries it
 	fault    *CompileError // recoverable fault, escalated once the stage joins
 	mem      cacheItem     // the stage's memory-tier effect, for Cache.commit
 }
@@ -668,15 +667,6 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	}
 
 	var states []funcState
-	// outDigest digests the compiled program from the function digests
-	// the back stage carried, hashing only the functions without one.
-	outDigest := func() digest {
-		fds := make([]digest, len(states))
-		for i := range states {
-			fds[i] = states[i].digest
-		}
-		return programDigest(p, fds)
-	}
 	// attempt compiles the input once under the quarantine in cs.forced.
 	// Every stage records the faults it recovers from; after the stage
 	// joins, they are escalated into cs.forced in function order, as is a
@@ -758,7 +748,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 		if mainSh != nil {
 			t0 = time.Now()
 		}
-		rep.digest = outDigest()
+		rep.digest = programDigest(p, nil)
 		me, err := do.check(ctx, p, rep.digest, cs.snaps)
 		if mainSh != nil {
 			mainSh.Record("oracle:final", "oracle", t0, time.Since(t0))
@@ -813,7 +803,7 @@ func (d *Driver) compile(ctx context.Context, p *ir.Program, cfg Config, tracer 
 	// been fixed.
 	if d.cache != nil && cs.failures.Load() == 0 && (do == nil || do.divergences == 0) {
 		if do == nil {
-			rep.digest = outDigest()
+			rep.digest = programDigest(p, nil)
 		}
 		// The artifact shares the compiled functions with p; putProgram
 		// freezes any the stages left mutable.
@@ -1140,7 +1130,6 @@ func (d *Driver) compileBack(ctx context.Context, p *ir.Program, i int, cs *comp
 			// program artifact shares it too.
 			art := v.(*backArtifact)
 			p.Funcs[i] = art.fn
-			st.digest = art.digest
 			st.fr.SpillBytesCompacted = art.compactAfter
 			st.fr.SpillWebs = art.webs
 			st.backHit = true
@@ -1162,10 +1151,8 @@ func (d *Driver) compileBack(ctx context.Context, p *ir.Program, i int, cs *comp
 	}
 	if cs.cache != nil && q.degraded() == "" {
 		f.Freeze()
-		st.digest = funcDigest(f)
 		st.mem = cacheItem{key: key, val: &backArtifact{
 			fn:           f,
-			digest:       st.digest,
 			compactAfter: st.fr.SpillBytesCompacted,
 			webs:         st.fr.SpillWebs,
 		}}

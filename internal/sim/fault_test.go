@@ -288,6 +288,21 @@ func TestNewRefusesMalformedOperands(t *testing.T) {
 			p.Funcs[1].Params[0] = 3
 			return p
 		}(), "sim: func g: parameter register 3 outside its 2 registers"},
+		{"ret with two operands", func() *ir.Program {
+			p := program(loadi, ir.Instr{Op: ir.OpCall, Dst: 1, Args: []ir.Reg{0}, Sym: "g"})
+			p.Funcs[1].Blocks[0].Instrs[0].Args = []ir.Reg{0, 1}
+			return p
+		}(), "sim: func g: ret has 2 operands, want at most 1"},
+		{"bare ret in a value function", func() *ir.Program {
+			p := program(loadi, ir.Instr{Op: ir.OpCall, Dst: 1, Args: []ir.Reg{0}, Sym: "g"})
+			p.Funcs[1].Blocks[0].Instrs[0].Args = nil
+			return p
+		}(), "sim: func g: ret without value in a function returning int"},
+		{"value ret in a void function", func() *ir.Program {
+			p := program(loadi)
+			p.Funcs[0].Blocks[0].Instrs[1].Args = []ir.Reg{0}
+			return p
+		}(), "sim: func main: ret with value in void function"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

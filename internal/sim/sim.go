@@ -287,7 +287,9 @@ func New(p *ir.Program, cfg Config) (*Machine, error) {
 // global or callee, an operand count other than the opcode's fixed arity,
 // and a parameter, destination or operand register outside f's register
 // table — so a malformed program that reaches New unverified (a decoded
-// cache entry is not re-verified) is an error, never a panic.
+// cache entry is not re-verified) is an error, never a panic. It refuses
+// a ret whose operands disagree with f's return class too, which would
+// otherwise run as a void return and yield a wrong result.
 func (m *Machine) resolveFunc(rf *rfunc) error {
 	f := rf.f
 	inRange := func(r ir.Reg) bool { return r >= 0 && int(r) < rf.nregs }
@@ -339,6 +341,16 @@ func (m *Machine) resolveFunc(rf *rfunc) error {
 				ri.callee = callee
 				ri.args = in.Args
 			case ir.OpRet:
+				// As ir.VerifyFunc requires: a value exactly when f
+				// returns one.
+				switch {
+				case len(in.Args) > 1:
+					return fmt.Errorf("sim: func %s: ret has %d operands, want at most 1", f.Name, len(in.Args))
+				case f.RetClass == ir.ClassNone && len(in.Args) == 1:
+					return fmt.Errorf("sim: func %s: ret with value in void function", f.Name)
+				case f.RetClass != ir.ClassNone && len(in.Args) == 0:
+					return fmt.Errorf("sim: func %s: ret without value in a function returning %s", f.Name, f.RetClass)
+				}
 				if len(in.Args) == 1 {
 					ri.a0 = in.Args[0]
 				}

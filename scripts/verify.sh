@@ -78,6 +78,14 @@ go test -race ./internal/authtoken/...
 echo '== race: go test -race ./internal/ccmd/...'
 go test -race ./internal/ccmd/...
 
+# The parse memo hands one frozen program to every request of its text,
+# and whichever compile first digests one of its functions fills that
+# function's digest slot, so concurrent requests of one text share both.
+# A single run can miss the interleaving that races, so the test repeats
+# ten times under the race detector.
+echo '== race: go test -race -count=10 -run TestParseMemoConcurrentCompileAndRun ./internal/ccmd/'
+go test -race -count=10 -run TestParseMemoConcurrentCompileAndRun ./internal/ccmd/
+
 # Daemon e2e smoke: build the real ccmd binary, serve on an ephemeral
 # port, compile over HTTP (bytes must match a solo ccmc compile), scrape
 # /metrics and /version, SIGTERM, and assert a clean drain.
