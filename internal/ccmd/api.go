@@ -119,7 +119,8 @@ type RunRequest struct {
 	CCMBytes int64  `json:"ccm_bytes,omitempty"`
 	MemCost  int    `json:"mem_cost,omitempty"`
 	// MaxSteps/MaxDepth bound the run; both are clamped to the service
-	// ceilings so one request cannot monopolize a worker.
+	// ceilings (the config's MaxRunSteps, and sim.DefaultMaxDepth) so one
+	// request cannot monopolize a worker.
 	MaxSteps int64 `json:"max_steps,omitempty"`
 	MaxDepth int   `json:"max_depth,omitempty"`
 }

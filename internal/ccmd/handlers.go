@@ -2,21 +2,20 @@ package ccmd
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"ccmem/internal/authtoken"
 	"ccmem/internal/obs"
 )
 
 // Handler builds the service's HTTP surface. The handlers are a thin
-// transport skin over Service: decode with strict validation (unknown
-// fields are 400s, bodies are size-bounded before they reach the JSON
-// decoder), call the service, encode the typed result. Every error
+// transport skin over Service: decode with strict validation, call the
+// service, encode the typed result. A request body is read whole under a
+// size bound (over it, a 413) and walked once by decode.go's reader,
+// which binds members as encoding/json does and refuses what its strict
+// decode refuses (unknown fields, a wrong type, trailing data), in the
+// same words: FuzzDecodeRequest holds the two to parity. Every error
 // travels as {"error": APIError}; 429 and 503 carry Retry-After.
 //
 // authToken, when non-empty, gates every data endpoint (/compile, /run,
@@ -44,7 +43,7 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /compile", authed(func(w http.ResponseWriter, r *http.Request) {
 		var req CompileRequest
-		if apiErr := decodeJSON(w, r, maxBody, &req); apiErr != nil {
+		if apiErr := decodeJSON(w, r, maxBody, (*reader).compileRequest, &req); apiErr != nil {
 			writeError(w, apiErr)
 			return
 		}
@@ -57,7 +56,7 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 	}))
 	mux.HandleFunc("POST /run", authed(func(w http.ResponseWriter, r *http.Request) {
 		var req RunRequest
-		if apiErr := decodeJSON(w, r, maxBody, &req); apiErr != nil {
+		if apiErr := decodeJSON(w, r, maxBody, (*reader).runRequest, &req); apiErr != nil {
 			writeError(w, apiErr)
 			return
 		}
@@ -137,34 +136,6 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 // remoteDegradedDetail phrases an open remote circuit for the health
 // probes.
 const remoteDegradedDetail = "remote cache circuit open; tier skipped until the breaker recovers"
-
-// decodeJSON reads one JSON body with a hard size bound and strict
-// field checking, mapping every decode failure onto a 400 APIError.
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) *APIError {
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		if mt, _, _ := strings.Cut(ct, ";"); strings.TrimSpace(mt) != "application/json" {
-			return &APIError{Status: http.StatusUnsupportedMediaType, Code: CodeBadRequest,
-				Message: fmt.Sprintf("unsupported Content-Type %q (want application/json)", ct)}
-		}
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return &APIError{Status: http.StatusRequestEntityTooLarge, Code: CodeBadRequest,
-				Message: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
-		}
-		return &APIError{Status: http.StatusBadRequest, Code: CodeBadRequest,
-			Message: "malformed request body: " + err.Error()}
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return &APIError{Status: http.StatusBadRequest, Code: CodeBadRequest,
-			Message: "request body must be a single JSON object"}
-	}
-	return nil
-}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"ccmem/internal/obs"
 	"ccmem/internal/pipeline"
 	"ccmem/internal/remotecache"
+	"ccmem/internal/sim"
 )
 
 func newTestHTTP(t *testing.T, mut func(*Config)) (*Service, *httptest.Server) {
@@ -113,6 +115,17 @@ func TestHTTPValidation(t *testing.T) {
 		t.Fatalf("content type: status %d, want 415", resp.StatusCode)
 	}
 
+	// The media type's type and subtype are case-insensitive (RFC 9110
+	// §8.3.1): the body reaches the parser.
+	resp, err = http.Post(ts.URL+"/compile", "Application/JSON; charset=utf-8",
+		strings.NewReader(`{"program": "definitely not iloc"}`))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	if e := decodeBody[errEnvelope](t, resp); resp.StatusCode != 422 || e.Error == nil || e.Error.Code != CodeBadProgram {
+		t.Fatalf("Application/JSON: status %d, error %+v, want 422 %s", resp.StatusCode, e.Error, CodeBadProgram)
+	}
+
 	// Unparseable program is a 422 with the typed code.
 	resp = postJSON(t, ts.URL+"/compile", CompileRequest{Program: "definitely not iloc"})
 	if resp.StatusCode != 422 {
@@ -155,6 +168,19 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+
+	// A complete object followed by more bytes than the bound is a 413
+	// too: the body is read whole before it is decoded.
+	padded := `{"program": "x"}` + strings.Repeat(" ", 64*1024+256)
+	resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded body: status %d, want 413", resp.StatusCode)
+	}
 }
 
 // TestHTTPEscapedProgramUnderLimit: a program under MaxProgramBytes
@@ -305,6 +331,34 @@ func TestHTTPHugeRegister(t *testing.T) {
 	}
 	if out := decodeBody[CompileResponse](t, resp); out.Output == "" {
 		t.Fatalf("compile after the refusals: empty output")
+	}
+}
+
+// TestHTTPRunBounds: /run holds a run to the simulator's bound on the
+// register words of live frames, and clamps max_depth to its default
+// depth. A short text whose recursive function names r65535 is a 422 run
+// fault at the register bound, whatever depth it asks for, and a
+// recursion that holds no registers stops at depth sim.DefaultMaxDepth.
+func TestHTTPRunBounds(t *testing.T) {
+	_, ts := newTestHTTP(t, nil)
+	const recurse = "func f() {\nentry:\n\t%scall f()\n\tret\n}\nfunc main() {\nentry:\n\tcall f()\n\tret\n}\n"
+	for _, tc := range []struct {
+		program  string
+		maxDepth int
+		want     string
+	}{
+		{fmt.Sprintf(recurse, "r65535 = loadi 1\n\t"), 0, "register words"},
+		{fmt.Sprintf(recurse, "r65535 = loadi 1\n\t"), math.MaxInt, "register words"},
+		{fmt.Sprintf(recurse, ""), math.MaxInt, fmt.Sprintf("call depth limit %d exceeded", sim.DefaultMaxDepth)},
+	} {
+		resp := postJSON(t, ts.URL+"/run", RunRequest{Program: tc.program, MaxDepth: tc.maxDepth})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("max_depth %d: status %d, want 422", tc.maxDepth, resp.StatusCode)
+		}
+		if env := decodeBody[errEnvelope](t, resp); env.Error == nil || env.Error.Code != CodeRunFault ||
+			!strings.Contains(env.Error.Message, tc.want) {
+			t.Fatalf("max_depth %d: error %+v, want %s naming %q", tc.maxDepth, env.Error, CodeRunFault, tc.want)
+		}
 	}
 }
 

@@ -567,7 +567,7 @@ func (s *Service) Run(ctx context.Context, req *RunRequest) (*RunResponse, *APIE
 		MemCost:  req.MemCost,
 		CCMBytes: req.CCMBytes,
 		MaxSteps: steps,
-		MaxDepth: req.MaxDepth,
+		MaxDepth: min(req.MaxDepth, sim.DefaultMaxDepth),
 	})
 	if err != nil {
 		return nil, &APIError{Status: http.StatusUnprocessableEntity, Code: CodeRunFault, Message: err.Error()}

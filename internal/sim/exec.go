@@ -19,6 +19,8 @@ type execState struct {
 	done   <-chan struct{} // context cancellation; nil when not cancellable
 	ret    Value
 	hasRet bool
+
+	regWords int // register words the live frames hold
 }
 
 func (ex *execState) fault(fr *frame, format string, args ...any) error {
@@ -319,6 +321,10 @@ func (ex *execState) run(f0 frame) error {
 				if ex.sp+callee.frameBytes > ex.limit {
 					return ex.faultKind(fr, FaultLimit, "stack overflow: %d bytes needed", callee.frameBytes)
 				}
+				if ex.regWords+callee.nregs > maxRegWords {
+					return ex.faultKind(fr, FaultLimit, "register limit: live frames would hold more than %d register words", maxRegWords)
+				}
+				ex.regWords += callee.nregs
 				nf := frame{
 					fn:     callee,
 					regs:   make([]uint64, callee.nregs),
@@ -343,6 +349,7 @@ func (ex *execState) run(f0 frame) error {
 					rv = regs[in.a0]
 				}
 				ex.sp = fr.base
+				ex.regWords -= fr.fn.nregs
 				retDst := fr.retDst
 				ex.frames = ex.frames[:len(ex.frames)-1]
 				if len(ex.frames) == 0 {

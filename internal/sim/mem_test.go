@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -65,6 +66,44 @@ func TestAllocGuardSimRun(t *testing.T) {
 	const ceiling = 4096
 	if got > ceiling {
 		t.Errorf("Machine.Run allocates %d B/op, want <= %d", got, ceiling)
+	}
+}
+
+// regHungryProgram recurses through a function that names r65535, so
+// each of its frames holds a 65,536-word register table.
+const regHungryProgram = `func f() {
+entry:
+	r65535 = loadi 1
+	call f()
+	ret
+}
+func main() {
+entry:
+	call f()
+	ret
+}
+`
+
+// TestAllocGuardRegisterWords: the register tables of a run's live
+// frames are bounded together. One run of regHungryProgram at the
+// default depth allocated 4,096 tables of 512 KiB, 2 GiB, before the
+// depth limit stopped it; it now stops at maxRegWords with a limit
+// fault, as the depth limit does, having allocated the tables under it.
+func TestAllocGuardRegisterWords(t *testing.T) {
+	p := mustParse(t, regHungryProgram)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(p, "main", Config{})
+	runtime.ReadMemStats(&after)
+	var f *Fault
+	if !errors.As(err, &f) || f.Kind != FaultLimit || !strings.Contains(f.Msg, "register words") {
+		t.Fatalf("run: %v, want a limit fault on register words", err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("run: %v after %d bytes", err, got)
+	const ceiling = maxRegWords*ir.WordBytes + 8<<20
+	if got > ceiling {
+		t.Errorf("run allocated %d bytes, want at most %d", got, ceiling)
 	}
 }
 

@@ -64,6 +64,16 @@ func TracesEqual(a, b []Value) bool {
 	return true
 }
 
+// DefaultMaxDepth is the call-depth limit of a Config that sets none.
+const DefaultMaxDepth = 4096
+
+// maxRegWords bounds the register words the live frames of a run hold
+// together. Each call allocates a table as long as its callee's highest
+// register, so without it DefaultMaxDepth frames of a function naming
+// r65535 would hold 2 GiB. The suite, the oracle and the served
+// programs of the serve-zipf benchmark reach at most 3,602 words.
+const maxRegWords = 1 << 22
+
 // Address-space bounds, in 8-byte words. Every run gets a stack of
 // stackWords words above the globals; New rejects a program whose trap
 // word, globals and stack together exceed maxMemWords.
@@ -88,7 +98,7 @@ type Config struct {
 	CCMBytes int64        // CCM capacity; 0 means no CCM present
 	CCMBase  int64        // per-process base offset into the CCM (§2.1)
 	MaxSteps int64        // dynamic instruction budget; default 500M
-	MaxDepth int          // call-depth limit; default 4096
+	MaxDepth int          // call-depth limit; default DefaultMaxDepth
 	Memory   memsys.Model // optional pricing model for main memory
 
 	// Trace, when non-nil, receives one line per executed instruction
@@ -116,7 +126,7 @@ func (c Config) WithDefaults() Config {
 		c.MaxSteps = 500_000_000
 	}
 	if c.MaxDepth == 0 {
-		c.MaxDepth = 4096
+		c.MaxDepth = DefaultMaxDepth
 	}
 	if c.Trace != nil && c.TraceLimit == 0 {
 		c.TraceLimit = 10000
@@ -169,8 +179,9 @@ const (
 	// out-of-bounds or unaligned access, divide by zero, a bad return.
 	FaultSemantic FaultKind = iota
 	// FaultLimit is a resource bound imposed by the configuration: the
-	// instruction budget (MaxSteps), the call-depth limit (MaxDepth), or
-	// stack exhaustion.
+	// instruction budget (MaxSteps), the call-depth limit (MaxDepth),
+	// stack exhaustion, or live frames whose register tables outgrow
+	// their bound.
 	FaultLimit
 	// FaultCancelled is a cooperative stop: the context passed to
 	// RunContext was cancelled and the interpreter unwound at the next
@@ -466,6 +477,7 @@ func (m *Machine) RunContext(ctx context.Context, entry string, args ...Value) (
 		done:   ctx.Done(),
 	}
 	f0 := frame{fn: rf, regs: make([]uint64, rf.nregs), base: ex.sp, retDst: ir.NoReg}
+	ex.regWords = rf.nregs
 	ex.sp += rf.frameBytes
 	for i, p := range rf.f.Params {
 		if rf.f.RegClass(p) == ir.ClassFloat != args[i].IsFloat {

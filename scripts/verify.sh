@@ -123,29 +123,37 @@ go test -race -run TestCacheDaemonSmoke ./cmd/ccmcached/
 # (TestAllocGuardPrint: compiled fpppp allocates as often as radb2), and
 # parsing uncompiled fpppp must stay under a fixed allocation count and
 # byte ceiling (TestAllocGuardParse), so copying the names a program keeps
-# cannot bring per-line garbage back. Run
+# cannot bring per-line garbage back, decoding a ccmd request body may
+# allocate only the body buffer, one copy of its program text and a
+# constant (TestAllocGuardDecodeRequest), and the register tables of a
+# simulator run's live frames stay under one bound however deep it
+# recurses (TestAllocGuardRegisterWords). Run
 # with -count=1 so a cached 'ok' can never mask an allocation
 # regression, and without -race (the race runtime inflates allocation
 # counts).
-echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/ ./internal/oracle/ ./internal/ir/"
-go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/ ./internal/oracle/ ./internal/ir/
+echo "== alloc-guard: go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/ ./internal/oracle/ ./internal/ir/ ./internal/ccmd/"
+go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/ ./internal/sim/ ./internal/regalloc/ ./internal/core/ ./internal/obs/ ./internal/oracle/ ./internal/ir/ ./internal/ccmd/
 
 # The root package holds one benchmark per paper table and figure plus
 # the fpppp, simulator and parser micro-benchmarks; internal/pipeline
-# holds the driver's cold, cached, observability and key benchmarks, and
-# internal/obs the span and metric ones. go vet compiles them but nothing
-# else runs them, so run each once to catch a b.Fatal path.
-echo "== bench: go test -run '^\$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/"
-go test -run '^$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/
+# holds the driver's cold, cached, observability and key benchmarks,
+# internal/obs the span and metric ones, and internal/ccmd the request
+# decode. go vet compiles them but nothing else runs them, so run each
+# once to catch a b.Fatal path.
+echo "== bench: go test -run '^\$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/ ./internal/ccmd/"
+go test -run '^$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/ ./internal/ccmd/
 
 # The tier-1 run above replays only the seed corpora of the fuzz
-# targets. Fuzz the two decoders of untrusted bytes for a bounded time
-# each: the codec v2 program decoder, which reads cache entries, and the
-# ILOC parser, which reads every ccmd request. A finding fails this step
-# and is written under the package's testdata/fuzz for replay.
-echo "== fuzz: go test -fuzz FuzzBinaryArtifactDecode and FuzzParse, 10s each"
+# targets. Fuzz the three decoders of untrusted bytes for a bounded time
+# each: the codec v2 program decoder, which reads cache entries, the
+# ILOC parser, which reads every ccmd request's program, and ccmd's
+# request reader, which must accept, refuse and decode every body as the
+# encoding/json check it replaced did. A finding fails this step and is
+# written under the package's testdata/fuzz for replay.
+echo "== fuzz: go test -fuzz FuzzBinaryArtifactDecode, FuzzParse and FuzzDecodeRequest, 10s each"
 go test -run '^$' -fuzz '^FuzzBinaryArtifactDecode$' -fuzztime 10s ./internal/pipeline/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/ir/
+go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./internal/ccmd/
 
 # Last, the line counts each change records in CHANGES.md.
 echo '== loc: ./scripts/loc.sh'
