@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // The request reader. A /compile or /run body is read once into one
@@ -30,10 +32,17 @@ const maxNesting = 10000
 // arrived.
 const firstRead = 64 << 10
 
-// decodeJSON reads one request body into dst with a hard size bound and
-// strict member checking: 415 for another media type, 413 for a body
-// over maxBytes, 400 for everything else the reader refuses.
-func decodeJSON[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, read func(*reader, *T), dst *T) *APIError {
+// bodyReadTimeout bounds the time a request body takes to arrive. A body
+// is read before admission, so without it a client that sends part of a
+// body holds a handler and its buffer outside MaxInflight for as long as
+// it keeps the connection open.
+const bodyReadTimeout = 30 * time.Second
+
+// decodeJSON reads one request body into dst with a hard size and time
+// bound and strict member checking: 415 for another media type, 413 for
+// a body over maxBytes, 408 for one that has not arrived within timeout,
+// 400 for everything else the reader refuses.
+func decodeJSON[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, timeout time.Duration, read func(*reader, *T), dst *T) *APIError {
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		// RFC 9110 §8.3.1: type and subtype are case-insensitive.
 		if mt, _, _ := strings.Cut(ct, ";"); !strings.EqualFold(strings.TrimSpace(mt), "application/json") {
@@ -41,12 +50,24 @@ func decodeJSON[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, r
 				Message: fmt.Sprintf("unsupported Content-Type %q (want application/json)", ct)}
 		}
 	}
+	// The deadline bounds the body alone, so it is cleared once the body
+	// is read: a later read of the connection failing at it would cancel
+	// the request's context, and a compile running past it would end as a
+	// 499. Only a writer without deadlines, such as httptest's recorder,
+	// refuses them.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(timeout))
 	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBytes), r.ContentLength)
+	_ = rc.SetReadDeadline(time.Time{})
 	if err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			return &APIError{Status: http.StatusRequestEntityTooLarge, Code: CodeBadRequest,
 				Message: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return &APIError{Status: http.StatusRequestTimeout, Code: CodeBadRequest,
+				Message: fmt.Sprintf("request body not received within %s", timeout)}
 		}
 		return malformed(err)
 	}
@@ -499,6 +520,14 @@ var unescape = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', '
 // lo and hi are the low and the high bit of each byte of a word.
 const lo, hi = 0x0101010101010101, 0x8080808080808080
 
+// flagged sets the high bit of each byte of x that is below the space, a
+// quote, a backslash or past ASCII. A byte after a flagged one may be
+// flagged too, but not one before: the lowest flagged byte is the
+// first such byte.
+func flagged(x uint64) uint64 {
+	return ((x - ' '*lo) | ((x ^ '"'*lo) - lo) | ((x ^ '\\'*lo) - lo) | x) & hi
+}
+
 // quoted reads the string at the read position and returns its value.
 // The buffer being the reader's own, the value is unescaped in place:
 // plain bytes are copied eight at a time while a word holds no other,
@@ -510,10 +539,8 @@ func (r *reader) quoted() []byte {
 	w, i := start, start // the value so far is b[start:w]; i reads
 	for {
 		for i+8 <= len(b) {
-			// A byte of x below the space, a quote, a backslash or past
-			// ASCII sets its high bit here (a byte after one may too).
 			x := binary.LittleEndian.Uint64(b[i:])
-			if ((x-' '*lo)|((x^'"'*lo)-lo)|((x^'\\'*lo)-lo)|x)&hi != 0 {
+			if flagged(x) != 0 {
 				break
 			}
 			binary.LittleEndian.PutUint64(b[w:], x)

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ccmem/internal/workload"
 )
@@ -170,12 +171,12 @@ func TestAllocGuardDecodeRequest(t *testing.T) {
 		rd := bytes.NewReader(body)
 		req := httptest.NewRequest(http.MethodPost, "/compile", rd)
 		req.Header.Set("Content-Type", "application/json")
-		w := httptest.NewRecorder()
+		w := deadlineRecorder{httptest.NewRecorder()}
 		var q CompileRequest
 		decode := func() {
 			rd.Reset(body)
 			q = CompileRequest{}
-			if apiErr := decodeJSON(w, req, 4<<20, (*reader).compileRequest, &q); apiErr != nil {
+			if apiErr := decodeJSON(w, req, 4<<20, bodyReadTimeout, (*reader).compileRequest, &q); apiErr != nil {
 				t.Fatal(apiErr)
 			}
 		}
@@ -202,6 +203,13 @@ func TestAllocGuardDecodeRequest(t *testing.T) {
 	}
 }
 
+// deadlineRecorder is a recorder that takes read deadlines, as the
+// server's ResponseWriter does, so that a decode measured through it
+// makes the server's calls.
+type deadlineRecorder struct{ *httptest.ResponseRecorder }
+
+func (deadlineRecorder) SetReadDeadline(time.Time) error { return nil }
+
 // raceEnabled is set under the race detector (race_test.go).
 var raceEnabled bool
 
@@ -215,13 +223,13 @@ func BenchmarkDecodeRequest(b *testing.B) {
 			rd := bytes.NewReader(body)
 			req := httptest.NewRequest(http.MethodPost, "/compile", rd)
 			req.Header.Set("Content-Type", "application/json")
-			w := httptest.NewRecorder()
+			w := deadlineRecorder{httptest.NewRecorder()}
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rd.Reset(body)
 				var q CompileRequest
-				if apiErr := decodeJSON(w, req, 4<<20, (*reader).compileRequest, &q); apiErr != nil {
+				if apiErr := decodeJSON(w, req, 4<<20, bodyReadTimeout, (*reader).compileRequest, &q); apiErr != nil {
 					b.Fatal(apiErr)
 				}
 			}

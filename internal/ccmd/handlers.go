@@ -43,7 +43,7 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /compile", authed(func(w http.ResponseWriter, r *http.Request) {
 		var req CompileRequest
-		if apiErr := decodeJSON(w, r, maxBody, (*reader).compileRequest, &req); apiErr != nil {
+		if apiErr := decodeJSON(w, r, maxBody, s.bodyTimeout, (*reader).compileRequest, &req); apiErr != nil {
 			writeError(w, apiErr)
 			return
 		}
@@ -52,11 +52,11 @@ func Handler(s *Service, version string, authToken string) http.Handler {
 			writeError(w, apiErr)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeCompileResponse(w, resp)
 	}))
 	mux.HandleFunc("POST /run", authed(func(w http.ResponseWriter, r *http.Request) {
 		var req RunRequest
-		if apiErr := decodeJSON(w, r, maxBody, (*reader).runRequest, &req); apiErr != nil {
+		if apiErr := decodeJSON(w, r, maxBody, s.bodyTimeout, (*reader).runRequest, &req); apiErr != nil {
 			writeError(w, apiErr)
 			return
 		}

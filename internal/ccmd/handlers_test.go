@@ -1,6 +1,7 @@
 package ccmd
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -180,6 +181,53 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("padded body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestHTTPBodyReadDeadline: a client that declares a 2,000,000-byte body
+// and sends 12 bytes of it is answered 408 once the body's deadline
+// passes, where it used to hold its handler for as long as it kept the
+// connection open. A compile held past the deadline after its body has
+// arrived still answers 200: the deadline ends with the body, so the
+// read net/http goes on with after the body cannot fail at it and cancel
+// the request.
+func TestHTTPBodyReadDeadline(t *testing.T) {
+	const bound = 300 * time.Millisecond
+	svc, ts := newTestHTTP(t, nil)
+	svc.bodyTimeout = bound
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	const part = `{"program":"`
+	if _, err := io.WriteString(conn, "POST /compile HTTP/1.1\r\nHost: ccmd\r\nContent-Type: application/json\r\n"+
+		"Content-Length: 2000000\r\n\r\n"+part); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(bound + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("after %s: no response to a stalled body: %v", time.Since(start), err)
+	}
+	env := decodeBody[errEnvelope](t, resp)
+	if elapsed := time.Since(start); resp.StatusCode != http.StatusRequestTimeout || elapsed > bound+2*time.Second {
+		t.Fatalf("a stalled body was answered %d after %s, want 408 after about %s", resp.StatusCode, elapsed, bound)
+	}
+	if env.Error == nil || env.Error.Code != CodeBadRequest {
+		t.Fatalf("error %+v, want %s", env.Error, CodeBadRequest)
+	}
+
+	svc.testCompileHook = func() { time.Sleep(3 * bound) }
+	resp = postJSON(t, ts.URL+"/compile", CompileRequest{Program: testProgram(t, 12)})
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a compile held past the body deadline: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -142,6 +142,10 @@ type Service struct {
 	totalSpans int
 	nextPID    int
 
+	// bodyTimeout bounds the time a request body takes to arrive: it is
+	// bodyReadTimeout, which tests shorten.
+	bodyTimeout time.Duration
+
 	// testCompileHook, when non-nil, runs while the request holds its
 	// admission slot, before the compile — the seam saturation and
 	// drain tests use to hold slots deterministically.
@@ -160,6 +164,8 @@ func NewService(cfg Config) (*Service, error) {
 		reg:   cfg.Driver.Registry(),
 		slots: make(chan struct{}, cfg.MaxInflight),
 		memo:  newParseMemo(cfg.Driver.Registry()),
+
+		bodyTimeout: bodyReadTimeout,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil

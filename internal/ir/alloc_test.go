@@ -15,9 +15,11 @@ import (
 // a program sizes one buffer for its whole text, so compiled fpppp,
 // about eleven times the text of compiled radb2, allocates as often.
 // A printer that builds register names or instructions as strings of
-// their own allocates per instruction and trips the guard at once.
+// their own allocates per instruction and trips the guard at once. It
+// pins too that reprinting a printed frozen program allocates its result
+// alone: its functions' kept texts are copied, not printed again.
 func TestAllocGuardPrint(t *testing.T) {
-	prints := func(name string) (allocs float64, bytes int) {
+	prints := func(name string) (allocs, reprint float64, bytes int) {
 		r, ok := workload.Lookup(name)
 		if !ok {
 			t.Fatalf("no routine %s", name)
@@ -30,13 +32,25 @@ func TestAllocGuardPrint(t *testing.T) {
 		if _, err := pipeline.New(pipeline.Options{Workers: 1}).Compile(p, cfg); err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(10, func() { _ = p.String() }), len(p.String())
+		mutable := p.Clone()
+		for _, f := range p.Funcs {
+			f.Freeze()
+		}
+		text := p.String()
+		if mutable.String() != text {
+			t.Fatalf("%s: the frozen program prints other bytes than its mutable clone", name)
+		}
+		return testing.AllocsPerRun(10, func() { _ = mutable.String() }),
+			testing.AllocsPerRun(10, func() { _ = p.String() }), len(text)
 	}
-	big, bigBytes := prints("fpppp")
-	small, smallBytes := prints("radb2")
+	big, bigReprint, bigBytes := prints("fpppp")
+	small, smallReprint, smallBytes := prints("radb2")
 	t.Logf("printing: fpppp %d bytes in %.0f allocs, radb2 %d bytes in %.0f allocs", bigBytes, big, smallBytes, small)
 	if big != small || big > 4 {
 		t.Errorf("printing fpppp allocates %.0f times and radb2 %.0f: want the same count, at most 4", big, small)
+	}
+	if bigReprint != 1 || smallReprint != 1 {
+		t.Errorf("reprinting frozen fpppp allocates %.0f times and radb2 %.0f: want once, for the result", bigReprint, smallReprint)
 	}
 }
 

@@ -124,10 +124,12 @@ type Func struct {
 	frozen bool
 
 	// digest is the content digest a frozen function keeps once one is
-	// computed (KeepDigest); it stays nil on a mutable function, whose
-	// content may still change. It makes a Func unsafe to copy by value,
-	// which vet's copylocks check enforces.
+	// computed (KeepDigest), and text the text it keeps once it is first
+	// printed (String, Program.String); both stay nil on a mutable
+	// function, whose content may still change. They make a Func unsafe
+	// to copy by value, which vet's copylocks check enforces.
 	digest atomic.Pointer[[32]byte]
+	text   atomic.Pointer[string]
 }
 
 // Freeze marks f immutable. There is no Unfreeze: the only way back to a
@@ -291,8 +293,8 @@ func (p *Program) Clone() *Program {
 }
 
 // Clone deep-copies the function. The copy is always mutable, whatever
-// the receiver's frozen state, and keeps no digest: Clone is the
-// copy-on-write point of the cache's sharing scheme.
+// the receiver's frozen state, and keeps no digest and no text: Clone is
+// the copy-on-write point of the cache's sharing scheme.
 func (f *Func) Clone() *Func {
 	nf := &Func{
 		Name:       f.Name,

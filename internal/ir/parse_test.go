@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -384,6 +385,76 @@ func TestPrintExactText(t *testing.T) {
 	}{{NoReg, "_"}, {none, "r1"}} {
 		if got := f.RegName(c.r); got != c.want {
 			t.Errorf("RegName(%d) = %q, want %q", c.r, got, c.want)
+		}
+	}
+}
+
+// TestFuncTextKept: a frozen function prints the bytes its mutable clone
+// prints, and keeps them, so its later prints, and its program's, copy
+// that text. A clone of it keeps no text and neither does a mutable
+// function, so a rewrite of either shows when it is next printed. Eight
+// goroutines printing one frozen function for the first time agree on
+// its text; verify.sh runs this ten times under the race detector.
+func TestFuncTextKept(t *testing.T) {
+	p, err := Parse(everyFormSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.String()
+	frozen := p.Clone()
+	for _, f := range frozen.Funcs {
+		f.Freeze()
+	}
+	for i, f := range frozen.Funcs {
+		text := f.String()
+		if mutable := p.Funcs[i].String(); text != mutable {
+			t.Errorf("frozen %s printed:\n%s\nits mutable clone:\n%s", f.Name, text, mutable)
+		}
+		if again := f.String(); unsafe.StringData(again) != unsafe.StringData(text) {
+			t.Errorf("frozen %s was printed again; want the text it keeps", f.Name)
+		}
+	}
+	if got := frozen.String(); got != want {
+		t.Errorf("frozen program printed:\n%s\nwant:\n%s", got, want)
+	}
+
+	f, m := frozen.Funcs[0], p.Funcs[0]
+	c := f.Clone()
+	if c.text.Load() != nil {
+		t.Error("a clone of a printed frozen function keeps its text")
+	}
+	if m.text.Load() != nil {
+		t.Error("a printed mutable function keeps its text")
+	}
+	text := f.String()
+	for _, g := range []*Func{c, m} {
+		g.Name = "rewritten"
+		if got := g.String(); !strings.HasPrefix(got, "func rewritten(") {
+			t.Errorf("a rewritten mutable function printed:\n%s", got)
+		}
+	}
+	if f.String() != text {
+		t.Error("rewriting a clone changed the frozen function's text")
+	}
+
+	fresh := f.Clone()
+	fresh.Freeze()
+	texts := make([]string, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range texts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			texts[i] = fresh.String()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, got := range texts {
+		if got != text || unsafe.StringData(got) != unsafe.StringData(texts[0]) {
+			t.Errorf("goroutine %d printed a text of its own:\n%s", i, got)
 		}
 	}
 }

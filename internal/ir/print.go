@@ -1,10 +1,15 @@
 package ir
 
-import "strconv"
+import (
+	"strconv"
+	"unsafe"
+)
 
 // The printer appends into one byte slice, which Program.String sizes
 // once for the whole program; RegName, FormatInstr and Func.String wrap
-// the same appenders.
+// the same appenders. A frozen function is printed once: it keeps the
+// text it first prints as, and later prints of it, the programs it is
+// part of included, copy that text.
 
 // RegName renders a register in the textual form used by the parser:
 // r<N> for integer registers, f<N> for floats. The index space is shared,
@@ -83,7 +88,22 @@ func (f *Func) appendInstr(b []byte, in *Instr) []byte {
 }
 
 // String renders the function in the textual ILOC form accepted by Parse.
-func (f *Func) String() string { return string(f.appendFunc(make([]byte, 0, f.printSize()))) }
+// A frozen function keeps the text its first call prints; a mutable one
+// is printed on every call, so a rewrite shows in its next print.
+func (f *Func) String() string {
+	if t := f.text.Load(); t != nil {
+		return *t
+	}
+	// A copy, so that a kept text holds no room the estimate left over.
+	t := string(f.appendFunc(make([]byte, 0, f.printSize())))
+	if f.frozen {
+		// Concurrent first callers print the same bytes, and all return
+		// the one text kept.
+		f.text.CompareAndSwap(nil, &t)
+		return *f.text.Load()
+	}
+	return t
+}
 
 func (f *Func) appendFunc(b []byte) []byte {
 	b = append(append(b, "func "...), f.Name...)
@@ -115,14 +135,20 @@ func (f *Func) printSize() int {
 	return n
 }
 
-// String renders the whole program in parseable form.
+// String renders the whole program in parseable form. Its frozen
+// functions are copied from the texts they keep, so reprinting a printed
+// frozen program allocates its result alone.
 func (p *Program) String() string {
 	n := 1
 	for _, g := range p.Globals {
 		n += len(g.Name) + 32 + 17*len(g.Init) // a hex word prints in at most 16 digits
 	}
 	for _, f := range p.Funcs {
-		n += f.printSize() + 1
+		if f.frozen {
+			n += len(f.String()) + 1
+		} else {
+			n += f.printSize() + 1
+		}
 	}
 	b := make([]byte, 0, n)
 	for _, g := range p.Globals {
@@ -143,7 +169,13 @@ func (p *Program) String() string {
 		if i > 0 {
 			b = append(b, '\n')
 		}
-		b = f.appendFunc(b)
+		if f.frozen {
+			b = append(b, f.String()...)
+		} else {
+			b = f.appendFunc(b)
+		}
 	}
-	return string(b)
+	// The string takes the buffer over rather than copying it: nothing
+	// writes to b again.
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }

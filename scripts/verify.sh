@@ -86,6 +86,12 @@ go test -race ./internal/ccmd/...
 echo '== race: go test -race -count=10 -run TestParseMemoConcurrentCompileAndRun ./internal/ccmd/'
 go test -race -count=10 -run TestParseMemoConcurrentCompileAndRun ./internal/ccmd/
 
+# A frozen function keeps the text it is first printed as, and the
+# served programs' functions are shared by every request that hits them,
+# so concurrent first prints of one function must agree without a race.
+echo '== race: go test -race -count=10 -run TestFuncTextKept ./internal/ir/'
+go test -race -count=10 -run TestFuncTextKept ./internal/ir/
+
 # Daemon e2e smoke: build the real ccmd binary, serve on an ephemeral
 # port, compile over HTTP (bytes must match a solo ccmc compile), scrape
 # /metrics and /version, SIGTERM, and assert a clean drain.
@@ -120,7 +126,10 @@ go test -race -run TestCacheDaemonSmoke ./cmd/ccmcached/
 # must resolve neither program (TestAllocGuardMemoizedCheck: the same
 # allocation count and bytes at 8 and 4,096 blocks per function),
 # printing a program must size one buffer for its whole text
-# (TestAllocGuardPrint: compiled fpppp allocates as often as radb2), and
+# (TestAllocGuardPrint: compiled fpppp allocates as often as radb2, and
+# reprinting a printed frozen program allocates its result alone),
+# encoding a /compile response of a fpppp hit with the buffer pool warm
+# must allocate nothing (TestAllocGuardEncodeResponse), and
 # parsing uncompiled fpppp must stay under a fixed allocation count and
 # byte ceiling (TestAllocGuardParse), so copying the names a program keeps
 # cannot bring per-line garbage back, decoding a ccmd request body may
@@ -138,7 +147,7 @@ go test -count=1 -run 'TestAllocGuard' ./internal/pipeline/ ./internal/liveness/
 # the fpppp, simulator and parser micro-benchmarks; internal/pipeline
 # holds the driver's cold, cached, observability and key benchmarks,
 # internal/obs the span and metric ones, and internal/ccmd the request
-# decode. go vet compiles them but nothing else runs them, so run each
+# decode and the response encode (BenchmarkEncodeResponse). go vet compiles them but nothing else runs them, so run each
 # once to catch a b.Fatal path.
 echo "== bench: go test -run '^\$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/ ./internal/ccmd/"
 go test -run '^$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/ ./internal/ccmd/
@@ -148,12 +157,15 @@ go test -run '^$' -bench . -benchtime 1x . ./internal/pipeline/ ./internal/obs/ 
 # each: the codec v2 program decoder, which reads cache entries, the
 # ILOC parser, which reads every ccmd request's program, and ccmd's
 # request reader, which must accept, refuse and decode every body as the
-# encoding/json check it replaced did. A finding fails this step and is
-# written under the package's testdata/fuzz for replay.
-echo "== fuzz: go test -fuzz FuzzBinaryArtifactDecode, FuzzParse and FuzzDecodeRequest, 10s each"
+# encoding/json check it replaced did. Fuzz too ccmd's response string
+# escaper, which must write what encoding/json writes for any string.
+# A finding fails this step and is written under the package's
+# testdata/fuzz for replay.
+echo "== fuzz: go test -fuzz FuzzBinaryArtifactDecode, FuzzParse, FuzzDecodeRequest and FuzzEncodeString, 10s each"
 go test -run '^$' -fuzz '^FuzzBinaryArtifactDecode$' -fuzztime 10s ./internal/pipeline/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/ir/
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./internal/ccmd/
+go test -run '^$' -fuzz '^FuzzEncodeString$' -fuzztime 10s ./internal/ccmd/
 
 # Last, the line counts each change records in CHANGES.md.
 echo '== loc: ./scripts/loc.sh'
